@@ -97,6 +97,8 @@ class CampaignSpec:
             raise CampaignError(f"bad mode: {self.mode!r}")
         if self.runs < 0:
             raise CampaignError("runs must be >= 0")
+        if self.scrub_interval < 1:
+            raise CampaignError(f"scrub_interval must be >= 1: {self.scrub_interval}")
         if not self.targets:
             raise CampaignError("no fault targets selected")
         for t in self.targets:

@@ -31,6 +31,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _interval(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="lockstep-mcu",
                 description="Triple-core lockstep microcontroller simulator")
@@ -46,7 +53,8 @@ def _build_parser() -> _Parser:
     run.add_argument("--mode", choices=("lockstep", "single", "parallel"),
                      default="lockstep")
     run.add_argument("--max-cycles", type=int, default=10_000_000)
-    run.add_argument("--scrub-interval", type=int, default=64)
+    run.add_argument("--scrub-interval", type=_interval, default=64,
+                     help="cycles between scrubber reads (>= 1)")
     run.add_argument("--no-scrub", action="store_true")
     run.add_argument("--trace", metavar="PATH",
                      help="write a per-retirement text trace")

@@ -16,8 +16,6 @@ checksum, so the flag handshake doubles as the end-of-compute barrier.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .asm import Program
 from .soc import ODRG_BASE, SIMCTL_BASE, UART_BASE
 
@@ -51,16 +49,12 @@ def input_matrices(n: int, ident: bool = False) -> tuple[list[int], list[int]]:
 
 
 def host_matmul(n: int, ident: bool = False) -> list[int]:
-    """Independent product oracle (uint64 accumulate, wrap to 32 bits).
-
-    A 64-bit accumulator wraps mod 2^64, which preserves the value mod
-    2^32, so the final mask yields exactly the guest's wrapped result.
-    """
-    a_words, b_words = input_matrices(n, ident)
-    a = np.array(a_words, dtype=np.uint64).reshape(n, n)
-    b = np.array(b_words, dtype=np.uint64).reshape(n, n)
-    c = (a @ b) & np.uint64(M32)
-    return [int(v) for v in c.reshape(-1)]
+    """Independent product oracle: exact dot products wrapped to 32 bits,
+    which is the guest's wrapped multiply-accumulate result."""
+    a, b = input_matrices(n, ident)
+    cols = [b[j::n] for j in range(n)]
+    return [sum(x * y for x, y in zip(a[i * n:(i + 1) * n], col)) & M32
+            for i in range(n) for col in cols]
 
 
 def host_checksum(n: int, ident: bool = False) -> int:

@@ -18,6 +18,11 @@ ports whose request bundles are majority-voted into the real ports
 each cycle, until the resynchronization flow (or plain overwriting of
 the flipped bit) makes the cores bit-identical again.
 
+With ``fast_loop`` on, two fused loops stand in for this engine where
+they can: ``_fast_burst`` for one active core and ``_multi_burst`` for
+several cores in performance mode.  Both stop at cycle boundaries and
+give exactly the reference engine's results.
+
 Address map (all register accesses word-sized):
 
     0x1A00_0000  boot ROM (8 KiB)
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import weakref
 from dataclasses import dataclass, field
 
 from . import memory as mem
@@ -205,8 +211,12 @@ class SocConfig:
     scrub_interval: int = 64
     record_trace: bool = True       # accumulate the retirement hash
     trace_lines: bool = False       # keep formatted per-instruction lines
-    fast_loop: bool = True          # fused single-core burst execution
+    fast_loop: bool = True          # fused single- and multi-core loops
     dormant_opt: bool = True        # defer lockstep splits for unread faults
+
+    def __post_init__(self) -> None:
+        if self.scrub_interval < 1:
+            raise ValueError(f"scrub_interval must be >= 1, got {self.scrub_interval}")
 
     def odrg_mode(self) -> int:
         return MODE_LOCKSTEP if self.mode == "lockstep" else MODE_PERFORMANCE
@@ -290,7 +300,11 @@ class Soc:
         self.entry = SRAM_BASE
         self.loaded = False
 
-        self.cores = [Core(i, self) for i in range(3)]
+        # a proxy, not a reference: cores read the clock through it, and a
+        # Soc -> cores -> Soc cycle would keep every finished instance (and
+        # its memory image) alive until a full garbage collection
+        soc_ref = weakref.proxy(self)
+        self.cores = [Core(i, soc_ref) for i in range(3)]
         self.vports = (Port(VOTED, True), Port(VOTED, False))   # (D, I)
         self.cports = [(Port(i, True), Port(i, False)) for i in range(3)]
         self.converged = True
@@ -1108,7 +1122,12 @@ class Soc:
                         continue
             cycle += 1
             self.cycle = cycle
-            self._bus_cycle(cycle)
+            multi = fast and not self.lockstep and len(self.active) > 1
+            if multi:
+                self._multi_burst(stop_at, limit)
+                cycle = self.cycle
+            else:
+                self._bus_cycle(cycle)
             if self.lockstep and not self.converged:
                 self._broadcast_resps()
                 for c, ip, dp in self.active:
@@ -1124,8 +1143,9 @@ class Soc:
                         self._try_collapse()
                         self._diverge_check_at = cycle + CONVERGENCE_CHECK_PERIOD
             else:
-                for c, ip, dp in self.active:
-                    self._tick_core(c, ip, dp, cycle)
+                if not multi:
+                    for c, ip, dp in self.active:
+                        self._tick_core(c, ip, dp, cycle)
                 if self._done_pending:
                     self._done_pending = False
                     self.odrg.resync_state = RESYNC_IDLE
@@ -1213,6 +1233,8 @@ class Soc:
             c.cur_pc = pc
             c.cur_word = entry[4]
             c.cur_rd = entry[5]
+            if lines is not None:
+                c.cur_mnem = entry[6]
             code = entry[0](c)
             if self.dorm_csrs | self.dorm_regs and code < 2 and \
                     ((entry[8] & self.dorm_regs) or (entry[10] & self.dorm_csrs)):
@@ -1225,7 +1247,6 @@ class Soc:
                     self.tracebuf += pack(cy, hart, pc, entry[4] & m32,
                                           rd, c.regs[rd])
                 if lines is not None:
-                    c.cur_mnem = entry[6]
                     lines.append(
                         f"{cy} {hart} {pc:#010x} {entry[4] & m32:#010x} "
                         f"{entry[6]} x{rd}={c.regs[rd]:#010x}")
@@ -1254,7 +1275,6 @@ class Soc:
                     self.tracebuf += pack(cy, hart, pc, entry[4] & m32,
                                           rd, c.regs[rd])
                 if lines is not None:
-                    c.cur_mnem = entry[6]
                     lines.append(
                         f"{cy} {hart} {pc:#010x} {entry[4] & m32:#010x} "
                         f"{entry[6]} x{rd}={c.regs[rd]:#010x}")
@@ -1339,7 +1359,6 @@ class Soc:
                     self.tracebuf += pack(cy, hart, pc, entry[4] & m32,
                                           rd, c.regs[rd])
                 if lines is not None:
-                    c.cur_mnem = entry[6]
                     lines.append(
                         f"{cy} {hart} {pc:#010x} {entry[4] & m32:#010x} "
                         f"{entry[6]} x{rd}={c.regs[rd]:#010x}")
@@ -1375,7 +1394,7 @@ class Soc:
                         dp.want(R_SRAM, bidx, row, addr & ~3, True, wdata, strobes)
                         ip.pending = False
                         ip.has_resp = False
-                        self._fast_retire_and_fetch(c, ip, cy, pc, entry)
+                        self._fast_retire_and_fetch(c, ip, cy)
                         return
                     bank.write(row, wdata, strobes)
                     if strobes != 0xF:
@@ -1385,7 +1404,6 @@ class Soc:
                         self.tracebuf += pack(cy, hart, pc, entry[4] & m32,
                                               0, 0)
                     if lines is not None:
-                        c.cur_mnem = entry[6]
                         lines.append(
                             f"{cy} {hart} {pc:#010x} {entry[4] & m32:#010x} "
                             f"{entry[6]} x0=0x00000000")
@@ -1412,7 +1430,7 @@ class Soc:
                 dp.want(region, bk, rw, addr, True, wdata, strobes)
                 ip.pending = False
                 ip.has_resp = False
-                self._fast_retire_and_fetch(c, ip, cy, pc, entry)
+                self._fast_retire_and_fetch(c, ip, cy)
                 return
 
             if code == 4:  # wfi
@@ -1420,7 +1438,6 @@ class Soc:
                 if rec:
                     self.tracebuf += pack(cy, hart, pc, entry[4] & m32, 0, 0)
                 if lines is not None:
-                    c.cur_mnem = entry[6]
                     lines.append(
                         f"{cy} {hart} {pc:#010x} {entry[4] & m32:#010x} "
                         f"{entry[6]} x0=0x00000000")
@@ -1441,16 +1458,170 @@ class Soc:
         self.cycle = cy
         self._post_fetch(c, ip)
 
-    def _fast_retire_and_fetch(self, c: Core, ip: Port, cy: int, pc: int,
-                               entry: tuple) -> None:
+    def _fast_retire_and_fetch(self, c: Core, ip: Port, cy: int) -> None:
         """Retire a store posted by the fast path, then schedule the
         next fetch (general-engine state)."""
-        c.cur_mnem = entry[6]
         self._retire(c, cy)
         if c.mip & c.mie and c.mstatus & MSTATUS_MIE:
             self._boundary(c, ip, cy, False)
             return
         self._post_fetch(c, ip)
+
+    def _multi_burst(self, stop_at: int | None, limit: int) -> None:
+        """Fused per-cycle loop for performance mode with several cores.
+
+        Runs the cycle ``self.cycle`` and the ones after it with the bus
+        and tick phases of the general engine inlined for the common
+        cases: conflict-free SRAM grants, decode-cache hits on one-word
+        instructions, single-cycle, multi-cycle and word-load actions,
+        and the boundary with its SRAM fetch.  Everything else goes to
+        the general engine's helpers.  The ports and the core FSM fields
+        are the only state, so every cycle boundary is a valid point to
+        hand back; it returns, with the cycle's scheduler work still to
+        do, once that work may matter (exit, mode switch, resync done,
+        every core asleep) or at ``stop_at`` or the cycle limit.
+        """
+        banks = self.banks.banks
+        dget = self.dcache.get
+        rec = self.rec_trace
+        lines = self.trace_lines
+        tb = self.tracebuf
+        pack = _TRACE_REC.pack
+        scrub = self.scrub
+        odrg = self.odrg
+        allowed = limit if stop_at is None else min(limit, stop_at)
+        sram_lo, sram_hi = SRAM_BASE, SRAM_END
+        cy = self.cycle
+        while True:
+            # H1: grant every request at once when they all hit distinct,
+            # idle SRAM banks; anything else takes the general bus cycle
+            ports = self.bus_ports
+            simple = not (scrub.enabled and cy >= scrub.next_cycle)
+            if simple:
+                used = 0
+                for p in ports:
+                    if p.pending and not p.has_resp:
+                        bit = 1 << p.bank
+                        if p.region != R_SRAM or used & bit or \
+                                banks[p.bank].busy_until >= cy:
+                            simple = False
+                            break
+                        used |= bit
+            if not simple:
+                self._bus_cycle(cy)
+            elif used:
+                for p in ports:
+                    if p.pending and not p.has_resp:
+                        bank = banks[p.bank]
+                        if p.is_write:
+                            self._bank_op(p, bank, cy)
+                            continue
+                        row = p.row
+                        if bank.tainted and row in bank.tainted:
+                            p.resp_val, p.resp_status = bank.read(row)
+                        else:
+                            p.resp_val = bank.cws[row] & M32
+                            p.resp_status = RS_OK
+                        p.pending = False
+                        p.has_resp = True
+
+            # H2: step every core
+            for c, ip, dp in self.active:
+                if c.sleeping:
+                    if c.wake_pulse or (c.mip & c.mie):
+                        self._tick_core(c, ip, dp, cy)
+                    continue
+                if dp.has_resp and c.phase != PH_LD:
+                    dp.has_resp = False
+                ph = c.phase
+                if ph == PH_F0:
+                    if not ip.has_resp:
+                        continue
+                    entry = dget(c.cur_pc)
+                    if ip.resp_status >= RS_UNCORRECTABLE or entry is None \
+                            or entry[2] != ip.resp_val or entry[1] != 1:
+                        self._consume_fetch(c, ip, dp, cy)
+                        continue
+                    ip.has_resp = False
+                    c.cur_word = entry[4]
+                    c.cur_rd = entry[5]
+                    c.cur_mnem = entry[6]
+                    code = entry[0](c)
+                    if code == 1:
+                        c.phase = PH_EX
+                        c.exec_left = c.ev_extra
+                        c.exec_retire = True
+                        continue
+                    if code == 2:
+                        addr = c.ev_addr
+                        if dp.pending or not sram_lo <= addr < sram_hi:
+                            self._issue_data(c, ip, dp, 2, cy)
+                            continue
+                        w = (addr - sram_lo) >> 2
+                        dp.want(R_SRAM, w & 7, w >> 3, addr)
+                        c.phase = PH_LD
+                        continue
+                    if code == 3:
+                        self._issue_data(c, ip, dp, 3, cy)
+                        continue
+                    if code == 4:
+                        self._retire(c, cy)
+                        c.sleeping = True
+                        continue
+                    if code != 0:
+                        self._enter_trap(c, c.ev_cause, c.ev_tval)
+                        continue
+                elif ph == PH_EX:
+                    c.exec_left -= 1
+                    if c.exec_left > 0:
+                        continue
+                    if not c.exec_retire:
+                        self._boundary(c, ip, cy, False)
+                        continue
+                elif ph == PH_LD:
+                    if not dp.has_resp:
+                        continue
+                    if c.ev_f3 != 2 or dp.resp_status >= RS_UNCORRECTABLE:
+                        self._consume_load(c, dp, ip, cy)
+                        continue
+                    dp.has_resp = False
+                    rd = c.ev_rd
+                    if rd:
+                        c.regs[rd] = dp.resp_val
+                else:
+                    self._tick_core(c, ip, dp, cy)
+                    continue
+                # retire, then take an interrupt or fetch the next pc
+                if lines is None:
+                    c.minstret += 1
+                    if rec:
+                        rd = c.cur_rd
+                        tb += pack(cy, c.mhartid, c.cur_pc, c.cur_word & M32,
+                                   rd, c.regs[rd])
+                else:
+                    self._retire(c, cy)
+                if c.mip & c.mie and c.mstatus & MSTATUS_MIE:
+                    self._boundary(c, ip, cy, False)
+                    continue
+                pc = c.pc
+                if sram_lo <= pc < sram_hi:
+                    c.cur_pc = pc
+                    w = (pc - sram_lo) >> 2
+                    ip.want(R_SRAM, w & 7, w >> 3, pc & ~3)
+                    c.phase = PH_F0
+                else:
+                    self._post_fetch(c, ip)
+
+            if not self.running or self._done_pending \
+                    or odrg.pending_mode is not None or cy >= allowed:
+                return
+            for c, _ip, _dp in self.active:
+                if not c.sleeping:
+                    break
+            else:
+                return  # idle: the scheduler may skip ahead
+            cy += 1
+            self.cycle = cy
 
     def _maybe_switch_mode(self) -> None:
         """Apply a pending mode change at the sleep barrier."""

@@ -28,6 +28,10 @@ class TestSpecValidation:
         with pytest.raises(CampaignError, match="bad core fault location"):
             CampaignSpec(locs=("x99",)).validate()
 
+    def test_zero_scrub_interval_rejected(self):
+        with pytest.raises(CampaignError, match="scrub_interval"):
+            CampaignSpec.from_dict({"kernel": "matmul8", "scrub_interval": 0})
+
     def test_unknown_spec_field_rejected(self):
         with pytest.raises(CampaignError, match="unknown spec fields"):
             CampaignSpec.from_dict({"kernel": "matmul8", "bogus": 1})

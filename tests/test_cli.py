@@ -92,6 +92,12 @@ class TestUsageErrors:
             cli.main(["run", "--kernel", "exit0", "--frobnicate"])
         assert e.value.code == 64
 
+    def test_zero_scrub_interval(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["run", "--kernel", "exit0", "--scrub-interval", "0"])
+        assert e.value.code == 64
+        assert "--scrub-interval" in capsys.readouterr().err
+
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit) as e:
             cli.main([])
@@ -197,6 +203,12 @@ class TestCampaign:
         assert code == 4
         report = json.loads(out)
         assert report["classes"]["silent_data_corruption"] > 0
+
+    def test_zero_scrub_interval_usage_error(self, capsys, tmp_path):
+        path = self.spec_file(tmp_path, scrub_interval=0)
+        code, _, err = run_cli(capsys, "campaign", "run", str(path))
+        assert code == 64
+        assert "scrub_interval" in err
 
     def test_bad_spec_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -15,7 +15,7 @@ def run(prog, mode="lockstep", **cfg):
 
 
 def pure_python_matmul(n, ident=False):
-    """Second independent oracle: no numpy, plain modular arithmetic."""
+    """Second independent oracle: the running sum wraps at every step."""
     a_w, b_w = kernels.input_matrices(n, ident)
     c = [0] * (n * n)
     for i in range(n):

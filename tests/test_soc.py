@@ -1,11 +1,14 @@
 """System assembly: loading, devices, scrubbing, timing, determinism."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
 from lockstep_mcu import kernels
 from lockstep_mcu.asm import Program
+from lockstep_mcu.interconnect import R_SRAM
 from lockstep_mcu.memory import TOTAL_BYTES, TOTAL_WORDS
 from lockstep_mcu.soc import (
     LoadError, MEMCTL_BASE, ODRG_BASE, SIMCTL_BASE, SRAM_BASE, UART_BASE,
@@ -78,13 +81,29 @@ class TestDeterminism:
         assert list(d)[0] == "schema"
         json.dumps(d)  # serializable
 
-    def test_fast_and_reference_engines_agree(self):
+    @pytest.mark.parametrize("mode", ["lockstep", "single", "parallel"])
+    @pytest.mark.parametrize("name", [n for n, _ in kernels.list_kernels()])
+    def test_fast_and_reference_engines_agree(self, name, mode):
+        # the cycle budget keeps the long kernels short; cutting a run
+        # mid-burst is part of what must agree
+        prog = kernels.build_kernel(name, mode)
         outs = []
         for fast in (True, False):
-            soc = Soc(SocConfig(fast_loop=fast))
-            soc.load_program(kernels.matmul_kernel(8, "single"))
-            outs.append(soc.run())
-        assert outs[0].to_dict() == outs[1].to_dict()
+            soc = Soc(SocConfig(mode=mode, fast_loop=fast, max_cycles=12_000))
+            soc.load_program(prog)
+            outs.append(soc.run().to_dict())
+        assert outs[0] == outs[1]
+
+    def test_fast_and_reference_trace_lines_agree_parallel(self):
+        prog = kernels.matmul_kernel(8, "parallel3")
+        outs = []
+        for fast in (True, False):
+            soc = Soc(SocConfig(mode="parallel", fast_loop=fast,
+                                trace_lines=True))
+            soc.load_program(prog)
+            outs.append(soc.run().trace_lines)
+        assert len(outs[0]) > 1000
+        assert outs[0] == outs[1]
 
     def test_snapshot_restore_resumes_identically(self):
         a = fresh(prog=kernels.matmul_kernel(8, "single"))
@@ -96,6 +115,62 @@ class TestDeterminism:
         rb = b.run()
         assert ra.cycles == rb.cycles
         assert ra.outputs_digest == rb.outputs_digest
+
+
+def _conflict_pending(soc):
+    """Two requests wait for one SRAM bank in the next cycle."""
+    banks = [p.bank for p in soc.bus_ports
+             if p.pending and not p.has_resp and p.region == R_SRAM]
+    return len(banks) != len(set(banks))
+
+
+class TestParallelPauseResume:
+    def soc(self):
+        return fresh(mode="parallel", prog=kernels.matmul_kernel(8, "parallel3"))
+
+    def test_pause_snapshot_restore_match_uninterrupted(self):
+        ref = self.soc().run()
+        assert ref.conflict_stalls > 0
+        probe = self.soc()
+        stop = 400
+        while True:
+            probe.run(stop_at=stop)
+            if _conflict_pending(probe):
+                break
+            stop += 1
+        assert stop < 1000
+        for k in (stop, stop + 1, 1501, 2500):
+            a = self.soc()
+            assert a.run(stop_at=k) is None and a.cycle == k
+            snap = a.snapshot()
+            assert a.run().to_dict() == ref.to_dict()
+            b = self.soc()
+            b.restore(snap)
+            rb = b.run()
+            for key in ("cycles", "instret", "outputs_digest",
+                        "conflict_stalls", "ecc_correctable",
+                        "ecc_uncorrectable", "checksum", "exit_code"):
+                assert getattr(rb, key) == getattr(ref, key), (k, key)
+
+
+class TestLifetime:
+    def test_finished_soc_freed_without_cycle_collector(self):
+        gc.disable()
+        try:
+            soc = fresh(mode="parallel", prog=kernels.matmul_kernel(3, "parallel3"))
+            soc.run()
+            ref = weakref.ref(soc)
+            del soc
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestConfig:
+    @pytest.mark.parametrize("interval", [0, -3])
+    def test_scrub_interval_must_be_positive(self, interval):
+        with pytest.raises(ValueError, match="scrub_interval"):
+            SocConfig(scrub_interval=interval)
 
 
 class TestScrubberSystem:
