@@ -22,13 +22,16 @@ Outcome classes (one per run, fixed precedence):
 from __future__ import annotations
 
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import kernels as kern
+from .core import CORE_LOC_TAGS
+from .ecc import WORD_BITS
 from .memory import NUM_BANKS, ROWS_PER_BANK
-from .soc import FATAL_EXIT_BASE, Soc, SocConfig, RunResult
+from .soc import FATAL_EXIT_BASE, DefUse, Soc, SocConfig, RunResult
 
 OUTCOME_CLASSES = (
     "masked_voter", "corrected_ecc", "resynced", "detected_uncorrectable",
@@ -74,6 +77,33 @@ class FaultEvent:
         else:
             soc.banks.banks[self.bank].write_disable |= 1 << self.bit
 
+    def validate(self) -> None:
+        if self.kind not in TARGET_KINDS:
+            raise CampaignError(f"bad event kind: {self.kind!r}")
+        for name in ("at_cycle", "hart", "bank", "row", "bit"):
+            if not _is_int(getattr(self, name)):
+                raise CampaignError(
+                    f"event {name} must be an integer: {getattr(self, name)!r}")
+        if self.at_cycle < 0:
+            raise CampaignError(f"event at_cycle must be >= 0: {self.at_cycle}")
+        if self.hart not in (0, 1, 2):
+            raise CampaignError(f"bad event hart: {self.hart}")
+        if self.kind == "core" and self.loc not in Soc.CORE_FAULT_LOCS:
+            raise CampaignError(f"bad event loc: {self.loc!r}")
+        if not (0 <= self.bank < NUM_BANKS and 0 <= self.row < ROWS_PER_BANK):
+            raise CampaignError("event bank/row out of range")
+        nbits = 32 if self.kind == "core" else WORD_BITS
+        if not 0 <= self.bit < nbits:
+            raise CampaignError(
+                f"event bit out of range for a {self.kind} fault: {self.bit}")
+
+
+EVENT_FIELDS = frozenset(f.name for f in fields(FaultEvent))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass
 class CampaignSpec:
@@ -93,8 +123,16 @@ class CampaignSpec:
     explicit_events: list[FaultEvent] | None = field(default=None)
 
     def validate(self) -> None:
-        if self.mode not in ("lockstep", "single", "parallel"):
+        if self.mode not in kern.MODES:
             raise CampaignError(f"bad mode: {self.mode!r}")
+        for name in ("runs", "seed", "scrub_interval"):
+            if not _is_int(getattr(self, name)):
+                raise CampaignError(
+                    f"{name} must be an integer: {getattr(self, name)!r}")
+        for name in ("max_cycles", "entry"):
+            value = getattr(self, name)
+            if value is not None and not _is_int(value):
+                raise CampaignError(f"{name} must be an integer: {value!r}")
         if self.runs < 0:
             raise CampaignError("runs must be >= 0")
         if self.scrub_interval < 1:
@@ -110,19 +148,25 @@ class CampaignSpec:
         for loc in self.locs:
             if loc not in Soc.CORE_FAULT_LOCS:
                 raise CampaignError(f"bad core fault location: {loc!r}")
-        lo, hi = self.cycle_window
-        if not 0.0 <= lo < hi <= 1.0:
+        try:
+            lo, hi = self.cycle_window
+            window_ok = 0.0 <= lo < hi <= 1.0
+        except (TypeError, ValueError):
+            window_ok = False
+        if not window_ok:
             raise CampaignError(f"bad cycle window: {self.cycle_window}")
-        if self.binary is None and self.kernel not in kern.KERNELS:
-            raise CampaignError(f"unknown kernel: {self.kernel!r}")
+        if self.binary is not None and not isinstance(self.binary, str):
+            raise CampaignError(f"binary must be a path: {self.binary!r}")
+        if self.binary is None:
+            try:
+                kern.check_mode(self.kernel, self.mode)
+            except ValueError as e:
+                raise CampaignError(str(e)) from None
         if self.explicit_events is not None:
             for ev in self.explicit_events:
-                if ev.kind not in TARGET_KINDS:
-                    raise CampaignError(f"bad event kind: {ev.kind!r}")
-                if ev.kind == "core" and ev.loc not in Soc.CORE_FAULT_LOCS:
-                    raise CampaignError(f"bad event loc: {ev.loc!r}")
-                if not (0 <= ev.bank < NUM_BANKS and 0 <= ev.row < ROWS_PER_BANK):
-                    raise CampaignError("event bank/row out of range")
+                ev.validate()
+            if self.runs != len(self.explicit_events):
+                raise CampaignError("runs must equal the number of explicit events")
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignSpec":
@@ -136,23 +180,36 @@ class CampaignSpec:
             raise CampaignError(f"unknown spec fields: {sorted(unknown)}")
         events = None
         if "events" in d:
-            events = [FaultEvent(**e) for e in d["events"]]
-        spec = cls(
-            kernel=d.get("kernel", "matmul24"),
-            binary=d.get("binary"),
-            entry=d.get("entry"),
-            mode=d.get("mode", "lockstep"),
-            runs=int(d.get("runs", 100)),
-            seed=int(d.get("seed", 1)),
-            max_cycles=d.get("max_cycles"),
-            scrub_interval=int(d.get("scrub_interval", 64)),
-            scrub_enabled=bool(d.get("scrub_enabled", True)),
-            targets=tuple(d.get("targets", ("core",))),
-            harts=tuple(d.get("harts", (0, 1, 2))),
-            locs=tuple(d.get("locs", CORE_LOCS)),
-            cycle_window=tuple(d.get("cycle_window", (0.0, 1.0))),
-            explicit_events=events,
-        )
+            events = d["events"]
+            if not isinstance(events, list) or \
+                    not all(isinstance(e, dict) for e in events):
+                raise CampaignError("events must be a list of objects")
+            for e in events:
+                unknown = set(e) - EVENT_FIELDS
+                if unknown:
+                    raise CampaignError(f"unknown event fields: {sorted(unknown)}")
+                if "kind" not in e or "at_cycle" not in e:
+                    raise CampaignError("every event needs kind and at_cycle")
+            events = [FaultEvent(**e) for e in events]
+        try:
+            spec = cls(
+                kernel=d.get("kernel", "matmul24"),
+                binary=d.get("binary"),
+                entry=d.get("entry"),
+                mode=d.get("mode", "lockstep"),
+                runs=d.get("runs", 100),
+                seed=d.get("seed", 1),
+                max_cycles=d.get("max_cycles"),
+                scrub_interval=d.get("scrub_interval", 64),
+                scrub_enabled=bool(d.get("scrub_enabled", True)),
+                targets=tuple(d.get("targets", ("core",))),
+                harts=tuple(d.get("harts", (0, 1, 2))),
+                locs=tuple(d.get("locs", CORE_LOCS)),
+                cycle_window=tuple(d.get("cycle_window", (0.0, 1.0))),
+                explicit_events=events,
+            )
+        except TypeError as e:  # a scalar where a list belongs
+            raise CampaignError(f"bad spec field: {e}") from None
         spec.validate()
         return spec
 
@@ -249,9 +306,44 @@ def classify(res: RunResult, golden: RunResult) -> str:
     return "silent_data_corruption"
 
 
+def unobservable(ev: FaultEvent, du: DefUse, golden_cycles: int) -> bool:
+    """True if the golden run proves ``ev`` cannot change its run.
+
+    Two cases qualify: a memory flip on a word no core and no scrubber
+    ever touched, and a core fault (never on ``pc``) in a location no
+    executed instruction reads, injected after the golden run's last
+    trap or interrupt.  Such a run retraces the golden trajectory cycle
+    for cycle, and its single flipped bit is invisible in the ECC-decoded
+    outputs, so its record is the golden record.
+    """
+    if ev.kind == "memory":
+        return not du.sram_words[ev.row * NUM_BANKS + ev.bank]
+    if ev.kind != "core" or ev.loc == "pc" or \
+            min(ev.at_cycle, golden_cycles) <= du.last_irq_cycle:
+        return False
+    if ev.loc.startswith("x"):
+        return not du.reg_reads >> int(ev.loc[1:]) & 1
+    return not du.csr_reads & CORE_LOC_TAGS[ev.loc]
+
+
+def _record(index: int, ev: FaultEvent, res: RunResult,
+            golden: RunResult) -> dict:
+    return {
+        "index": index,
+        "event": ev.describe(),
+        "outcome": classify(res, golden),
+        "cycles": res.cycles,
+        "exit_code": res.exit_code,
+        "resync_events": res.resync_events,
+        "mismatches": sum(res.mismatch_count),
+        "ecc_correctable": sum(res.ecc_correctable),
+        "ecc_uncorrectable": sum(res.ecc_uncorrectable),
+    }
+
+
 def execute_runs(spec: CampaignSpec, indices: list[int],
                  golden: RunResult) -> list[dict]:
-    """Run the given subset of the campaign; order-independent records."""
+    """Simulate the given subset of the campaign; order-independent records."""
     max_cycles = spec.max_cycles or max(golden.cycles * 4, 100_000)
     events = [(i, generate_event(spec, i, golden.cycles)) for i in indices]
     events.sort(key=lambda t: (t[1].at_cycle, t[0]))
@@ -261,66 +353,59 @@ def execute_runs(spec: CampaignSpec, indices: list[int],
     for index, ev in events:
         at = min(ev.at_cycle, golden.cycles)
         if master.cycle < at:
-            paused = master.run(stop_at=at)
-            if paused is not None:
-                # golden trajectory ended before the injection point
-                pass
+            master.run(stop_at=at)
         faulty.restore(master.snapshot())
         ev.apply(faulty)
-        res = faulty.run()
-        records.append({
-            "index": index,
-            "event": ev.describe(),
-            "outcome": classify(res, golden),
-            "cycles": res.cycles,
-            "exit_code": res.exit_code,
-            "resync_events": res.resync_events,
-            "mismatches": sum(res.mismatch_count),
-            "ecc_correctable": sum(res.ecc_correctable),
-            "ecc_uncorrectable": sum(res.ecc_uncorrectable),
-        })
+        records.append(_record(index, ev, faulty.run(), golden))
     return records
 
 
 def _worker(args) -> list[dict]:
-    spec_dict, indices, golden_dict = args
+    spec_dict, indices, golden_digest = args
     spec = CampaignSpec.from_dict(spec_dict)
-    golden = _golden_from_cache(spec, golden_dict)
+    golden = run_golden(spec, record_trace=False)
+    if golden.outputs_digest != golden_digest:
+        raise CampaignError("golden run diverged between workers")
     return execute_runs(spec, indices, golden)
 
 
-def _golden_from_cache(spec: CampaignSpec, golden_dict: dict | None) -> RunResult:
-    golden = run_golden(spec, record_trace=False)
-    if golden_dict is not None and golden.outputs_digest != golden_dict["outputs_digest"]:
-        raise CampaignError("golden run diverged between workers")
-    return golden
-
-
 def run_golden(spec: CampaignSpec, record_trace: bool = True) -> RunResult:
+    """The fault-free run, with its def/use summary in ``defuse``."""
     max_cycles = spec.max_cycles or 10_000_000
     soc = _make_soc(spec, record_trace, max_cycles)
-    res = soc.run()
-    return res
+    soc.record_def_use()
+    return soc.run()
 
 
 def run_campaign(spec: CampaignSpec, jobs: int = 1) -> dict:
-    """Golden run, then ``spec.runs`` injected runs; returns the report."""
+    """Golden run, then ``spec.runs`` injected runs; returns the report.
+
+    Runs whose fault the golden run proves unobservable are not
+    simulated: their record is built from golden (see ``unobservable``).
+    The choice is made here, before sharding, so ``jobs`` cannot change
+    a byte of the report.
+    """
     spec.validate()
     golden = run_golden(spec)
     if golden.timed_out or golden.unrecoverable or golden.exit_code != 0:
         raise CampaignError(
             f"golden run failed: exit={golden.exit_code} "
             f"timed_out={golden.timed_out} unrecoverable={golden.unrecoverable}")
-    indices = list(range(spec.runs))
-    if spec.explicit_events is not None and spec.runs != len(spec.explicit_events):
-        raise CampaignError("runs must equal the number of explicit events")
-    if jobs <= 1 or spec.runs <= 1:
-        records = execute_runs(spec, indices, golden)
+    records = []
+    todo = []
+    for i in range(spec.runs):
+        ev = generate_event(spec, i, golden.cycles)
+        if unobservable(ev, golden.defuse, golden.cycles):
+            records.append(_record(i, ev, golden, golden))
+        else:
+            todo.append(i)
+    jobs = max(1, min(jobs, os.cpu_count() or 1, len(todo)))
+    if jobs == 1:
+        if todo:
+            records += execute_runs(spec, todo, golden)
     else:
-        shards = [indices[w::jobs] for w in range(jobs)]
-        payload = [(spec.to_dict(), shard, {"outputs_digest": golden.outputs_digest})
-                   for shard in shards if shard]
-        records = []
+        payload = [(spec.to_dict(), todo[w::jobs], golden.outputs_digest)
+                   for w in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_worker, payload):
                 records.extend(part)

@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
 
     ker = sub.add_parser("kernels", help="list or emit built-in kernels")
     ksub = ker.add_subparsers(dest="kernels_command", required=True)
-    ksub.add_parser("list", help="list kernel names")
+    ksub.add_parser("list", help="list kernel names, modes and descriptions")
     emit = ksub.add_parser("emit", help="assemble a kernel to a binary image")
     emit.add_argument("name")
     emit.add_argument("-o", "--output", required=True)
@@ -136,7 +136,8 @@ def _cmd_run(args) -> int:
 def _cmd_kernels(args) -> int:
     if args.kernels_command == "list":
         for name, desc in kernels.list_kernels():
-            print(f"{name:12s} {desc}")
+            modes = ",".join(kernels.kernel_modes(name))
+            print(f"{name:12s} {modes:24s} {desc}")
         return EXIT_OK
     try:
         prog = kernels.build_kernel(args.name, args.mode)

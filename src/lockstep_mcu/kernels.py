@@ -383,28 +383,50 @@ def _matmul_builder(n):
     return build
 
 
+MODES = ("lockstep", "single", "parallel")
+
+# name -> (description, supported modes, builder(mode)).  ``modeswitch``
+# unlocks a lockstep group and ``relock`` unlocks and relocks one; in the
+# modes left out they never finish: a hart waits for held cores or for a
+# mode switch that cannot happen.
 KERNELS = {
-    "exit0": ("immediate clean exit", lambda mode: exit0_kernel()),
-    "hello": ("UART hello banner", lambda mode: hello_kernel()),
-    "park": ("all harts parked in wfi", lambda mode: park_kernel()),
-    "subword": ("byte/half store-load probe", lambda mode: subword_probe_kernel()),
-    "stress": ("long register-churn loop", lambda mode: stress_kernel()),
-    "matmul3": ("3x3 integer matmul", _matmul_builder(3)),
-    "matmul8": ("8x8 integer matmul", _matmul_builder(8)),
-    "matmul24": ("24x24 integer matmul", _matmul_builder(24)),
+    "exit0": ("immediate clean exit", MODES, lambda mode: exit0_kernel()),
+    "hello": ("UART hello banner", MODES, lambda mode: hello_kernel()),
+    "park": ("all harts parked in wfi", MODES, lambda mode: park_kernel()),
+    "subword": ("byte/half store-load probe", MODES,
+                lambda mode: subword_probe_kernel()),
+    "stress": ("long register-churn loop", MODES, lambda mode: stress_kernel()),
+    "matmul3": ("3x3 integer matmul", MODES, _matmul_builder(3)),
+    "matmul8": ("8x8 integer matmul", MODES, _matmul_builder(8)),
+    "matmul24": ("24x24 integer matmul", MODES, _matmul_builder(24)),
     "modeswitch": ("runtime unlock then parallel matmul",
+                   ("lockstep", "parallel"),
                    lambda mode: modeswitch_matmul_kernel(24)),
-    "relock": ("unlock/relock round trip", lambda mode: relock_roundtrip_kernel()),
+    "relock": ("unlock/relock round trip", ("lockstep",),
+               lambda mode: relock_roundtrip_kernel()),
 }
 
 
 def list_kernels() -> list[tuple[str, str]]:
-    return [(name, desc) for name, (desc, _b) in KERNELS.items()]
+    return [(name, desc) for name, (desc, _m, _b) in KERNELS.items()]
+
+
+def kernel_modes(name: str) -> tuple[str, ...]:
+    """The modes ``name`` supports; ValueError for an unknown kernel."""
+    entry = KERNELS.get(name) if isinstance(name, str) else None
+    if entry is None:
+        raise ValueError(f"unknown kernel: {name!r}")
+    return entry[1]
+
+
+def check_mode(name: str, mode: str) -> None:
+    """ValueError unless kernel ``name`` exists and runs in ``mode``."""
+    modes = kernel_modes(name)
+    if mode not in modes:
+        raise ValueError(f"kernel {name!r} does not run in mode {mode!r} "
+                         f"(supported: {', '.join(modes)})")
 
 
 def build_kernel(name: str, mode: str = "lockstep") -> Program:
-    try:
-        desc_builder = KERNELS[name]
-    except KeyError:
-        raise ValueError(f"unknown kernel: {name!r}") from None
-    return desc_builder[1](mode)
+    check_mode(name, mode)
+    return KERNELS[name][2](mode)

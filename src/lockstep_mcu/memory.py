@@ -28,6 +28,8 @@ TOTAL_BYTES = TOTAL_WORDS * 4
 _ENC = ecc.encode
 _DEC = ecc.decode_raw
 _DATA_MASK = ecc.DATA_MASK
+_ALL_WORDS = struct.Struct(f"<{TOTAL_WORDS}Q")
+_WORD = struct.Struct("<I")
 
 # read/write status codes shared with the bus layer
 OK = 0
@@ -150,23 +152,33 @@ class BankArray:
             idx = word_offset + i
             banks[idx & 7].write(idx >> 3, w)
 
+    def _image(self) -> bytearray:
+        """Little-endian image of the data bits of every stored word,
+        assembled one bank slice at a time (bank b holds words b, b + 8,
+        ...)."""
+        words = [0] * TOTAL_WORDS
+        for b_idx, bank in enumerate(self.banks):
+            words[b_idx::NUM_BANKS] = bank.cws
+        wide = _ALL_WORDS.pack(*words)      # 8 bytes a word, data first
+        out = bytearray(4 * TOTAL_WORDS)
+        for k in range(4):
+            out[k::4] = wide[k::8]
+        return out
+
     def dump_image(self) -> bytes:
         """Raw little-endian data image (tainted rows dump their raw bits)."""
-        banks = self.banks
-        words = [banks[i & 7].cws[i >> 3] & _DATA_MASK for i in range(TOTAL_WORDS)]
-        return struct.pack(f"<{TOTAL_WORDS}I", *words)
+        return bytes(self._image())
 
     def logical_image(self) -> bytes:
         """The ECC-decoded view: correctable deviations are healed, so a
         recoverable word hashes like its original data.  Uncorrectable
         words keep their raw (poisoned) bits."""
-        banks = self.banks
-        words = [banks[i & 7].cws[i >> 3] & _DATA_MASK for i in range(TOTAL_WORDS)]
-        for b_idx, bank in enumerate(banks):
+        out = self._image()
+        for b_idx, bank in enumerate(self.banks):
             for row in bank.tainted:
-                data, _code, _pos = _DEC(bank.cws[row])
-                words[row * NUM_BANKS + b_idx] = data
-        return struct.pack(f"<{TOTAL_WORDS}I", *words)
+                _WORD.pack_into(out, 4 * (row * NUM_BANKS + b_idx),
+                                _DEC(bank.cws[row])[0])
+        return bytes(out)
 
     def latent_uncorrectable(self) -> int:
         """Words whose stored codeword is uncorrectable right now."""

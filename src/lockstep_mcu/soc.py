@@ -227,6 +227,24 @@ class SocConfig:
         return 0b001  # lockstep logical core / performance single
 
 
+@dataclass(frozen=True)
+class DefUse:
+    """What a fault-free run observed, for pruning campaign runs.
+
+    ``sram_words`` holds one byte per SRAM word (linear word index),
+    nonzero if a core or the scrubber read or wrote the word.
+    ``reg_reads`` and ``csr_reads`` are the unions of the register and
+    CSR read masks of every decoded instruction; both are all ones if
+    the run stored to a word it also executed from.  ``last_irq_cycle``
+    is the last cycle that took a trap, changed an interrupt line or
+    switched the lockstep mode (the final cycle if a line stays raised).
+    """
+    sram_words: bytes
+    reg_reads: int
+    csr_reads: int
+    last_irq_cycle: int
+
+
 @dataclass
 class RunResult:
     mode: str
@@ -248,6 +266,7 @@ class RunResult:
     trace_hash: str | None
     outputs_digest: str
     trace_lines: list[str] | None = field(default=None, repr=False)
+    defuse: DefUse | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -324,6 +343,15 @@ class Soc:
         self.dorm_regs = 0
         self.dorm_csrs = 0
         self.dorm_vals: dict[str, int] = {}
+        # def/use log of a golden run: one byte per SRAM word, bit 0 read,
+        # bit 1 written (None when not recording)
+        self._touched: bytearray | None = None
+        self._last_irq = -1
+
+    def record_def_use(self) -> None:
+        """Log what the coming run reads, for ``RunResult.defuse``."""
+        self._touched = bytearray(mem.TOTAL_WORDS)
+        self._last_irq = -1
 
     # ---------------------------------------------------------- loading
 
@@ -502,6 +530,7 @@ class Soc:
     # ----------------------------------------------- lockstep callbacks
 
     def _set_msip(self, hart: int, value: int) -> None:
+        self._last_irq = self.cycle
         self.odrg.msip[hart] = value
         if self.dorm_hart >= 0 and value:
             self._dormant_split()
@@ -519,6 +548,7 @@ class Soc:
             self._dormant_split()
         o = self.odrg
         if o.resync_state == RESYNC_IDLE:
+            self._last_irq = self.cycle
             o.resync_state = RESYNC_REQUESTED
             if self.cycle - o.last_done_cycle <= RESYNC_HEALTHY_GAP:
                 o.resync_streak += 1
@@ -535,6 +565,7 @@ class Soc:
         """Guest wrote the trigger register: reset all three cores."""
         o = self.odrg
         o.resync_state = RESYNC_IN_PROGRESS
+        self._last_irq = self.cycle
         self.dorm_hart = -1
         self.dorm_regs = 0
         self.dorm_csrs = 0
@@ -745,6 +776,7 @@ class Soc:
         split and let each take the trap with its own state."""
         if self.dorm_hart >= 0:
             self._dormant_split()
+            self._last_irq = self.cycle
             for core in self.cores:
                 core.take_trap(cause, tval, core.cur_pc)
                 core.phase = PH_EX
@@ -782,6 +814,7 @@ class Soc:
         if c.mstatus & MSTATUS_MIE:
             irq = c.pending_interrupt()
             if irq:
+                self._last_irq = self.cycle
                 c.take_trap(irq, 0, c.pc)
                 c.phase = PH_EX
                 c.exec_left = 1
@@ -790,6 +823,7 @@ class Soc:
         self._post_fetch(c, ip)
 
     def _enter_trap(self, c: Core, cause: int, tval: int) -> None:
+        self._last_irq = self.cycle
         c.take_trap(cause, tval, c.cur_pc)
         c.phase = PH_EX
         c.exec_left = 1
@@ -1033,11 +1067,15 @@ class Soc:
                         blocked = True
                         break
             if not blocked:
+                if self._touched is not None:
+                    self._touched[s.next_address] |= 1
                 s.step(self.banks)
             s.next_cycle = now + s.interval
 
-    @staticmethod
-    def _bank_op(p: Port, bank: mem.Bank, now: int) -> None:
+    def _bank_op(self, p: Port, bank: mem.Bank, now: int) -> None:
+        touched = self._touched
+        if touched is not None:
+            touched[p.row << 3 | p.bank] |= 2 if p.is_write else 1
         if p.is_write:
             bank.write(p.row, p.wdata, p.strobes)
             if p.strobes != 0xF:
@@ -1178,6 +1216,7 @@ class Soc:
         lines = self.trace_lines
         pack = _TRACE_REC.pack
         scrub = self.scrub
+        touched = self._touched
         big = 1 << 62
         allowed = min(limit,
                       (scrub.next_cycle - 1) if scrub.enabled else big,
@@ -1306,6 +1345,8 @@ class Soc:
                                 row in bank.tainted:
                             self._dormant_split()
                         return
+                    if touched is not None:
+                        touched[widx] |= 1
                     if bank.tainted and row in bank.tainted:
                         data, status = bank.read(row)
                         if status == mem.UNCORRECTABLE:
@@ -1397,6 +1438,8 @@ class Soc:
                         self._fast_retire_and_fetch(c, ip, cy)
                         return
                     bank.write(row, wdata, strobes)
+                    if touched is not None:
+                        touched[widx] |= 2
                     if strobes != 0xF:
                         bank.busy_until = g + 1
                     c.minstret += 1
@@ -1489,6 +1532,7 @@ class Soc:
         pack = _TRACE_REC.pack
         scrub = self.scrub
         odrg = self.odrg
+        touched = self._touched
         allowed = limit if stop_at is None else min(limit, stop_at)
         sram_lo, sram_hi = SRAM_BASE, SRAM_END
         cy = self.cycle
@@ -1517,6 +1561,8 @@ class Soc:
                             self._bank_op(p, bank, cy)
                             continue
                         row = p.row
+                        if touched is not None:
+                            touched[row << 3 | p.bank] |= 1
                         if bank.tainted and row in bank.tainted:
                             p.resp_val, p.resp_status = bank.read(row)
                         else:
@@ -1635,6 +1681,7 @@ class Soc:
                 return
         want = self.odrg.pending_mode
         self.odrg.pending_mode = None
+        self._last_irq = self.cycle
         if want == MODE_PERFORMANCE and self.lockstep:
             self.materialize()
             self.odrg.mode = MODE_PERFORMANCE
@@ -1709,7 +1756,34 @@ class Soc:
             if self.rec_trace else None,
             outputs_digest=self.outputs_digest(),
             trace_lines=self.trace_lines,
+            defuse=None if self._touched is None else self._def_use(),
         )
+
+    def _def_use(self) -> DefUse:
+        """Fold the decode cache into the golden run's def/use log.
+
+        Fetches on the fused burst are not logged as they happen: every
+        executed pc is a decode-cache key, whose word (two words for an
+        instruction spanning a word boundary) is marked here instead.
+        """
+        touched = bytearray(self._touched)
+        reg_reads = csr_reads = 0
+        code_written = False
+        for pc, entry in self.dcache.items():
+            reg_reads |= entry[7]
+            csr_reads |= entry[9]
+            if SRAM_BASE <= pc < SRAM_END:
+                w = (pc - SRAM_BASE) >> 2
+                for idx in range(w, min(w + entry[1], mem.TOTAL_WORDS)):
+                    code_written = code_written or touched[idx] & 2
+                    touched[idx] |= 1
+        if code_written:
+            # a decoded entry may have been replaced: assume every read
+            reg_reads = csr_reads = -1
+        last_irq = self._last_irq
+        if any(c.mip for c in self.cores):
+            last_irq = self.cycle
+        return DefUse(bytes(touched), reg_reads, csr_reads, last_irq)
 
     # ------------------------------------------------- snapshot/restore
 

@@ -4,11 +4,11 @@ import json
 
 import pytest
 
+from lockstep_mcu import campaign, kernels
 from lockstep_mcu.campaign import (
-    CampaignError, CampaignSpec, FaultEvent, classify, execute_runs,
-    generate_event, run_campaign, run_golden,
+    TARGET_KINDS, CampaignError, CampaignSpec, FaultEvent, classify,
+    execute_runs, generate_event, run_campaign, run_golden, unobservable,
 )
-from lockstep_mcu import kernels
 from lockstep_mcu.soc import Soc, SocConfig
 
 
@@ -40,6 +40,49 @@ class TestSpecValidation:
         spec = small_spec()
         again = CampaignSpec.from_dict(spec.to_dict())
         assert again.to_dict() == spec.to_dict()
+
+    @staticmethod
+    def event_spec(**event):
+        ev = {"kind": "core", "at_cycle": 100, "loc": "x5", "bit": 1}
+        ev.update(event)
+        return {"kernel": "matmul8", "runs": 1, "events": [ev]}
+
+    def test_unknown_event_field_rejected(self):
+        with pytest.raises(CampaignError, match="unknown event fields"):
+            CampaignSpec.from_dict(self.event_spec(cycle=5))
+
+    def test_event_hart_out_of_range_rejected(self):
+        with pytest.raises(CampaignError, match="bad event hart"):
+            CampaignSpec.from_dict(self.event_spec(hart=7))
+
+    def test_memory_event_bit_out_of_range_rejected(self):
+        with pytest.raises(CampaignError, match="event bit out of range"):
+            CampaignSpec.from_dict(self.event_spec(kind="memory", bit=45))
+
+    def test_core_event_bit_out_of_range_rejected(self):
+        with pytest.raises(CampaignError, match="event bit out of range"):
+            CampaignSpec.from_dict(self.event_spec(bit=33))
+
+    def test_negative_event_cycle_rejected(self):
+        with pytest.raises(CampaignError, match="at_cycle must be >= 0"):
+            CampaignSpec.from_dict(self.event_spec(at_cycle=-1))
+
+    def test_non_integer_runs_rejected(self):
+        with pytest.raises(CampaignError, match="runs must be an integer"):
+            CampaignSpec.from_dict({"kernel": "matmul8", "runs": "many"})
+
+    def test_events_must_match_runs(self):
+        spec = self.event_spec()
+        spec["runs"] = 2
+        with pytest.raises(CampaignError, match="number of explicit events"):
+            CampaignSpec.from_dict(spec)
+
+    @pytest.mark.parametrize("kernel,mode", [
+        ("modeswitch", "single"), ("relock", "single"),
+        ("relock", "parallel")])
+    def test_unsupported_kernel_mode_rejected(self, kernel, mode):
+        with pytest.raises(CampaignError, match="does not run in mode"):
+            CampaignSpec(kernel=kernel, mode=mode).validate()
 
 
 class TestEventGeneration:
@@ -207,3 +250,152 @@ class TestCampaignRuns:
             "masked_voter", "corrected_ecc", "resynced",
             "detected_uncorrectable", "silent_data_corruption", "crash",
             "timeout"}
+
+
+class TestPruning:
+    """Runs whose fault the golden run never observes are not simulated;
+    ``execute_runs`` simulates every run it is given and is the oracle."""
+
+    @staticmethod
+    def spy_executed(monkeypatch) -> list[int]:
+        executed: list[int] = []
+        real = campaign.execute_runs
+
+        def spy(spec, indices, golden):
+            executed.extend(indices)
+            return real(spec, indices, golden)
+        monkeypatch.setattr(campaign, "execute_runs", spy)
+        return executed
+
+    @pytest.mark.parametrize("mode", ["lockstep", "single", "parallel"])
+    @pytest.mark.parametrize("kernel", ["matmul8", "hello", "subword"])
+    def test_pruned_records_equal_simulated(self, monkeypatch, kernel, mode):
+        spec = CampaignSpec(kernel=kernel, mode=mode, runs=30, seed=3,
+                            targets=TARGET_KINDS)
+        executed = self.spy_executed(monkeypatch)
+        report = run_campaign(spec)
+        assert len(executed) < spec.runs   # something was pruned
+        golden = run_golden(spec, record_trace=False)
+        # the module-level name is the unwrapped function
+        simulated = execute_runs(spec, list(range(spec.runs)), golden)
+        assert report["runs"] == sorted(simulated, key=lambda r: r["index"])
+
+    def test_unread_core_locations_pruned(self, monkeypatch):
+        spec = small_spec(runs=0)
+        du = run_golden(spec, record_trace=False).defuse
+        unread = [i for i in range(1, 32) if not du.reg_reads >> i & 1]
+        assert du.last_irq_cycle < 0 and len(unread) >= 2
+        assert du.reg_reads >> 10 & 1
+        events = [FaultEvent(kind="core", at_cycle=at, hart=h, loc=loc, bit=b)
+                  for at, h, loc, b in ((10, 1, f"x{unread[0]}", 3),
+                                        (5000, 2, f"x{unread[1]}", 31),
+                                        (6000, 1, "pc", 2),
+                                        (6000, 1, "x10", 2))]
+        events.append(FaultEvent(kind="write_mask", at_cycle=3000, bank=1,
+                                 bit=4))
+        spec = small_spec(runs=len(events), explicit_events=events)
+        executed = self.spy_executed(monkeypatch)
+        report = run_campaign(spec)
+        assert executed == [2, 3, 4]     # pc, a read register, write_mask
+        golden = run_golden(spec, record_trace=False)
+        assert report["runs"][:2] == execute_runs(spec, [0, 1], golden)
+
+    def test_fault_before_mode_switch_not_pruned(self):
+        # modeswitch unlocks the group at a wfi barrier early in the run
+        spec = CampaignSpec(kernel="modeswitch", runs=0)
+        golden = run_golden(spec, record_trace=False)
+        du = golden.defuse
+        switch = du.last_irq_cycle
+        assert 0 < switch < 100
+        assert not du.reg_reads >> 16 & 1
+        early = FaultEvent(kind="core", at_cycle=switch, hart=2, loc="x16")
+        late = FaultEvent(kind="core", at_cycle=switch + 1, hart=2, loc="x16")
+        assert not unobservable(early, du, golden.cycles)
+        assert unobservable(late, du, golden.cycles)
+        spec = CampaignSpec(kernel="modeswitch", runs=1,
+                            explicit_events=[late])
+        assert run_campaign(spec)["runs"] == execute_runs(spec, [0], golden)
+
+    def test_all_runs_pruned_skips_execution(self, monkeypatch):
+        events = [FaultEvent(kind="memory", at_cycle=50 * i, bank=i, row=8000,
+                             bit=i) for i in range(4)]
+        spec = small_spec(runs=4, explicit_events=events)
+
+        def fail(*_a):
+            raise AssertionError("nothing should be simulated")
+        monkeypatch.setattr(campaign, "execute_runs", fail)
+        report = run_campaign(spec)
+        assert report["classes"]["masked_voter"] == 4
+
+    def test_dormant_off_gives_identical_report(self, monkeypatch):
+        spec = small_spec(runs=12, seed=8, targets=TARGET_KINDS)
+        on = run_campaign(spec)
+
+        def config(**kw):
+            return SocConfig(dormant_opt=False, **kw)
+        monkeypatch.setattr(campaign, "SocConfig", config)
+        off = run_campaign(spec)
+        assert json.dumps(on, sort_keys=True) == json.dumps(off, sort_keys=True)
+
+    def test_jobs_do_not_change_pruned_report(self):
+        spec = small_spec(runs=12, seed=8, targets=TARGET_KINDS)
+        a = run_campaign(spec, jobs=1)
+        b = run_campaign(spec, jobs=2)
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_defuse_stays_out_of_the_report(self):
+        golden = run_golden(small_spec(runs=0))
+        assert golden.defuse is not None
+        assert "defuse" not in golden.to_dict()
+        soc = Soc(SocConfig())
+        soc.load_program(kernels.build_kernel("exit0"))
+        assert soc.run().defuse is None
+
+
+class _InlinePool:
+    """ProcessPoolExecutor stand-in that runs the shards in-process."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payload):
+        return [fn(item) for item in payload]
+
+
+class TestJobsClamp:
+    def run(self, monkeypatch, cpus, jobs, spec):
+        _InlinePool.created = []
+        monkeypatch.setattr(campaign.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", _InlinePool)
+        return run_campaign(spec, jobs=jobs), _InlinePool.created
+
+    def test_clamped_to_cpu_count(self, monkeypatch):
+        spec = small_spec(runs=6)
+        report, pools = self.run(monkeypatch, 3, 64, spec)
+        assert pools == [3]
+        assert report == run_campaign(spec)
+
+    def test_clamped_to_simulated_runs(self, monkeypatch):
+        events = [FaultEvent(kind="core", at_cycle=1000, hart=1, loc="x21",
+                             bit=b) for b in range(2)]
+        events += [FaultEvent(kind="memory", at_cycle=100, bank=1, row=8000,
+                              bit=3)] * 3
+        spec = small_spec(runs=5, explicit_events=events)
+        _report, pools = self.run(monkeypatch, 16, 8, spec)
+        assert pools == [2]
+
+    def test_one_cpu_runs_in_process(self, monkeypatch):
+        _report, pools = self.run(monkeypatch, 1, 4, small_spec(runs=4))
+        assert pools == []
+
+    def test_unknown_cpu_count_runs_in_process(self, monkeypatch):
+        _report, pools = self.run(monkeypatch, None, 4, small_spec(runs=4))
+        assert pools == []

@@ -120,6 +120,15 @@ class TestKernels:
         names = [line.split()[0] for line in out.splitlines()]
         assert "matmul24" in names
         assert "exit0" in names
+        modes = {line.split()[0]: line.split()[1] for line in out.splitlines()}
+        assert modes["matmul24"] == "lockstep,single,parallel"
+        assert modes["relock"] == "lockstep"
+
+    def test_run_unsupported_mode_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--kernel", "relock",
+                               "--mode", "parallel")
+        assert code == 64
+        assert "does not run in mode" in err
 
     def test_emit_roundtrip(self, capsys, tmp_path):
         img = tmp_path / "m8.bin"
@@ -209,6 +218,19 @@ class TestCampaign:
         code, _, err = run_cli(capsys, "campaign", "run", str(path))
         assert code == 64
         assert "scrub_interval" in err
+
+    def test_unsupported_mode_usage_error(self, capsys, tmp_path):
+        path = self.spec_file(tmp_path, kernel="modeswitch", mode="single")
+        code, _, err = run_cli(capsys, "campaign", "run", str(path))
+        assert code == 64
+        assert "does not run in mode" in err
+
+    def test_bad_event_usage_error(self, capsys, tmp_path):
+        path = self.spec_file(tmp_path, runs=1, events=[
+            {"kind": "core", "at_cycle": 10, "hart": 7, "loc": "x5"}])
+        code, _, err = run_cli(capsys, "campaign", "run", str(path))
+        assert code == 64
+        assert "bad event hart" in err
 
     def test_bad_spec_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -105,3 +105,12 @@ class TestOtherKernels:
     def test_unknown_kernel(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             kernels.build_kernel("nosuch")
+
+    @pytest.mark.parametrize("name,mode", [
+        ("modeswitch", "single"), ("relock", "single"),
+        ("relock", "parallel")])
+    def test_unsupported_mode_rejected(self, name, mode):
+        # these programs wait for a mode switch or for held cores forever
+        assert mode not in kernels.kernel_modes(name)
+        with pytest.raises(ValueError, match="does not run in mode"):
+            kernels.build_kernel(name, mode)

@@ -149,6 +149,28 @@ class TestBankArray:
         arr.load_image(image)
         assert arr.dump_image()[:4096] == image
 
+    def test_images_match_per_word_loop(self):
+        # the per-bank slice builders against a plain word-by-word decode
+        import struct
+        from lockstep_mcu.ecc import DATA_MASK, decode_raw
+        rng = random.Random(9)
+        arr = BankArray()
+        arr.load_image(bytes(rng.getrandbits(8) for _ in range(8192)))
+        arr.flip_bit(3, 17, 5)                 # correctable flipped row
+        arr.flip_bit(6, 40, 1)                 # uncorrectable word
+        arr.flip_bit(6, 40, 30)
+        arr.banks[2].write_disable = 1 << 4    # frozen bit at store time
+        arr.banks[2].write(90, 0xFFFFFFFF)
+        assert 90 in arr.banks[2].tainted
+        raw = [arr.banks[i & 7].cws[i >> 3] for i in range(TOTAL_WORDS)]
+        dump = struct.pack(f"<{TOTAL_WORDS}I", *(w & DATA_MASK for w in raw))
+        logical = struct.pack(f"<{TOTAL_WORDS}I", *(
+            decode_raw(w)[0] if (i >> 3) in arr.banks[i & 7].tainted
+            else w & DATA_MASK for i, w in enumerate(raw)))
+        assert dump != logical
+        assert arr.dump_image() == dump
+        assert arr.logical_image() == logical
+
     def test_image_too_large(self):
         arr = BankArray()
         with pytest.raises(ValueError, match="does not fit"):

@@ -81,8 +81,8 @@ class TestDeterminism:
         assert list(d)[0] == "schema"
         json.dumps(d)  # serializable
 
-    @pytest.mark.parametrize("mode", ["lockstep", "single", "parallel"])
-    @pytest.mark.parametrize("name", [n for n, _ in kernels.list_kernels()])
+    @pytest.mark.parametrize("name,mode", [
+        (n, m) for n, _ in kernels.list_kernels() for m in kernels.kernel_modes(n)])
     def test_fast_and_reference_engines_agree(self, name, mode):
         # the cycle budget keeps the long kernels short; cutting a run
         # mid-burst is part of what must agree
