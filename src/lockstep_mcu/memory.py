@@ -240,6 +240,18 @@ class Scrubber:
     def target_bank(self) -> int:
         return self.next_address & 7
 
+    def tick(self, banks: BankArray, now: int, blocked: bool) -> int:
+        """The tick due at ``now``: one scrub step unless ``blocked`` (the
+        caller's bank-contention check), after which the next tick is
+        ``interval`` cycles away either way.  Returns the word index
+        scrubbed, or -1 when blocked."""
+        idx = -1
+        if not blocked:
+            idx = self.next_address
+            self.step(banks)
+        self.next_cycle = now + self.interval
+        return idx
+
     def step(self, banks: BankArray) -> None:
         """One scrub read (caller already checked for bank contention)."""
         idx = self.next_address

@@ -19,7 +19,7 @@ each cycle, until the resynchronization flow (or plain overwriting of
 the flipped bit) makes the cores bit-identical again.
 
 With ``fast_loop`` on, two fused loops stand in for this engine where
-they can: ``_fast_burst`` for one active core and ``_multi_burst`` for
+they can: ``_fast_burst`` for one active core and ``_event_burst`` for
 several cores in performance mode.  Both stop at cycle boundaries and
 give exactly the reference engine's results.
 
@@ -83,6 +83,30 @@ FATAL_EXIT_BASE = 0xDEAD0000  # unhandled trap: exit code 0xDEAD0000 | cause
 CONVERGENCE_CHECK_PERIOD = 64
 
 _TRACE_REC = struct.Struct("<QBIIBI")
+
+
+def _store_lanes(addr: int, f3: int, val: int) -> tuple[int, int]:
+    """(byte strobes, lane-positioned data) of a sb/sh/sw to ``addr``."""
+    if f3 == 2:
+        return 0xF, val
+    if f3 == 1:
+        sh = addr & 2
+        return 0x3 << sh, (val & 0xFFFF) << (sh * 8)
+    b = addr & 3
+    return 1 << b, (val & 0xFF) << (b * 8)
+
+
+def _load_lanes(word: int, addr: int, f3: int) -> int:
+    """The value a lb/lbu/lh/lhu at ``addr`` takes from its bus word."""
+    if f3 & 1:  # lh/lhu
+        v = (word >> ((addr & 2) * 8)) & 0xFFFF
+        if f3 == 1 and v & 0x8000:
+            v |= 0xFFFF0000
+    else:       # lb/lbu
+        v = (word >> ((addr & 3) * 8)) & 0xFF
+        if f3 == 0 and v & 0x80:
+            v |= 0xFFFFFF00
+    return v
 
 
 # ------------------------------------------------------------ boot ROM
@@ -295,6 +319,106 @@ class RunResult:
 
 class LoadError(Exception):
     pass
+
+
+_NEVER = 1 << 62    # the cycle of an event that is not scheduled
+_MISS = (None, 0, -1)   # stands in for a decode-cache entry: matches no word
+
+
+def _fetch_info(pc: int, words: list, dcache: dict) -> tuple:
+    """(bank, row, that bank's codewords, one-word decode-cache entry or
+    ``_MISS``, pc) of the fetch of SRAM address ``pc``."""
+    w = (pc - SRAM_BASE) >> 2
+    e = dcache.get(pc, _MISS)
+    return w & 7, w >> 3, words[w & 7], e if e[1] == 1 else _MISS, pc
+
+
+class _Lanes:
+    """The awake cores of ``Soc._event_burst``, one list entry each.
+
+    ``ph`` is the core's phase and ``xe`` the cycle its multi-cycle
+    operation ends; ``ent`` the decode-cache entry of its last
+    instruction (until the first, a stand-in with its current fields).
+    A fetch request is an eligible cycle ``ie`` (``_NEVER`` when none is
+    posted) and ``fi``, the ``_fetch_info`` of its pc; a data request an
+    eligible cycle ``de``, bank, row and ``dreq`` = (addr, is_write,
+    wdata, strobes), with ``drv`` the last response the burst gave the
+    data port.
+    """
+
+    __slots__ = ("C", "IP", "DP", "ph", "xe", "ent", "ie", "fi",
+                 "de", "db", "dr", "dreq", "drv")
+
+    @classmethod
+    def collect(cls, soc: "Soc", cy: int) -> "_Lanes | None":
+        """The awake cores at cycle boundary ``cy``; None when none is
+        awake or a core's state is one the burst leaves to the
+        reference engine."""
+        self = cls()
+        for name in cls.__slots__:
+            setattr(self, name, [])
+        words = [b.cws for b in soc.banks.banks]
+        for c, ip, dp in soc.active:
+            if c.sleeping:
+                if c.wake_pulse or c.mip & c.mie or ip.pending or dp.pending:
+                    return None
+                continue   # stays asleep: nothing in the burst can wake it
+            p = c.phase
+            if ip.has_resp or dp.has_resp or (dp.pending and dp.region != R_SRAM):
+                return None
+            if p == PH_F0:
+                if not ip.pending or ip.region != R_SRAM:
+                    return None
+            elif ip.pending or p == PH_F1 or (p != PH_EX and not dp.pending):
+                return None
+            self.C.append(c)
+            self.IP.append(ip)
+            self.DP.append(dp)
+            self.ph.append(p)
+            self.xe.append(cy + max(c.exec_left, 1) if p == PH_EX else _NEVER)
+            self.ent.append((None, 1, 0, 0, c.cur_word, c.cur_rd, c.cur_mnem))
+            self.ie.append(cy + 1 if ip.pending else _NEVER)
+            self.fi.append(_fetch_info(c.cur_pc, words, soc.dcache)
+                           if ip.pending else
+                           (ip.bank, ip.row, None, _MISS, c.cur_pc))
+            self.de.append(cy + 1 if dp.pending else _NEVER)
+            self.db.append(dp.bank)
+            self.dr.append(dp.row)
+            self.dreq.append((dp.addr, dp.is_write, dp.wdata, dp.strobes))
+            self.drv.append(None)
+        return self if self.C else None
+
+    def sync(self, k: int, b: int) -> None:
+        """Write core ``k``'s lane back, as of cycle boundary ``b``."""
+        c, ip, dp = self.C[k], self.IP[k], self.DP[k]
+        e, f = self.ent[k], self.fi[k]
+        c.cur_pc = pc = f[4]
+        c.cur_word, c.cur_rd, c.cur_mnem = e[4], e[5], e[6]
+        c.phase = self.ph[k]
+        if c.phase == PH_EX:
+            c.exec_left = self.xe[k] - b
+        pend = self.ie[k] != _NEVER
+        if pend or e[0] is not None:
+            ip.load_state((pend, R_SRAM, f[0], f[1], pc & ~3, False,
+                           0, 0, False, ip.resp_val, ip.resp_status))
+            if e[0] is not None:    # the word of its last fetch
+                ip.resp_val, ip.resp_status = e[2], RS_OK
+        pend = self.de[k] != _NEVER
+        if pend or self.drv[k] is not None:
+            a, w, wd, sb = self.dreq[k]
+            dp.load_state((pend, R_SRAM, self.db[k], self.dr[k], a, w, wd, sb,
+                           False, dp.resp_val, dp.resp_status))
+            if self.drv[k] is not None:
+                dp.resp_val, dp.resp_status = self.drv[k], RS_OK
+
+    def to_fetch(self, soc: "Soc", k: int, t: int, v: int, st: int) -> None:
+        """Hand the fetch granted at ``t`` to ``soc._consume_fetch``."""
+        self.ie[k] = _NEVER
+        self.sync(k, t)
+        ip, f = self.IP[k], self.fi[k]
+        ip.load_state((False, R_SRAM, f[0], f[1], f[4] & ~3, False, 0, 0,
+                       True, v, st))
+        soc._consume_fetch(self.C[k], ip, self.DP[k], t)
 
 
 class Soc:
@@ -849,16 +973,7 @@ class Soc:
             c.phase = PH_DW
             c.dw_kind = 3
             return
-        f3 = c.ev_f3
-        val = c.ev_val
-        if f3 == 2:
-            strobes, wdata = 0xF, val
-        elif f3 == 1:
-            sh = addr & 2
-            strobes, wdata = 0x3 << sh, (val & 0xFFFF) << (sh * 8)
-        else:
-            b = addr & 3
-            strobes, wdata = 1 << b, (val & 0xFF) << (b * 8)
+        strobes, wdata = _store_lanes(addr, c.ev_f3, c.ev_val)
         dp.want(region, bank, row, addr & ~3, True, wdata, strobes)
         self._boundary(c, ip, now, True)
 
@@ -873,7 +988,11 @@ class Soc:
         c.cur_word = entry[4]
         c.cur_rd = entry[5]
         c.cur_mnem = entry[6]
-        code = entry[0](c)
+        self._apply(c, ip, dp, entry, entry[0](c), now)
+
+    def _apply(self, c: Core, ip: Port, dp: Port, entry: tuple, code: int,
+               now: int) -> None:
+        """Finish an executed instruction by its action code."""
         if code == 0 or code == 1:
             if self.dorm_hart >= 0 and ((entry[8] & self.dorm_regs)
                                         or (entry[10] & self.dorm_csrs)):
@@ -952,8 +1071,6 @@ class Soc:
         self.dcache[pc] = entry
         self._dispatch(c, ip, dp, entry, now)
 
-    _LOAD_SIGN = {0: 0xFF, 1: 0xFFFF}
-
     def _consume_load(self, c: Core, dp: Port, ip: Port, now: int) -> None:
         val, status = dp.take_resp()
         if status >= RS_UNCORRECTABLE:
@@ -962,18 +1079,8 @@ class Soc:
                 return
             self._enter_trap(c, EXC_LACCESS_FAULT, c.ev_addr)
             return
-        f3 = c.ev_f3
-        if f3 != 2:
-            addr = c.ev_addr
-            if f3 & 1:  # lh/lhu
-                v = (val >> ((addr & 2) * 8)) & 0xFFFF
-                if f3 == 1 and v & 0x8000:
-                    v |= 0xFFFF0000
-            else:       # lb/lbu
-                v = (val >> ((addr & 3) * 8)) & 0xFF
-                if f3 == 0 and v & 0x80:
-                    v |= 0xFFFFFF00
-            val = v
+        if c.ev_f3 != 2:
+            val = _load_lanes(val, c.ev_addr, c.ev_f3)
         rd = c.ev_rd
         if rd:
             c.regs[rd] = val
@@ -1066,11 +1173,9 @@ class Soc:
                     if p.pending and p.region == R_SRAM and p.bank == target:
                         blocked = True
                         break
-            if not blocked:
-                if self._touched is not None:
-                    self._touched[s.next_address] |= 1
-                s.step(self.banks)
-            s.next_cycle = now + s.interval
+            w = s.tick(self.banks, now, blocked)
+            if w >= 0 and self._touched is not None:
+                self._touched[w] |= 1
 
     def _bank_op(self, p: Port, bank: mem.Bank, now: int) -> None:
         touched = self._touched
@@ -1149,7 +1254,13 @@ class Soc:
             if stop_at is not None and cycle >= stop_at:
                 self.cycle = cycle
                 return None
-            if fast and len(self.active) == 1:
+            if fast and len(self.active) > 1 and not self.lockstep:
+                self._event_burst(stop_at, limit)
+                cycle = self.cycle
+                if not self.running or cycle >= limit or \
+                        (stop_at is not None and cycle >= stop_at):
+                    continue
+            elif fast and len(self.active) == 1:
                 c, ip, dp = self.active[0]
                 if (c.phase == PH_F0 and ip.pending and not ip.has_resp
                         and not dp.pending and not c.sleeping):
@@ -1160,12 +1271,7 @@ class Soc:
                         continue
             cycle += 1
             self.cycle = cycle
-            multi = fast and not self.lockstep and len(self.active) > 1
-            if multi:
-                self._multi_burst(stop_at, limit)
-                cycle = self.cycle
-            else:
-                self._bus_cycle(cycle)
+            self._bus_cycle(cycle)
             if self.lockstep and not self.converged:
                 self._broadcast_resps()
                 for c, ip, dp in self.active:
@@ -1181,9 +1287,8 @@ class Soc:
                         self._try_collapse()
                         self._diverge_check_at = cycle + CONVERGENCE_CHECK_PERIOD
             else:
-                if not multi:
-                    for c, ip, dp in self.active:
-                        self._tick_core(c, ip, dp, cycle)
+                for c, ip, dp in self.active:
+                    self._tick_core(c, ip, dp, cycle)
                 if self._done_pending:
                     self._done_pending = False
                     self.odrg.resync_state = RESYNC_IDLE
@@ -1204,9 +1309,12 @@ class Soc:
         (one active core in fetch phase, idle data port): whole
         instructions are processed with local state, and the loop falls
         back to the general engine at any complication, always leaving
-        the SoC in a valid end-of-cycle state.  A burst never crosses a
-        scrubber tick, ``stop_at``, or the cycle limit, so hidden local
-        requests can never be observed by anything else.
+        the SoC in a valid end-of-cycle state.  Scrubber ticks run
+        inline under ``_bus_cycle``'s rule.  A store is granted one
+        cycle after it retires, with the next fetch, and stays a local
+        pending write until that fetch is taken, so a return before it
+        leaves the store posted on the data port.  A burst never
+        crosses ``stop_at`` or the cycle limit.
         """
         c, ip, dp = self.active[0]
         banks = self.banks.banks
@@ -1218,183 +1326,220 @@ class Soc:
         scrub = self.scrub
         touched = self._touched
         big = 1 << 62
-        allowed = min(limit,
-                      (scrub.next_cycle - 1) if scrub.enabled else big,
-                      stop_at if stop_at is not None else big)
+        allowed = limit if stop_at is None else min(limit, stop_at)
         cy = self.cycle
+        stick = max(scrub.next_cycle, cy + 1) if scrub.enabled else big
         pc = c.pc
         m32 = M32
         sram_lo, sram_hi = SRAM_BASE, SRAM_END
         rom_lo, rom_hi = ROM_BASE, ROM_END
         hart = c.mhartid
+        rr_next = -1 if ip.core_idx == VOTED else (ip.core_idx + 1) % 3
+        hold_bank = hold_until = -1  # a fetch that lost to a store waits
+        pend = None     # (bank index, row, word index, addr, wdata, strobes)
+        fent = None     # entry and pc of the last instruction taken here
+        fpc = 0
+        dlast = None    # data port state after the last access made here
+        then_split = False
+        then_trap = None
 
-        while True:
-            f = cy + 1
-            if f > allowed:
-                break
-            wa = pc & ~3
-            if sram_lo <= wa < sram_hi:
-                widx = (wa - sram_lo) >> 2
-                bank = banks[widx & 7]
-                row = widx >> 3
-                if bank.busy_until >= f or (bank.tainted and row in bank.tainted):
+        try:
+            while True:
+                if pend is not None and sram_lo <= pc < sram_hi and \
+                        ((pc - sram_lo) >> 2) & 7 == pend[0]:
+                    # this fetch loses arbitration to the posted store and
+                    # waits for its grant (and merge, if sub-word)
+                    g = cy + 1
+                    nxt = g if pend[5] == 0xF else g + 1
+                    if nxt > allowed:
+                        break
+                    hold_bank = pend[0]
+                    dlast = self._fast_store(pend, g)
+                    pend = None
+                    self.xbar.conflict_stalls += 1
+                    if rr_next >= 0:
+                        self.xbar.rr[hold_bank] = rr_next
+                    hold_until = cy = nxt
+                f = cy + 1
+                if f > allowed:
                     break
-                val = bank.cws[row] & m32
-            elif rom_lo <= wa < rom_hi:
-                val = rom[(wa - rom_lo) >> 2]
-            else:
-                break
-            entry = dget(pc)
-            if entry is None or entry[2] != val:
-                break
-            if self.dorm_hart >= 0 and ((entry[7] & self.dorm_regs)
-                                        or (entry[9] & self.dorm_csrs)):
-                self.cycle = cy
-                self._post_fetch(c, ip)
-                self._dormant_split()
-                return
-            if entry[1] == 2:
-                f2 = f + 1
-                wa2 = wa + 4
-                if f2 > allowed or not sram_lo <= wa2 < sram_hi:
-                    break
-                widx2 = (wa2 - sram_lo) >> 2
-                bank2 = banks[widx2 & 7]
-                row2 = widx2 >> 3
-                if bank2.busy_until >= f2 or \
-                        (bank2.tainted and row2 in bank2.tainted):
-                    break
-                if entry[3] != bank2.cws[row2] & m32:
-                    break
-                f = f2
-            cy = f
-            self.cycle = f
-            c.cur_pc = pc
-            c.cur_word = entry[4]
-            c.cur_rd = entry[5]
-            if lines is not None:
-                c.cur_mnem = entry[6]
-            code = entry[0](c)
-            if self.dorm_csrs | self.dorm_regs and code < 2 and \
-                    ((entry[8] & self.dorm_regs) or (entry[10] & self.dorm_csrs)):
-                self._dormant_erase(entry[8], entry[10])
-
-            if code == 0:
-                rd = entry[5]
-                c.minstret += 1
-                if rec:
-                    self.tracebuf += pack(cy, hart, pc, entry[4] & m32,
-                                          rd, c.regs[rd])
-                if lines is not None:
-                    lines.append(
-                        f"{cy} {hart} {pc:#010x} {entry[4] & m32:#010x} "
-                        f"{entry[6]} x{rd}={c.regs[rd]:#010x}")
-                if c.mip & c.mie and c.mstatus & MSTATUS_MIE:
-                    ip.pending = False
-                    ip.has_resp = False
-                    self._boundary(c, ip, cy, False)
-                    return
-                pc = c.pc
-                continue
-
-            if code == 1:
-                extra = c.ev_extra
-                if cy + extra > allowed:
-                    c.phase = PH_EX
-                    c.exec_left = extra
-                    c.exec_retire = True
-                    ip.pending = False
-                    ip.has_resp = False
-                    return
-                cy += extra
-                self.cycle = cy
-                rd = entry[5]
-                c.minstret += 1
-                if rec:
-                    self.tracebuf += pack(cy, hart, pc, entry[4] & m32,
-                                          rd, c.regs[rd])
-                if lines is not None:
-                    lines.append(
-                        f"{cy} {hart} {pc:#010x} {entry[4] & m32:#010x} "
-                        f"{entry[6]} x{rd}={c.regs[rd]:#010x}")
-                if c.mip & c.mie and c.mstatus & MSTATUS_MIE:
-                    ip.pending = False
-                    ip.has_resp = False
-                    self._boundary(c, ip, cy, False)
-                    return
-                pc = c.pc
-                continue
-
-            if code == 2:  # load
-                addr = c.ev_addr
-                d = cy + 1
-                if sram_lo <= addr < sram_hi:
-                    widx = (addr - sram_lo) >> 2
+                wa = pc & ~3
+                if sram_lo <= wa < sram_hi:
+                    widx = (wa - sram_lo) >> 2
                     bank = banks[widx & 7]
                     row = widx >> 3
-                    while bank.busy_until >= d:
-                        d += 1
-                    if d > allowed or (bank.tainted and row in bank.tainted
-                                       and self.dorm_hart >= 0):
-                        ip.pending = False
-                        ip.has_resp = False
-                        dp.want(R_SRAM, widx & 7, row, addr)
-                        c.phase = PH_LD
-                        self.cycle = cy
-                        if self.dorm_hart >= 0 and bank.tainted and \
-                                row in bank.tainted:
-                            self._dormant_split()
-                        return
-                    if touched is not None:
-                        touched[widx] |= 1
-                    if bank.tainted and row in bank.tainted:
-                        data, status = bank.read(row)
-                        if status == mem.UNCORRECTABLE:
-                            cy = d
-                            self.cycle = d
+                    if bank.busy_until >= f or \
+                            (bank.tainted and row in bank.tainted):
+                        break
+                    val = bank.cws[row] & m32
+                elif rom_lo <= wa < rom_hi:
+                    val = rom[(wa - rom_lo) >> 2]
+                else:
+                    break
+                entry = dget(pc)
+                if entry is None or entry[2] != val:
+                    break
+                if self.dorm_hart >= 0 and ((entry[7] & self.dorm_regs)
+                                            or (entry[9] & self.dorm_csrs)):
+                    self.cycle = cy
+                    self._post_fetch(c, ip)
+                    then_split = True
+                    return
+                if entry[1] == 2:
+                    f2 = f + 1
+                    wa2 = wa + 4
+                    if f2 > allowed or pend is not None or \
+                            not sram_lo <= wa2 < sram_hi:
+                        break
+                    widx2 = (wa2 - sram_lo) >> 2
+                    bank2 = banks[widx2 & 7]
+                    row2 = widx2 >> 3
+                    if bank2.busy_until >= f2 or \
+                            (bank2.tainted and row2 in bank2.tainted):
+                        break
+                    if entry[3] != bank2.cws[row2] & m32:
+                        break
+                    c.w0_stash = val
+                    c.half_stash = val >> 16
+                    f = f2
+                # the instruction is taken: grant the store posted with
+                # its fetch, then run the ticks due up to its fetch
+                if pend is not None:
+                    dlast = self._fast_store(pend, cy + 1)
+                    pend = None
+                if f >= stick:
+                    stick = self._fast_ticks(stick, f, hold_bank, hold_until)
+                cy = f
+                self.cycle = f
+                fent = entry
+                fpc = pc
+                c.cur_pc = pc
+                c.cur_word = entry[4]
+                c.cur_rd = entry[5]
+                if lines is not None:
+                    c.cur_mnem = entry[6]
+                code = entry[0](c)
+                if self.dorm_csrs | self.dorm_regs and code < 2 and \
+                        ((entry[8] & self.dorm_regs)
+                         or (entry[10] & self.dorm_csrs)):
+                    self._dormant_erase(entry[8], entry[10])
+
+                if code:
+                    if code == 1:
+                        extra = c.ev_extra
+                        if cy + extra > allowed:
+                            c.phase = PH_EX
+                            c.exec_left = extra
+                            c.exec_retire = True
                             ip.pending = False
                             ip.has_resp = False
-                            self._enter_trap(c, EXC_LACCESS_FAULT, addr)
                             return
-                    else:
-                        data = bank.cws[row] & m32
-                elif rom_lo <= addr < rom_hi:
-                    if d > allowed:
+                        cy += extra
+                        self.cycle = cy
+                        c.exec_left = 0
+                        c.exec_retire = True
+                    elif code == 2:  # load
+                        addr = c.ev_addr
+                        d = cy + 1
+                        if sram_lo <= addr < sram_hi:
+                            widx = (addr - sram_lo) >> 2
+                            bidx = widx & 7
+                            bank = banks[bidx]
+                            row = widx >> 3
+                            while bank.busy_until >= d:
+                                d += 1
+                            if d > allowed or (bank.tainted and row in bank.tainted
+                                               and self.dorm_hart >= 0):
+                                ip.pending = False
+                                ip.has_resp = False
+                                dp.want(R_SRAM, bidx, row, addr)
+                                c.phase = PH_LD
+                                self.cycle = cy
+                                then_split = self.dorm_hart >= 0 and \
+                                    bool(bank.tainted) and row in bank.tainted
+                                return
+                            if touched is not None:
+                                touched[widx] |= 1
+                            status = RS_OK
+                            if bank.tainted and row in bank.tainted:
+                                data, status = bank.read(row)
+                                if status == mem.UNCORRECTABLE:
+                                    dlast = (False, R_SRAM, bidx, row, addr, False,
+                                             0, 0, False, data, status)
+                                    cy = d
+                                    self.cycle = d
+                                    ip.pending = False
+                                    ip.has_resp = False
+                                    self._enter_trap(c, EXC_LACCESS_FAULT, addr)
+                                    return
+                            else:
+                                data = bank.cws[row] & m32
+                            dlast = (False, R_SRAM, bidx, row, addr, False,
+                                     0, 0, False, data, status)
+                        elif rom_lo <= addr < rom_hi:
+                            rrow = ((addr & ~3) - rom_lo) >> 2
+                            if d > allowed:
+                                ip.pending = False
+                                ip.has_resp = False
+                                dp.want(R_ROM, 0, rrow, addr)
+                                c.phase = PH_LD
+                                self.cycle = cy
+                                return
+                            data = rom[rrow]
+                            dlast = (False, R_ROM, 0, rrow, addr, False,
+                                     0, 0, False, data, RS_OK)
+                        else:
+                            region, bk, rw = self._route(addr)
+                            ip.pending = False
+                            ip.has_resp = False
+                            dp.want(region, bk, rw, addr)
+                            c.phase = PH_LD
+                            self.cycle = cy
+                            then_split = self.dorm_hart >= 0
+                            return
+                        cy = d
+                        self.cycle = d
+                        if c.ev_f3 != 2:
+                            data = _load_lanes(data, addr, c.ev_f3)
+                        rd = c.ev_rd
+                        if rd:
+                            c.regs[rd] = data
+                            if (1 << rd) & self.dorm_regs:
+                                self._dormant_erase(1 << rd, 0)
+                    elif code == 3:  # store: granted with the next fetch
+                        addr = c.ev_addr
+                        strobes, wdata = _store_lanes(addr, c.ev_f3, c.ev_val)
+                        region, bidx, row = self._route(addr)
+                        if region == R_ROM or region == R_NONE:
+                            ip.pending = False
+                            ip.has_resp = False
+                            then_trap = (EXC_SACCESS_FAULT, addr)
+                            return
+                        if region != R_SRAM or banks[bidx].busy_until > cy:
+                            # a device store, or a bank still busy: the
+                            # general engine grants it
+                            dp.want(region, bidx, row, addr & ~3, True, wdata,
+                                    strobes)
+                            ip.pending = False
+                            ip.has_resp = False
+                            self._fast_retire_and_fetch(c, ip, cy)
+                            return
+                        pend = (bidx, row, row << 3 | bidx, addr, wdata, strobes)
+                    elif code == 4:  # wfi
+                        self._retire(c, cy)
+                        c.sleeping = True
+                        c.phase = PH_F0
                         ip.pending = False
                         ip.has_resp = False
-                        dp.want(R_ROM, 0, ((addr & ~3) - rom_lo) >> 2, addr)
-                        c.phase = PH_LD
-                        self.cycle = cy
                         return
-                    data = rom[((addr & ~3) - rom_lo) >> 2]
-                else:
-                    region, bk, rw = self._route(addr)
-                    ip.pending = False
-                    ip.has_resp = False
-                    dp.want(region, bk, rw, addr)
-                    c.phase = PH_LD
-                    self.cycle = cy
-                    if self.dorm_hart >= 0:
-                        self._dormant_split()
-                    return
-                cy = d
-                self.cycle = d
-                f3 = c.ev_f3
-                if f3 != 2:
-                    if f3 & 1:
-                        v = (data >> ((addr & 2) * 8)) & 0xFFFF
-                        if f3 == 1 and v & 0x8000:
-                            v |= 0xFFFF0000
-                    else:
-                        v = (data >> ((addr & 3) * 8)) & 0xFF
-                        if f3 == 0 and v & 0x80:
-                            v |= 0xFFFFFF00
-                    data = v
-                rd = c.ev_rd
-                if rd:
-                    c.regs[rd] = data
-                    if (1 << rd) & self.dorm_regs:
-                        self._dormant_erase(1 << rd, 0)
+                    elif code:  # synchronous trap
+                        ip.pending = False
+                        ip.has_resp = False
+                        then_trap = (c.ev_cause, c.ev_tval)
+                        return
+
+                # retire at cy, then take an interrupt or go on
+                rd = entry[5]
                 c.minstret += 1
                 if rec:
                     self.tracebuf += pack(cy, hart, pc, entry[4] & m32,
@@ -1409,97 +1554,72 @@ class Soc:
                     self._boundary(c, ip, cy, False)
                     return
                 pc = c.pc
-                continue
 
-            if code == 3:  # store
-                addr = c.ev_addr
-                f3 = c.ev_f3
-                val = c.ev_val
-                if f3 == 2:
-                    strobes, wdata = 0xF, val
-                elif f3 == 1:
-                    sh = addr & 2
-                    strobes, wdata = 0x3 << sh, (val & 0xFFFF) << (sh * 8)
+            # break: nothing consumed for the current pc; repost and let
+            # the general engine take the next cycle
+            self.cycle = cy
+            self._post_fetch(c, ip)
+        finally:
+            # what the ports hold at this boundary under the reference
+            # engine: a store not yet granted, and the stale fields of the
+            # last fetch and data access
+            if pend is not None:
+                bidx, row, _widx, addr, wdata, strobes = pend
+                dp.want(R_SRAM, bidx, row, addr & ~3, True, wdata, strobes)
+            if dlast is not None:
+                if dp.pending:
+                    dp.resp_val, dp.resp_status = dlast[9], dlast[10]
                 else:
-                    bsel = addr & 3
-                    strobes, wdata = 1 << bsel, (val & 0xFF) << (bsel * 8)
-                if sram_lo <= addr < sram_hi:
-                    widx = (addr - sram_lo) >> 2
-                    bidx = widx & 7
-                    bank = banks[bidx]
-                    row = widx >> 3
-                    g = cy + 1
-                    while bank.busy_until >= g:
-                        g += 1
-                    if g > allowed:
-                        dp.want(R_SRAM, bidx, row, addr & ~3, True, wdata, strobes)
-                        ip.pending = False
-                        ip.has_resp = False
-                        self._fast_retire_and_fetch(c, ip, cy)
-                        return
-                    bank.write(row, wdata, strobes)
-                    if touched is not None:
-                        touched[widx] |= 2
-                    if strobes != 0xF:
-                        bank.busy_until = g + 1
-                    c.minstret += 1
-                    if rec:
-                        self.tracebuf += pack(cy, hart, pc, entry[4] & m32,
-                                              0, 0)
-                    if lines is not None:
-                        lines.append(
-                            f"{cy} {hart} {pc:#010x} {entry[4] & m32:#010x} "
-                            f"{entry[6]} x0=0x00000000")
-                    if c.mip & c.mie and c.mstatus & MSTATUS_MIE:
-                        ip.pending = False
-                        ip.has_resp = False
-                        self._boundary(c, ip, cy, False)
-                        return
-                    pc = c.pc
-                    nwa = pc & ~3
-                    if sram_lo <= nwa < sram_hi and \
-                            ((nwa - sram_lo) >> 2) & 7 == bidx:
-                        # next fetch loses arbitration to the posted write
-                        self.xbar.conflict_stalls += 1
-                        cy = g if strobes == 0xF else g + 1
-                    continue
-                # device store (or fault): let the general engine run it
-                region, bk, rw = self._route(addr)
-                if region == R_ROM or region == R_NONE:
-                    ip.pending = False
-                    ip.has_resp = False
-                    self._trap_all_or_one(c, EXC_SACCESS_FAULT, addr)
-                    return
-                dp.want(region, bk, rw, addr, True, wdata, strobes)
-                ip.pending = False
-                ip.has_resp = False
-                self._fast_retire_and_fetch(c, ip, cy)
-                return
+                    dp.load_state(dlast)
+            if fent is not None:
+                wa = fpc & ~3
+                val = fent[2]
+                if fent[1] == 2:
+                    wa += 4
+                    val = fent[3]
+                if ip.pending:
+                    ip.resp_val, ip.resp_status = val, RS_OK
+                else:
+                    ip.load_state((False, *self._route(wa), wa, False, 0, 0,
+                                   False, val, RS_OK))
+            if stick <= self.cycle:
+                self._fast_ticks(stick, self.cycle, hold_bank, hold_until)
+            if then_split:
+                self._dormant_split()
+            elif then_trap is not None:
+                self._trap_all_or_one(c, *then_trap)
 
-            if code == 4:  # wfi
-                c.minstret += 1
-                if rec:
-                    self.tracebuf += pack(cy, hart, pc, entry[4] & m32, 0, 0)
-                if lines is not None:
-                    lines.append(
-                        f"{cy} {hart} {pc:#010x} {entry[4] & m32:#010x} "
-                        f"{entry[6]} x0=0x00000000")
-                c.sleeping = True
-                c.phase = PH_F0
-                ip.pending = False
-                ip.has_resp = False
-                return
+    def _fast_store(self, pend: tuple, g: int) -> tuple:
+        """Grant a fast-burst store at cycle ``g``; returns the data
+        port state it leaves."""
+        bidx, row, widx, addr, wdata, strobes = pend
+        bank = self.banks.banks[bidx]
+        bank.write(row, wdata, strobes)
+        if self._touched is not None:
+            self._touched[widx] |= 2
+        if strobes != 0xF:
+            bank.busy_until = g + 1
+        return (False, R_SRAM, bidx, row, addr & ~3, True, wdata, strobes,
+                False, 0, RS_OK)
 
-            # code 5: synchronous trap
-            ip.pending = False
-            ip.has_resp = False
-            self._trap_all_or_one(c, c.ev_cause, c.ev_tval)
-            return
-
-        # break: nothing consumed for the current pc; repost and let the
-        # general engine take the next cycle
-        self.cycle = cy
-        self._post_fetch(c, ip)
+    def _fast_ticks(self, s: int, upto: int, hold_bank: int,
+                    hold_until: int) -> int:
+        """Run the scrubber ticks of a fast burst from cycle ``s`` up to
+        ``upto``.  A tick is blocked by a busy bank or by a fetch that
+        lost a store-fetch conflict (on ``hold_bank`` through
+        ``hold_until``).  Returns the cycle of the next tick."""
+        scrub = self.scrub
+        banks = self.banks.banks
+        touched = self._touched
+        while s <= upto:
+            target = scrub.next_address & 7
+            blocked = banks[target].busy_until >= s or \
+                (target == hold_bank and s <= hold_until)
+            w = scrub.tick(self.banks, s, blocked)
+            if w >= 0 and touched is not None:
+                touched[w] |= 1
+            s = scrub.next_cycle
+        return s
 
     def _fast_retire_and_fetch(self, c: Core, ip: Port, cy: int) -> None:
         """Retire a store posted by the fast path, then schedule the
@@ -1510,164 +1630,346 @@ class Soc:
             return
         self._post_fetch(c, ip)
 
-    def _multi_burst(self, stop_at: int | None, limit: int) -> None:
-        """Fused per-cycle loop for performance mode with several cores.
+    def _event_burst(self, stop_at: int | None, limit: int) -> None:
+        """Event-driven execution of several cores in performance mode.
 
-        Runs the cycle ``self.cycle`` and the ones after it with the bus
-        and tick phases of the general engine inlined for the common
-        cases: conflict-free SRAM grants, decode-cache hits on one-word
-        instructions, single-cycle, multi-cycle and word-load actions,
-        and the boundary with its SRAM fetch.  Everything else goes to
-        the general engine's helpers.  The ports and the core FSM fields
-        are the only state, so every cycle boundary is a valid point to
-        hand back; it returns, with the cycle's scheduler work still to
-        do, once that work may matter (exit, mode switch, resync done,
-        every core asleep) or at ``stop_at`` or the cycle limit.
+        Starts at the cycle boundary ``self.cycle`` and visits only the
+        cycles in which an awake core has an event: a bank request
+        (fetch, load or store) to grant, or the end of a multi-cycle
+        operation.  Each core's requests live in its ``_Lanes`` entry.  A
+        cycle's grants come first, with the crossbar's round robin on a
+        shared bank and busy banks delaying their requests, then the
+        cores step in ``self.active`` order, then a due scrubber tick
+        runs under ``_bus_cycle``'s rule.  What the local state cannot
+        express (device and ROM accesses, decode misses, spanning
+        fetches, bad responses, traps, ``wfi``, interrupts) is written
+        back and handed to the reference helpers, and the burst ends
+        with that cycle; it also ends at ``stop_at`` and the cycle
+        limit.  Every return leaves the ports and core FSM fields as
+        the reference engine holds them at that cycle boundary.
         """
+        cy = self.cycle
+        if self._done_pending or self.odrg.pending_mode is not None:
+            return
+        lanes = _Lanes.collect(self, cy)
+        if lanes is None:
+            return
+        C, IP, DP = lanes.C, lanes.IP, lanes.DP
+        ph, xe, ent = lanes.ph, lanes.xe, lanes.ent
+        ie, fi = lanes.ie, lanes.fi
+        de, db, dr, dreq, drv = (lanes.de, lanes.db, lanes.dr, lanes.dreq,
+                                 lanes.drv)
+        sync = lanes.sync
+        big = _NEVER
+        n = len(C)
+        for c in C:
+            c.exec_left = 0     # its value after an operation ends; sync
+                                # restores it for a core still in one
+        hand = [False] * n  # handed to a helper: its ports are current
+        irq = [bool(c.mip) for c in C]  # mip only changes on device writes
+        hid = [c.mhartid for c in C]
+        na = list(map(min, ie, de, xe))
+        kr = range(n)
+
         banks = self.banks.banks
-        dget = self.dcache.get
+        cws = [b.cws for b in banks]
+        tnt = [b.tainted for b in banks]
+        clean = not any(tnt)    # no tainted row: reads need no decode
+        busy = [b.busy_until for b in banks]
+        dcache = self.dcache
+        fcache: dict[int, tuple] = {}   # pc -> _fetch_info
+        fget = fcache.get
         rec = self.rec_trace
         lines = self.trace_lines
         tb = self.tracebuf
         pack = _TRACE_REC.pack
-        scrub = self.scrub
-        odrg = self.odrg
         touched = self._touched
+        xbar = self.xbar
+        scrub = self.scrub
+        stick = max(scrub.next_cycle, cy + 1) if scrub.enabled else big
         allowed = limit if stop_at is None else min(limit, stop_at)
-        sram_lo, sram_hi = SRAM_BASE, SRAM_END
-        cy = self.cycle
-        while True:
-            # H1: grant every request at once when they all hit distinct,
-            # idle SRAM banks; anything else takes the general bus cycle
-            ports = self.bus_ports
-            simple = not (scrub.enabled and cy >= scrub.next_cycle)
-            if simple:
-                used = 0
-                for p in ports:
-                    if p.pending and not p.has_resp:
-                        bit = 1 << p.bank
-                        if p.region != R_SRAM or used & bit or \
-                                banks[p.bank].busy_until >= cy:
-                            simple = False
-                            break
-                        used |= bit
-            if not simple:
-                self._bus_cycle(cy)
-            elif used:
-                for p in ports:
-                    if p.pending and not p.has_resp:
-                        bank = banks[p.bank]
-                        if p.is_write:
-                            self._bank_op(p, bank, cy)
-                            continue
-                        row = p.row
-                        if touched is not None:
-                            touched[row << 3 | p.bank] |= 1
-                        if bank.tainted and row in bank.tainted:
-                            p.resp_val, p.resp_status = bank.read(row)
-                        else:
-                            p.resp_val = bank.cws[row] & M32
-                            p.resp_status = RS_OK
-                        p.pending = False
-                        p.has_resp = True
+        sram_lo = SRAM_BASE
+        wbits = (mem.TOTAL_WORDS - 1).bit_length()  # w >> wbits: outside SRAM
+        m32 = M32
 
-            # H2: step every core
-            for c, ip, dp in self.active:
-                if c.sleeping:
-                    if c.wake_pulse or (c.mip & c.mie):
-                        self._tick_core(c, ip, dp, cy)
+        # Every request claims its bank for the cycle it will act in (a
+        # busy bank claims itself); a second claim marks that cycle as
+        # one with a shared or busy bank, which alone needs arbitration.
+        t1 = cy + 1
+        cl = [-1] * len(busy)
+        for b, v in enumerate(busy):
+            if v >= t1:
+                cl[b] = t1
+        clash = -1
+        for k in kr:
+            for e, b in ((ie[k], fi[k][0]), (de[k], db[k])):
+                if e == t1:
+                    if cl[b] == t1:
+                        clash = t1
+                    cl[b] = t1
+
+        stop = False
+        guard = min(stick, allowed + 1)
+        while True:
+            t = min(na)
+            tick_now = False
+            if t >= guard:
+                if stick < t:
+                    if stick > allowed:
+                        t = allowed
+                        break
+                    stick = self._lane_tick(stick, lanes)
+                    guard = min(stick, allowed + 1)
                     continue
-                if dp.has_resp and c.phase != PH_LD:
-                    dp.has_resp = False
-                ph = c.phase
-                if ph == PH_F0:
-                    if not ip.has_resp:
+                if t > allowed:
+                    t = allowed
+                    break
+                tick_now = t == stick
+            self.cycle = t
+            t1 = t + 1
+            # H1 on a cycle with a shared or busy bank: which requests
+            # wait (bit 2k: the fetch of core k, bit 2k+1: its data)
+            slow = clash == t
+            if slow:
+                lose = 0
+                want: dict[int, list] = {}
+                for k in kr:
+                    if na[k] != t:
                         continue
-                    entry = dget(c.cur_pc)
-                    if ip.resp_status >= RS_UNCORRECTABLE or entry is None \
-                            or entry[2] != ip.resp_val or entry[1] != 1:
-                        self._consume_fetch(c, ip, dp, cy)
+                    if de[k] <= t:
+                        b = db[k]
+                        if busy[b] >= t:
+                            lose |= 2 << 2 * k
+                        else:
+                            want.setdefault(b, []).append((DP[k], 2 << 2 * k))
+                    if ie[k] <= t:
+                        b = fi[k][0]
+                        if busy[b] >= t:
+                            lose |= 1 << 2 * k
+                        else:
+                            want.setdefault(b, []).append((IP[k], 1 << 2 * k))
+                for b, g in want.items():
+                    if len(g) > 1:
+                        win = xbar.arbitrate([p for p, _bit in g], b)
+                        for p, bit in g:
+                            if p is not win:
+                                lose |= bit
+
+            for k in kr:
+                if na[k] != t:
+                    continue
+                na[k] = t1
+                c = C[k]
+                p = ph[k]
+                if de[k] <= t and p != PH_LD:   # a posted store
+                    b = db[k]
+                    if slow and lose >> 2 * k & 2:
+                        if cl[b] == t1:
+                            clash = t1
+                        cl[b] = t1
+                    else:
+                        rq = dreq[k]
+                        row = dr[k]
+                        banks[b].write(row, rq[2], rq[3])
+                        if tnt[b]:
+                            clean = False
+                        if touched is not None:
+                            touched[row << 3 | b] |= 2
+                        if rq[3] != 0xF:
+                            busy[b] = banks[b].busy_until = t1
+                            if cl[b] == t1:
+                                clash = t1
+                            cl[b] = t1
+                        drv[k] = 0
+                        de[k] = big
+                    if p == PH_F0 and ie[k] > t:
+                        continue    # its fetch was posted later
+
+                if p == PH_F0:
+                    f = fi[k]
+                    b = f[0]
+                    if slow and lose >> 2 * k & 1:
+                        if cl[b] == t1:
+                            clash = t1
+                        cl[b] = t1
                         continue
-                    ip.has_resp = False
-                    c.cur_word = entry[4]
-                    c.cur_rd = entry[5]
-                    c.cur_mnem = entry[6]
-                    code = entry[0](c)
-                    if code == 1:
-                        c.phase = PH_EX
-                        c.exec_left = c.ev_extra
-                        c.exec_retire = True
-                        continue
-                    if code == 2:
-                        addr = c.ev_addr
-                        if dp.pending or not sram_lo <= addr < sram_hi:
-                            self._issue_data(c, ip, dp, 2, cy)
+                    row = f[1]
+                    if touched is not None:
+                        touched[row << 3 | b] |= 1
+                    if clean or row not in tnt[b]:
+                        v = f[2][row] & m32
+                    else:
+                        v, st = banks[b].read(row)
+                        if st:
+                            lanes.to_fetch(self, k, t, v, st)
+                            hand[k] = stop = True
                             continue
+                    e = f[3]
+                    if e[2] != v:   # a miss, a spanning or a stale entry
+                        lanes.to_fetch(self, k, t, v, RS_OK)
+                        hand[k] = stop = True
+                        continue
+                    ent[k] = e
+                    code = e[0](c)
+                    if code:
+                        ie[k] = big
+                        if code == 1:
+                            ph[k] = PH_EX
+                            xe[k] = t + c.ev_extra
+                            c.exec_retire = True
+                            if de[k] == big:
+                                na[k] = xe[k]
+                            continue
+                        addr = c.ev_addr
                         w = (addr - sram_lo) >> 2
-                        dp.want(R_SRAM, w & 7, w >> 3, addr)
-                        c.phase = PH_LD
+                        if code > 3 or w >> wbits:
+                            # wfi, a trap, or a device or unmapped target
+                            sync(k, t)
+                            self._apply(c, IP[k], DP[k], e, code, t)
+                            hand[k] = stop = True
+                            continue
+                        if de[k] != big:    # behind a posted store
+                            ph[k] = PH_DW
+                            c.dw_kind = code
+                            continue
+                        b = w & 7
+                        if cl[b] == t1:
+                            clash = t1
+                        cl[b] = t1
+                        de[k] = t1
+                        db[k] = b
+                        dr[k] = w >> 3
+                        if code == 2:
+                            dreq[k] = (addr, False, 0, 0)
+                            ph[k] = PH_LD
+                            continue
+                        sb, wd = _store_lanes(addr, c.ev_f3, c.ev_val)
+                        dreq[k] = (addr & ~3, True, wd, sb)
+                elif p == PH_EX:
+                    if xe[k] != t:
+                        if de[k] == big:
+                            na[k] = xe[k]
                         continue
-                    if code == 3:
-                        self._issue_data(c, ip, dp, 3, cy)
+                    if not c.exec_retire:   # the bubble after a trap
+                        sync(k, t)
+                        self._boundary(c, IP[k], t, False)
+                        hand[k] = stop = True
                         continue
-                    if code == 4:
-                        self._retire(c, cy)
-                        c.sleeping = True
+                    ph[k] = PH_F0
+                    e, f = ent[k], fi[k]
+                elif p == PH_LD:
+                    b = db[k]
+                    if slow and lose >> 2 * k & 2:
+                        if cl[b] == t1:
+                            clash = t1
+                        cl[b] = t1
                         continue
-                    if code != 0:
-                        self._enter_trap(c, c.ev_cause, c.ev_tval)
-                        continue
-                elif ph == PH_EX:
-                    c.exec_left -= 1
-                    if c.exec_left > 0:
-                        continue
-                    if not c.exec_retire:
-                        self._boundary(c, ip, cy, False)
-                        continue
-                elif ph == PH_LD:
-                    if not dp.has_resp:
-                        continue
-                    if c.ev_f3 != 2 or dp.resp_status >= RS_UNCORRECTABLE:
-                        self._consume_load(c, dp, ip, cy)
-                        continue
-                    dp.has_resp = False
+                    row = dr[k]
+                    if touched is not None:
+                        touched[row << 3 | b] |= 1
+                    de[k] = big
+                    if clean or row not in tnt[b]:
+                        v = cws[b][row] & m32
+                    else:
+                        v, st = banks[b].read(row)
+                        if st:
+                            drv[k] = v
+                            sync(k, t)
+                            dp = DP[k]
+                            dp.has_resp, dp.resp_status = True, st
+                            self._consume_load(c, dp, IP[k], t)
+                            hand[k] = stop = True
+                            continue
+                    drv[k] = v
+                    if c.ev_f3 != 2:
+                        v = _load_lanes(v, c.ev_addr, c.ev_f3)
                     rd = c.ev_rd
                     if rd:
-                        c.regs[rd] = dp.resp_val
-                else:
-                    self._tick_core(c, ip, dp, cy)
-                    continue
+                        c.regs[rd] = v
+                    ph[k] = PH_F0
+                    e, f = ent[k], fi[k]
+                else:   # PH_DW: once the posted store drains, issue the op
+                    if de[k] != big:
+                        continue
+                    addr = c.ev_addr
+                    w = (addr - sram_lo) >> 2
+                    if w >> wbits:
+                        sync(k, t)
+                        self._issue_data(c, IP[k], DP[k], c.dw_kind, t)
+                        hand[k] = stop = True
+                        continue
+                    b = w & 7
+                    if cl[b] == t1:
+                        clash = t1
+                    cl[b] = t1
+                    de[k] = t1
+                    db[k] = b
+                    dr[k] = w >> 3
+                    if c.dw_kind == 2:
+                        dreq[k] = (addr, False, 0, 0)
+                        ph[k] = PH_LD
+                        continue
+                    sb, wd = _store_lanes(addr, c.ev_f3, c.ev_val)
+                    dreq[k] = (addr & ~3, True, wd, sb)
+                    ph[k] = PH_F0
+                    e, f = ent[k], fi[k]
+
                 # retire, then take an interrupt or fetch the next pc
-                if lines is None:
-                    c.minstret += 1
-                    if rec:
-                        rd = c.cur_rd
-                        tb += pack(cy, c.mhartid, c.cur_pc, c.cur_word & M32,
-                                   rd, c.regs[rd])
-                else:
-                    self._retire(c, cy)
-                if c.mip & c.mie and c.mstatus & MSTATUS_MIE:
-                    self._boundary(c, ip, cy, False)
+                c.minstret += 1
+                rd = e[5]
+                if rec:
+                    tb += pack(t, hid[k], f[4], e[4], rd, c.regs[rd])
+                if lines is not None:
+                    lines.append(f"{t} {hid[k]} {f[4]:#010x} {e[4]:#010x} "
+                                 f"{e[6]} x{rd}={c.regs[rd]:#010x}")
+                if irq[k] and c.mip & c.mie and c.mstatus & MSTATUS_MIE:
+                    ie[k] = big
+                    sync(k, t)
+                    self._boundary(c, IP[k], t, False)
+                    hand[k] = stop = True
                     continue
                 pc = c.pc
-                if sram_lo <= pc < sram_hi:
-                    c.cur_pc = pc
-                    w = (pc - sram_lo) >> 2
-                    ip.want(R_SRAM, w & 7, w >> 3, pc & ~3)
-                    c.phase = PH_F0
-                else:
-                    self._post_fetch(c, ip)
+                f = fget(pc)
+                if f is None:
+                    if (pc - sram_lo) >> 2 >> wbits:
+                        ie[k] = big
+                        sync(k, t)
+                        self._post_fetch(c, IP[k])
+                        hand[k] = stop = True
+                        continue
+                    f = fcache[pc] = _fetch_info(pc, cws, dcache)
+                b = f[0]
+                if cl[b] == t1:
+                    clash = t1
+                cl[b] = t1
+                ie[k] = t1
+                fi[k] = f
 
-            if not self.running or self._done_pending \
-                    or odrg.pending_mode is not None or cy >= allowed:
-                return
-            for c, _ip, _dp in self.active:
-                if not c.sleeping:
-                    break
-            else:
-                return  # idle: the scheduler may skip ahead
-            cy += 1
-            self.cycle = cy
+            if tick_now:
+                stick = self._lane_tick(t, lanes)
+                guard = min(stick, allowed + 1)
+            if stop:
+                break
+
+        self.cycle = t
+        for k in kr:
+            if not hand[k]:
+                sync(k, t)
+
+    def _lane_tick(self, s: int, lanes: "_Lanes") -> int:
+        """Run the scrubber tick due at ``s`` in an event-driven burst,
+        after the grants of ``s``: blocked by a busy bank or by a request
+        eligible by ``s`` still waiting for it.  Returns the next tick."""
+        scrub = self.scrub
+        target = scrub.next_address & 7
+        blocked = self.banks.banks[target].busy_until >= s or any(
+            e <= s and b == target
+            for e, b in zip(lanes.ie + lanes.de,
+                            [f[0] for f in lanes.fi] + lanes.db))
+        w = scrub.tick(self.banks, s, blocked)
+        if w >= 0 and self._touched is not None:
+            self._touched[w] |= 1
+        return scrub.next_cycle
 
     def _maybe_switch_mode(self) -> None:
         """Apply a pending mode change at the sleep barrier."""

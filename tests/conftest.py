@@ -5,6 +5,16 @@ import pytest
 from lockstep_mcu import kernels
 from lockstep_mcu.soc import Soc, SocConfig
 
+try:
+    from hypothesis import HealthCheck, settings
+except ImportError:     # tests/test_fuzz.py skips itself
+    pass
+else:
+    _fuzz = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    settings.register_profile("tier1", max_examples=150, derandomize=True, **_fuzz)
+    settings.register_profile("fuzz-long", max_examples=3000, **_fuzz)
+    settings.load_profile("tier1")
+
 
 def make_soc(mode="lockstep", program=None, **cfg) -> Soc:
     soc = Soc(SocConfig(mode=mode, **cfg))

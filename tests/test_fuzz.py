@@ -1,0 +1,129 @@
+"""Differential fuzzing of the fused engines against the reference engine.
+
+Generated programs give each hart its own bounded loop of ALU, mul/div,
+compressed, word and sub-word load and store operations on one small
+shared buffer, so stores and loads of different harts keep meeting on
+the same banks.  With ``fast_loop`` on and off, a run must give the same
+report (trace hash included) and the same full state at a pause and at
+the end.  The example counts come from the Hypothesis profiles in
+``conftest.py``: Tier-1 replays a fixed set, and
+``pytest --hypothesis-profile fuzz-long tests/test_fuzz.py`` searches
+afresh with many more.
+"""
+
+import pytest
+
+from lockstep_mcu.asm import Program
+from lockstep_mcu.soc import SIMCTL_BASE, Soc, SocConfig
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+REGS = ["a0", "a1", "a2", "a3", "a4", "a5"]
+ALU = ["add", "sub", "xor", "or", "and", "sll", "srl", "sra", "slt", "sltu",
+       "mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu"]
+LOADS = {"lw": 4, "lh": 2, "lhu": 2, "lb": 1, "lbu": 1}
+STORES = {"sw": 4, "sh": 2, "sb": 1}
+BUF_BYTES = 64      # two words per bank
+
+_reg = st.sampled_from(REGS)
+_op = st.one_of(
+    st.tuples(st.sampled_from(ALU), _reg, _reg, _reg),
+    st.tuples(st.just("addi"), _reg, _reg, st.integers(-2048, 2047)),
+    st.tuples(st.just("c.addi"), _reg, st.integers(1, 31)),
+    st.sampled_from(sorted(LOADS | STORES)).flatmap(
+        lambda m: st.tuples(
+            st.just(m), _reg,
+            st.integers(0, BUF_BYTES // (LOADS | STORES)[m] - 1).map(
+                lambda i, m=m: i * (LOADS | STORES)[m]))),
+)
+_hart = st.fixed_dictionaries({
+    "ops": st.lists(_op, min_size=1, max_size=12),
+    "loops": st.integers(2, 8),
+    "init": st.lists(st.integers(0, 2**32 - 1), min_size=6, max_size=6),
+})
+
+
+def build(harts, wait: bool = True) -> Program:
+    """One block per hart; hart 0 waits for the others' done flags (when
+    ``wait``), then exits with the xor of its registers."""
+    p = Program()
+    p.label("_start")
+    p.ins("csrr", "t0", "mhartid")
+    p.ins("la", "s0", "buf")
+    p.ins("la", "s2", "flags")
+    p.ins("beqz", "t0", "hart0")
+    p.ins("li", "t1", 1)
+    p.ins("beq", "t0", "t1", "hart1")
+    p.ins("j", "hart2")
+    for k, h in enumerate(harts):
+        p.label(f"hart{k}")
+        for r, v in zip(REGS, h["init"]):
+            p.ins("li", r, v)
+        p.ins("li", "s1", h["loops"])
+        p.label(f"loop{k}")
+        for op in h["ops"]:
+            if op[0] in LOADS or op[0] in STORES:
+                p.ins(op[0], op[1], op[2], "s0")
+            else:
+                p.ins(*op)
+        p.ins("addi", "s1", "s1", -1)
+        p.ins("bnez", "s1", f"loop{k}")
+        if k:
+            p.ins("li", "t1", 1)
+            p.ins("sw", "t1", 4 * k, "s2")
+            p.label(f"park{k}")
+            p.ins("wfi")
+            p.ins("j", f"park{k}")
+            continue
+        if wait:
+            for j in (1, 2):
+                p.label(f"wait{j}")
+                p.ins("lw", "t1", 4 * j, "s2")
+                p.ins("beqz", "t1", f"wait{j}")
+        for r in REGS[1:]:
+            p.ins("xor", "a0", "a0", r)
+        p.ins("la", "t6", SIMCTL_BASE)
+        p.ins("sw", "a0", 4, "t6")
+        p.ins("sw", "x0", 0, "t6")
+    p.align(4)
+    p.label("flags")
+    p.words([0, 0, 0])
+    p.label("buf")
+    p.words(list(range(0x01020304, 0x01020304 + BUF_BYTES // 4)))
+    return p
+
+
+def states(prog, mode: str, fast: bool, pause: int, scrub: int):
+    soc = Soc(SocConfig(mode=mode, fast_loop=fast, scrub_interval=scrub,
+                        max_cycles=30_000))
+    soc.load_program(prog)
+    soc.run(stop_at=pause)
+    at_pause = (soc.cycle, soc.snapshot())
+    res = soc.run()
+    return res.to_dict(), at_pause, soc.snapshot()
+
+
+def assert_engines_agree(prog, mode, pause, scrub):
+    fast = states(prog, mode, True, pause, scrub)
+    ref = states(prog, mode, False, pause, scrub)
+    assert fast[0] == ref[0]
+    for got, want in ((fast[1][1], ref[1][1]), (fast[2], ref[2])):
+        for key in want:
+            assert got[key] == want[key], key
+    assert fast[1][0] == ref[1][0]
+    assert ref[0]["exit_code"] is not None and not ref[0]["timed_out"]
+
+
+@given(harts=st.tuples(_hart, _hart, _hart), pause=st.integers(20, 600),
+       scrub=st.sampled_from([1, 3, 7, 64]))
+def test_parallel_engines_agree(harts, pause, scrub):
+    assert_engines_agree(build(harts), "parallel", pause, scrub)
+
+
+@given(hart=_hart, pause=st.integers(20, 600),
+       scrub=st.sampled_from([1, 3, 7, 64]))
+def test_lockstep_engines_agree(hart, pause, scrub):
+    assert_engines_agree(build((hart, hart, hart), wait=False), "lockstep",
+                         pause, scrub)
