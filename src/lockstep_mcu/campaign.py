@@ -40,6 +40,8 @@ OUTCOME_CLASSES = (
 
 TARGET_KINDS = ("core", "memory", "write_mask")
 
+# the core locations a sampled campaign draws from by default: a subset
+# of ``Soc.CORE_FAULT_LOCS`` without mcause, mtval, mcycle and minstret
 CORE_LOCS = tuple(f"x{i}" for i in range(1, 32)) + (
     "pc", "mstatus", "mtvec", "mepc", "mie", "mscratch")
 

@@ -247,6 +247,24 @@ class Core:
             },
         }
 
+    def read_loc(self, loc: str, now: int) -> int:
+        """The value of fault location ``loc``: ``x1``-``x31``, ``pc`` or
+        a ``CORE_LOC_TAGS`` name."""
+        if loc[0] == "x":
+            return self.regs[int(loc[1:])]
+        if loc == "mcycle":
+            return self.mcycle(now)
+        return getattr(self, loc)
+
+    def write_loc(self, loc: str, value: int, now: int) -> None:
+        """Set fault location ``loc`` (see ``read_loc``) to ``value``."""
+        if loc[0] == "x":
+            self.regs[int(loc[1:])] = value
+        elif loc == "mcycle":
+            self.mcycle_base = now - value
+        else:
+            setattr(self, loc, value)
+
     def load_state(self, state: dict, now: int) -> None:
         self.mhartid = state["mhartid"]
         self.pc = state["pc"]

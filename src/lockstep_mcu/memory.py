@@ -80,14 +80,6 @@ class Bank:
         self.uncorrectable_count += 1
         return data, UNCORRECTABLE
 
-    def peek(self, row: int) -> tuple[int, int]:
-        """Decode without side effects (no correction, no counters)."""
-        cw = self.cws[row]
-        if row not in self.tainted:
-            return cw & _DATA_MASK, OK
-        data, code, _pos = _DEC(cw)
-        return data, (OK, CORRECTED, UNCORRECTABLE)[code]
-
     def write(self, row: int, data: int, strobes: int = 0xF) -> int:
         """Store ``data`` under ``strobes``; returns a status code.
 

@@ -12,16 +12,22 @@ single deterministic per-cycle loop, split into two half-cycles:
 
 In lockstep mode with converged cores only core 0 is stepped against
 the voted ports; the three cores are bit-identical by construction so
-this is an exact shortcut, not an approximation.  Any state injection
-splits the group: all three cores then step against private shadow
-ports whose request bundles are majority-voted into the real ports
-each cycle, until the resynchronization flow (or plain overwriting of
-the flipped bit) makes the cores bit-identical again.
+this is an exact shortcut, not an approximation.  A state injection
+splits the group, at once or, with ``dormant_opt``, when an instruction
+first reads the flipped location: until then the deviation is carried
+beside core 0 as a dormant fault, and a write to the location erases
+it.  Once split, all three cores step against private shadow ports
+whose request bundles are majority-voted into the real ports each
+cycle, until the resynchronization flow (or plain overwriting of the
+flipped bit) makes the cores bit-identical again.
 
 With ``fast_loop`` on, two fused loops stand in for this engine where
 they can: ``_fast_burst`` for one active core and ``_event_burst`` for
 several cores in performance mode.  Both stop at cycle boundaries and
-give exactly the reference engine's results.
+give exactly the reference engine's results.  Neither decides anything
+about a dormant fault: an instruction that touches one is handed back
+to the reference helpers, which alone split, replay or erase it.
+``restore()`` drops a carried fault with the rest of the old state.
 
 Address map (all register accesses word-sized):
 
@@ -46,7 +52,7 @@ from .asm import Program, assemble, entry_address
 from .core import (
     Core, M32, PH_F0, PH_F1, PH_EX, PH_LD, PH_DW,
     EXC_IACCESS_FAULT, EXC_LACCESS_FAULT, EXC_SACCESS_FAULT,
-    MSTATUS_MIE, MIE_MEIE, MIE_MSIE, CORE_LOC_TAGS, CT_MCYCLE, CT_MINSTRET,
+    MSTATUS_MIE, MIE_MEIE, MIE_MSIE, CORE_LOC_TAGS,
     decode16, decode32, rw_sets,
 )
 from .interconnect import (
@@ -83,6 +89,17 @@ FATAL_EXIT_BASE = 0xDEAD0000  # unhandled trap: exit code 0xDEAD0000 | cause
 CONVERGENCE_CHECK_PERIOD = 64
 
 _TRACE_REC = struct.Struct("<QBIIBI")
+
+# core fault location -> (its bit in a register mask, its CSR tag)
+_LOC_MASKS = {f"x{i}": (1 << i, 0) for i in range(1, 32)}
+_LOC_MASKS.update((loc, (0, tag)) for loc, tag in CORE_LOC_TAGS.items())
+
+
+def _trace_line(now: int, hart: int, pc: int, word: int, mnem: str, rd: int,
+                val: int) -> str:
+    """The ``trace_lines`` text of one retired instruction."""
+    return (f"{now} {hart} {pc:#010x} {word & M32:#010x} {mnem} "
+            f"x{rd}={val:#010x}")
 
 
 def _store_lanes(addr: int, f3: int, val: int) -> tuple[int, int]:
@@ -323,6 +340,7 @@ class LoadError(Exception):
 
 _NEVER = 1 << 62    # the cycle of an event that is not scheduled
 _MISS = (None, 0, -1)   # stands in for a decode-cache entry: matches no word
+_LOAD_RESP = -1     # ``_fast_burst`` hands a load response to ``_consume_load``
 
 
 def _fetch_info(pc: int, words: list, dcache: dict) -> tuple:
@@ -463,10 +481,7 @@ class Soc:
         self._diverge_check_at = 0
         # dormant lockstep fault: the minority's deviating locations are
         # carried beside the converged fast path until something reads them
-        self.dorm_hart = -1
-        self.dorm_regs = 0
-        self.dorm_csrs = 0
-        self.dorm_vals: dict[str, int] = {}
+        self._dormant_clear()
         # def/use log of a golden run: one byte per SRAM word, bit 0 read,
         # bit 1 written (None when not recording)
         self._touched: bytearray | None = None
@@ -511,29 +526,33 @@ class Soc:
             self.trace_lines = []
         self.odrg = OdrgUnit(self.config.odrg_mode())
         self.lockstep = self.odrg.mode == MODE_LOCKSTEP
-        self.converged = True
         self.scrub.next_cycle = self.scrub.interval
         self.scrub.next_address = 0
         self.scrub.corrections = 0
         self.scrub.uncorrectable_seen = 0
         self._done_pending = False
         self._diverge_check_at = 0
-        self.dorm_hart = -1
-        self.dorm_regs = 0
-        self.dorm_csrs = 0
-        self.dorm_vals = {}
-        release = self.config.release_mask()
+        self._restart(self.config.release_mask())
+
+    def _restart(self, release: int = 0b111) -> None:
+        """Reset the three cores to the boot ROM, holding the ones outside
+        ``release`` asleep in performance mode, then clear and rewire the
+        ports and post the first fetch of every active core.  Any carried
+        dormant fault goes with the old core state."""
+        self._dormant_clear()
+        self.converged = True
         for i, c in enumerate(self.cores):
-            hartid = 0 if self.lockstep else i
-            c.reset(ROM_BASE, hartid=hartid)
-            c.held = (not self.lockstep) and not (release >> i) & 1
-            if c.held:
-                c.sleeping = True
-        for p in (*self.vports, *(q for pair in self.cports for q in pair)):
-            p.clear()
+            c.reset(ROM_BASE, hartid=0 if self.lockstep else i)
+            c.held = not (self.lockstep or release >> i & 1)
+            c.sleeping = c.held
+        self._clear_ports()
         self._wire_ports()
         for core, ip, _dp in self.active:
             self._post_fetch(core, ip)
+
+    def _clear_ports(self) -> None:
+        for p in (*self.vports, *(q for pair in self.cports for q in pair)):
+            p.clear()
 
     def _wire_ports(self) -> None:
         if self.lockstep:
@@ -657,7 +676,7 @@ class Soc:
         self._last_irq = self.cycle
         self.odrg.msip[hart] = value
         if self.dorm_hart >= 0 and value:
-            self._dormant_split()
+            self.split()
         if self.lockstep:
             # one logical core: the software interrupt hits the group
             for c in self.cores:
@@ -669,7 +688,7 @@ class Soc:
     def request_resync(self) -> None:
         """Raise the resync interrupt as a mismatch would (test hook)."""
         if self.dorm_hart >= 0:
-            self._dormant_split()
+            self.split()
         o = self.odrg
         if o.resync_state == RESYNC_IDLE:
             self._last_irq = self.cycle
@@ -690,22 +709,7 @@ class Soc:
         o = self.odrg
         o.resync_state = RESYNC_IN_PROGRESS
         self._last_irq = self.cycle
-        self.dorm_hart = -1
-        self.dorm_regs = 0
-        self.dorm_csrs = 0
-        self.dorm_vals = {}
-        for c in self.cores:
-            c.mip &= ~MIP_MEIP
-        hartid_all = 0 if self.lockstep else None
-        for i, c in enumerate(self.cores):
-            c.reset(ROM_BASE, hartid=hartid_all if hartid_all is not None else i)
-        for p in (*self.vports, *(q for pair in self.cports for q in pair)):
-            p.clear()
-        if self.lockstep:
-            self.converged = True
-        self._wire_ports()
-        for core, ip, _dp in self.active:
-            self._post_fetch(core, ip)
+        self._restart()
 
     def _resync_done(self) -> None:
         o = self.odrg
@@ -716,30 +720,36 @@ class Soc:
 
     # ------------------------------------------------------ fault hooks
 
-    CORE_FAULT_LOCS = tuple(f"x{i}" for i in range(1, 32)) + (
-        "pc", "mstatus", "mtvec", "mepc", "mcause", "mtval", "mie",
-        "mscratch", "mcycle", "minstret")
+    CORE_FAULT_LOCS = (tuple(f"x{i}" for i in range(1, 32)) + ("pc",)
+                       + tuple(CORE_LOC_TAGS))
 
     def materialize(self) -> None:
-        """Make cores 1/2 real (they mirror core 0 on the fast path)."""
+        """Make cores 1/2 real (they mirror core 0 on the fast path); a
+        carried dormant fault splits the group."""
         if self.dorm_hart >= 0:
-            self._dormant_split()
-            return
-        if self.lockstep and self.converged:
+            self.split()
+        elif self.lockstep and self.converged:
             for c in self.cores[1:]:
                 c.copy_from(self.cores[0])
 
     def split(self) -> None:
-        """Leave the converged fast path; cores step individually."""
+        """Leave the converged fast path; cores step individually, the
+        minority of a carried dormant fault with its deviating state."""
         if not (self.lockstep and self.converged):
             return
+        hart, vals = self.dorm_hart, self.dorm_vals
+        self._dormant_clear()
         self.materialize()
+        now = self.cycle
+        for loc, delta in vals.items():
+            c = self.cores[hart]
+            c.write_loc(loc, c.read_loc(loc, now) + delta, now)
         for i in range(3):
             self.cports[i][0].copy_from(self.vports[0])
             self.cports[i][1].copy_from(self.vports[1])
         self.converged = False
         self._wire_ports()
-        self._diverge_check_at = self.cycle + CONVERGENCE_CHECK_PERIOD
+        self._diverge_check_at = now + CONVERGENCE_CHECK_PERIOD
 
     def _try_collapse(self) -> None:
         now = self.cycle
@@ -768,125 +778,58 @@ class Soc:
             self._dormant_inject(hart, loc, bit)
             return
         if self.lockstep:
-            if self.dorm_hart >= 0:
-                self._dormant_split()
             self.split()
         c = self.cores[hart]
-        m = 1 << bit
-        now = self.cycle
-        if loc == "pc":
-            c.pc ^= m
-        elif loc.startswith("x"):
-            c.regs[int(loc[1:])] ^= m
-        elif loc == "mcycle":
-            c.mcycle_base = now - (c.mcycle(now) ^ m)
-        elif loc == "minstret":
-            c.minstret ^= m
-        else:
-            setattr(c, loc, getattr(c, loc) ^ m)
+        c.write_loc(loc, c.read_loc(loc, self.cycle) ^ (1 << bit), self.cycle)
 
     # A single-bit fault in a location nothing is reading cannot change
     # any core output, so the converged fast path may keep running with
-    # the deviation carried on the side.  The group splits into real
-    # 3-way stepping the moment an instruction reads a deviating
-    # location, any trap or interrupt line fires, or a second core gets
-    # faulted; a write to the deviating location erases it (both sides
-    # would write identical data), possibly re-converging the group.
+    # the deviation carried on the side: ``dorm_vals`` maps each deviating
+    # location of core ``dorm_hart`` to its distance from core 0's value,
+    # and ``dorm_regs``/``dorm_csrs`` mask those locations.  The group
+    # splits into real 3-way stepping the moment an instruction reads a
+    # deviating location, any trap or interrupt line fires, or a second
+    # core gets faulted; a write to the deviating location erases it
+    # (both sides would write identical data), possibly re-converging
+    # the group.  Only the reference helpers (``_dispatch``, ``_apply``,
+    # ``_consume_fetch``, ``_consume_load``) take these decisions: the
+    # fused burst hands any instruction touching the set back to them.
+
+    def _dormant_set(self, hart: int, vals: dict[str, int]) -> None:
+        """Carry ``vals`` for ``hart``: the one writer of ``dorm_*``."""
+        regs = csrs = 0
+        for loc in vals:
+            r, t = _LOC_MASKS[loc]
+            regs |= r
+            csrs |= t
+        self.dorm_hart = hart if vals else -1
+        self.dorm_regs = regs
+        self.dorm_csrs = csrs
+        self.dorm_vals = vals
+
+    def _dormant_clear(self) -> None:
+        self._dormant_set(-1, {})
 
     def _dormant_inject(self, hart: int, loc: str, bit: int) -> None:
-        self.dorm_hart = hart
-        vals = self.dorm_vals
-        c0 = self.cores[0]
-        m = 1 << bit
-        if loc.startswith("x"):
-            idx = int(loc[1:])
-            maj = c0.regs[idx]
-            new = vals.get(loc, maj) ^ m
-            if new == maj:
-                vals.pop(loc, None)
-                self.dorm_regs &= ~(1 << idx)
-            else:
-                vals[loc] = new
-                self.dorm_regs |= 1 << idx
-        elif loc == "mcycle":
-            now = self.cycle
-            maj_base = c0.mcycle_base
-            cur_base = vals.get(loc, maj_base)
-            new_base = now - ((now - cur_base) ^ m)
-            if new_base == maj_base:
-                vals.pop(loc, None)
-                self.dorm_csrs &= ~CT_MCYCLE
-            else:
-                vals[loc] = new_base
-                self.dorm_csrs |= CT_MCYCLE
-        elif loc == "minstret":
-            maj = c0.minstret
-            delta = ((maj + vals.get(loc, 0)) ^ m) - maj
-            if delta == 0:
-                vals.pop(loc, None)
-                self.dorm_csrs &= ~CT_MINSTRET
-            else:
-                vals[loc] = delta
-                self.dorm_csrs |= CT_MINSTRET
-        else:
-            tag = CORE_LOC_TAGS[loc]
-            maj = getattr(c0, loc)
-            new = vals.get(loc, maj) ^ m
-            if new == maj:
-                vals.pop(loc, None)
-                self.dorm_csrs &= ~tag
-            else:
-                vals[loc] = new
-                self.dorm_csrs |= tag
-        if not vals:
-            self.dorm_hart = -1
-            self.dorm_regs = 0
-            self.dorm_csrs = 0
-
-    def _dormant_split(self) -> None:
-        """Materialize the carried fault and enter real 3-way stepping."""
-        hart = self.dorm_hart
-        vals = self.dorm_vals
-        self.dorm_hart = -1
-        self.dorm_regs = 0
-        self.dorm_csrs = 0
-        self.dorm_vals = {}
-        self.split()
-        minority = self.cores[hart]
-        for loc, v in vals.items():
-            if loc.startswith("x"):
-                minority.regs[int(loc[1:])] = v
-            elif loc == "mcycle":
-                minority.mcycle_base = v
-            elif loc == "minstret":
-                minority.minstret += v
-            else:
-                setattr(minority, loc, v)
+        maj = self.cores[0].read_loc(loc, self.cycle)
+        vals = dict(self.dorm_vals)
+        vals[loc] = ((maj + vals.get(loc, 0)) ^ (1 << bit)) - maj
+        self._dormant_set(hart, {k: d for k, d in vals.items() if d})
 
     def _dormant_erase(self, wr: int, cw: int) -> None:
-        vals = self.dorm_vals
-        hit = wr & self.dorm_regs
-        while hit:
-            low = hit & -hit
-            vals.pop(f"x{low.bit_length() - 1}", None)
-            hit ^= low
-        self.dorm_regs &= ~wr
-        if cw & self.dorm_csrs:
-            for loc, tag in CORE_LOC_TAGS.items():
-                if cw & tag:
-                    vals.pop(loc, None)
-            self.dorm_csrs &= ~cw
-        if not vals:
-            self.dorm_hart = -1
-            self.dorm_regs = 0
-            self.dorm_csrs = 0
+        """Drop the carried locations that an instruction overwrote
+        (register mask ``wr``, CSR mask ``cw``)."""
+        if wr & self.dorm_regs or cw & self.dorm_csrs:
+            self._dormant_set(self.dorm_hart, {
+                loc: d for loc, d in self.dorm_vals.items()
+                if not (_LOC_MASKS[loc][0] & wr or _LOC_MASKS[loc][1] & cw)})
 
     def _dormant_replay(self, port: Port, now: int) -> None:
         """Un-consume a just-granted response, split, and re-run this
         cycle's core step 3-way so the replay lands in the same cycle
         the converged path would have used."""
         port.has_resp = True
-        self._dormant_split()
+        self.split()
         self.vports[0].has_resp = False
         self.vports[1].has_resp = False
         for core, sip, sdp in self.active:
@@ -894,20 +837,36 @@ class Soc:
         if self.running and self.lockstep and not self.converged:
             self._vote_cycle(now)
 
+    def _fault(self, c: Core, port: Port, cause: int, tval: int,
+               now: int) -> None:
+        """A fault met before the instruction changed any state: with a
+        dormant fault carried, replay ``port``'s response 3-way so each
+        core meets it with its own state; otherwise trap."""
+        if self.dorm_hart >= 0:
+            self._dormant_replay(port, now)
+        else:
+            self._enter_trap(c, cause, tval)
+
     def _trap_all_or_one(self, c: Core, cause: int, tval: int) -> None:
         """Synchronous trap after architectural mutation: when a dormant
         fault is pending every core reached this point identically, so
         split and let each take the trap with its own state."""
+        cores = [c]
         if self.dorm_hart >= 0:
-            self._dormant_split()
-            self._last_irq = self.cycle
-            for core in self.cores:
-                core.take_trap(cause, tval, core.cur_pc)
-                core.phase = PH_EX
-                core.exec_left = 1
-                core.exec_retire = False
-            return
-        self._enter_trap(c, cause, tval)
+            self.split()
+            cores = self.cores
+        for core in cores:
+            self._enter_trap(core, cause, tval)
+
+    def _enter_trap(self, c: Core, cause: int, tval: int,
+                    epc: int | None = None) -> None:
+        """Take a trap (at ``epc``, by default the current instruction)
+        and spend the next cycle in the entry bubble."""
+        self._last_irq = self.cycle
+        c.take_trap(cause, tval, c.cur_pc if epc is None else epc)
+        c.phase = PH_EX
+        c.exec_left = 1
+        c.exec_retire = False
 
     # ------------------------------------------------------ cycle engine
 
@@ -928,63 +887,45 @@ class Soc:
             self.tracebuf += _TRACE_REC.pack(
                 now, c.mhartid, c.cur_pc, c.cur_word & M32, rd, c.regs[rd])
         if self.trace_lines is not None:
-            self.trace_lines.append(
-                f"{now} {c.mhartid} {c.cur_pc:#010x} {c.cur_word & M32:#010x} "
-                f"{c.cur_mnem} x{rd}={c.regs[rd]:#010x}")
+            self.trace_lines.append(_trace_line(
+                now, c.mhartid, c.cur_pc, c.cur_word, c.cur_mnem, rd, c.regs[rd]))
 
     def _boundary(self, c: Core, ip: Port, now: int, retire: bool) -> None:
+        """End an instruction, retiring it when ``retire``: take a pending
+        interrupt or fetch the next one."""
         if retire:
             self._retire(c, now)
-        if c.mstatus & MSTATUS_MIE:
-            irq = c.pending_interrupt()
-            if irq:
-                self._last_irq = self.cycle
-                c.take_trap(irq, 0, c.pc)
-                c.phase = PH_EX
-                c.exec_left = 1
-                c.exec_retire = False
-                return
-        self._post_fetch(c, ip)
-
-    def _enter_trap(self, c: Core, cause: int, tval: int) -> None:
-        self._last_irq = self.cycle
-        c.take_trap(cause, tval, c.cur_pc)
-        c.phase = PH_EX
-        c.exec_left = 1
-        c.exec_retire = False
+        irq = c.pending_interrupt() if c.mstatus & MSTATUS_MIE else 0
+        if irq:
+            self._enter_trap(c, irq, 0, c.pc)
+        else:
+            self._post_fetch(c, ip)
 
     def _issue_data(self, c: Core, ip: Port, dp: Port, kind: int, now: int) -> None:
-        """Route a load (kind 2) or store (kind 3) onto the data port."""
+        """Route a load (kind 2) or store (kind 3) onto the data port; a
+        store to ROM or to an unmapped address faults at once."""
         addr = c.ev_addr
         region, bank, row = self._route(addr)
-        if kind == 2:
-            if dp.pending:
-                c.phase = PH_DW
-                c.dw_kind = 2
-                return
+        if kind == 3 and (region == R_ROM or region == R_NONE):
+            self._trap_all_or_one(c, EXC_SACCESS_FAULT, addr)
+        elif dp.pending:    # wait for the posted store to drain
+            c.phase = PH_DW
+            c.dw_kind = kind
+        elif kind == 2:
             dp.want(region, bank, row, addr)
             c.phase = PH_LD
-            return
-        # store: position the data lanes, fault unmapped/ROM targets now
-        if region == R_ROM or region == R_NONE:
-            self._trap_all_or_one(c, EXC_SACCESS_FAULT, addr)
-            return
-        if dp.pending:
-            c.phase = PH_DW
-            c.dw_kind = 3
-            return
-        strobes, wdata = _store_lanes(addr, c.ev_f3, c.ev_val)
-        dp.want(region, bank, row, addr & ~3, True, wdata, strobes)
-        self._boundary(c, ip, now, True)
+        else:
+            strobes, wdata = _store_lanes(addr, c.ev_f3, c.ev_val)
+            dp.want(region, bank, row, addr & ~3, True, wdata, strobes)
+            self._boundary(c, ip, now, True)
 
     def _dispatch(self, c: Core, ip: Port, dp: Port, entry: tuple, now: int) -> None:
-        if self.dorm_hart >= 0:
-            if (entry[7] & self.dorm_regs) or (entry[9] & self.dorm_csrs) \
-                    or c.mip:
-                # the carried fault is about to be read: undo the fetch
-                # consume and restart this instruction 3-way this cycle
-                self._dormant_replay(ip, now)
-                return
+        if self.dorm_hart >= 0 and (entry[7] & self.dorm_regs
+                                    or entry[9] & self.dorm_csrs or c.mip):
+            # the carried fault is about to be read: undo the fetch
+            # consume and restart this instruction 3-way this cycle
+            self._dormant_replay(ip, now)
+            return
         c.cur_word = entry[4]
         c.cur_rd = entry[5]
         c.cur_mnem = entry[6]
@@ -994,8 +935,7 @@ class Soc:
                now: int) -> None:
         """Finish an executed instruction by its action code."""
         if code == 0 or code == 1:
-            if self.dorm_hart >= 0 and ((entry[8] & self.dorm_regs)
-                                        or (entry[10] & self.dorm_csrs)):
+            if self.dorm_hart >= 0:
                 self._dormant_erase(entry[8], entry[10])
             if code == 0:
                 self._boundary(c, ip, now, True)
@@ -1009,82 +949,63 @@ class Soc:
             self._retire(c, now)
             c.sleeping = True
             c.phase = PH_F0
-        else:
-            if self.dorm_hart >= 0:
-                # no architectural mutation yet: replay the fetch 3-way
-                self._dormant_replay(ip, now)
-                return
-            self._enter_trap(c, c.ev_cause, c.ev_tval)
+        else:   # a synchronous trap, before any architectural mutation
+            self._fault(c, ip, c.ev_cause, c.ev_tval, now)
+
+    def _decode(self, pc: int, nwords: int, w0: int, w1: int, word: int) -> tuple:
+        """Decode the instruction ``word`` at ``pc`` (fetched as ``nwords``
+        words ``w0``, ``w1``) into a decode-cache entry."""
+        ilen = 4 if word & 3 == 3 else 2
+        op, rd, mnem = (decode32 if ilen == 4 else decode16)(word, pc)
+        entry = (op, nwords, w0, w1, word, rd, mnem) + rw_sets(word, ilen)
+        self.dcache[pc] = entry
+        return entry
 
     def _consume_fetch(self, c: Core, ip: Port, dp: Port, now: int) -> None:
         val, status = ip.take_resp()
         if status >= RS_UNCORRECTABLE:
-            if self.dorm_hart >= 0:
-                self._dormant_replay(ip, now)
-                return
-            self._enter_trap(c, EXC_IACCESS_FAULT, c.cur_pc)
+            self._fault(c, ip, EXC_IACCESS_FAULT, c.cur_pc, now)
             return
         pc = c.cur_pc
-        if c.phase == PH_F0:
+        if c.phase == PH_F1:
+            entry = c.pend_entry
+            c.pend_entry = None
+            if entry is None or entry[3] != val:
+                entry = self._decode(pc, 2, c.w0_stash, val, (
+                    c.half_stash | ((val & 0xFFFF) << 16)) & M32)
+        else:
             entry = self.dcache.get(pc)
-            if entry is not None and entry[2] == val:
-                if entry[1] == 1:
-                    self._dispatch(c, ip, dp, entry, now)
-                    return
-                # spanning instruction: second word still fetched each time
+            if entry is None or entry[2] != val:
+                half = (val >> 16) if pc & 2 else (val & 0xFFFF)
+                if half & 3 != 3:
+                    entry = self._decode(pc, 1, val, 0, half)
+                elif not pc & 2:
+                    entry = self._decode(pc, 1, val, 0, val)
+                else:
+                    entry = None
+            if entry is None or entry[1] == 2:
+                # a 32-bit instruction spanning two words: its second
+                # word is fetched each time, cached or not
                 c.pend_entry = entry
                 c.w0_stash = val
                 c.half_stash = val >> 16
-                region, bank, row = self._route((pc & ~3) + 4)
-                ip.want(region, bank, row, (pc & ~3) + 4)
+                wa = (pc & ~3) + 4
+                ip.want(*self._route(wa), wa)
                 c.phase = PH_F1
                 return
-            half = (val >> 16) if pc & 2 else (val & 0xFFFF)
-            if half & 3 != 3:
-                op, rd, mnem = decode16(half, pc)
-                entry = (op, 1, val, 0, half, rd, mnem) + rw_sets(half, 2)
-                self.dcache[pc] = entry
-                self._dispatch(c, ip, dp, entry, now)
-                return
-            if not pc & 2:
-                op, rd, mnem = decode32(val, pc)
-                entry = (op, 1, val, 0, val, rd, mnem) + rw_sets(val, 4)
-                self.dcache[pc] = entry
-                self._dispatch(c, ip, dp, entry, now)
-                return
-            c.pend_entry = None
-            c.w0_stash = val
-            c.half_stash = half
-            region, bank, row = self._route((pc & ~3) + 4)
-            ip.want(region, bank, row, (pc & ~3) + 4)
-            c.phase = PH_F1
-            return
-        # PH_F1
-        entry = c.pend_entry
-        c.pend_entry = None
-        if entry is not None and entry[3] == val:
-            self._dispatch(c, ip, dp, entry, now)
-            return
-        word = (c.half_stash | ((val & 0xFFFF) << 16)) & M32
-        op, rd, mnem = decode32(word, pc)
-        entry = (op, 2, c.w0_stash, val, word, rd, mnem) + rw_sets(word, 4)
-        self.dcache[pc] = entry
         self._dispatch(c, ip, dp, entry, now)
 
     def _consume_load(self, c: Core, dp: Port, ip: Port, now: int) -> None:
         val, status = dp.take_resp()
         if status >= RS_UNCORRECTABLE:
-            if self.dorm_hart >= 0:
-                self._dormant_replay(dp, now)
-                return
-            self._enter_trap(c, EXC_LACCESS_FAULT, c.ev_addr)
+            self._fault(c, dp, EXC_LACCESS_FAULT, c.ev_addr, now)
             return
         if c.ev_f3 != 2:
             val = _load_lanes(val, c.ev_addr, c.ev_f3)
         rd = c.ev_rd
         if rd:
             c.regs[rd] = val
-            if (1 << rd) & self.dorm_regs:
+            if self.dorm_hart >= 0:
                 self._dormant_erase(1 << rd, 0)
         self._boundary(c, ip, now, True)
 
@@ -1167,15 +1088,16 @@ class Soc:
         s = self.scrub
         if s.enabled and now >= s.next_cycle and self.running:
             target = s.target_bank()
-            blocked = banks[target].busy_until >= now
-            if not blocked:
-                for p in self.bus_ports:
-                    if p.pending and p.region == R_SRAM and p.bank == target:
-                        blocked = True
-                        break
-            w = s.tick(self.banks, now, blocked)
-            if w >= 0 and self._touched is not None:
-                self._touched[w] |= 1
+            self._scrub_tick(now, banks[target].busy_until >= now or any(
+                p.pending and p.region == R_SRAM and p.bank == target
+                for p in self.bus_ports))
+
+    def _scrub_tick(self, s: int, blocked: bool) -> int:
+        """Run the scrubber tick due at cycle ``s``; returns the next."""
+        w = self.scrub.tick(self.banks, s, blocked)
+        if w >= 0 and self._touched is not None:
+            self._touched[w] |= 1
+        return self.scrub.next_cycle
 
     def _bank_op(self, p: Port, bank: mem.Bank, now: int) -> None:
         touched = self._touched
@@ -1254,21 +1176,18 @@ class Soc:
             if stop_at is not None and cycle >= stop_at:
                 self.cycle = cycle
                 return None
-            if fast and len(self.active) > 1 and not self.lockstep:
-                self._event_burst(stop_at, limit)
+            if fast:
+                if len(self.active) > 1 and not self.lockstep:
+                    self._event_burst(stop_at, limit)
+                elif len(self.active) == 1:
+                    c, ip, dp = self.active[0]
+                    if (c.phase == PH_F0 and ip.pending and not ip.has_resp
+                            and not dp.pending and not c.sleeping):
+                        self._fast_burst(stop_at, limit)
                 cycle = self.cycle
                 if not self.running or cycle >= limit or \
                         (stop_at is not None and cycle >= stop_at):
                     continue
-            elif fast and len(self.active) == 1:
-                c, ip, dp = self.active[0]
-                if (c.phase == PH_F0 and ip.pending and not ip.has_resp
-                        and not dp.pending and not c.sleeping):
-                    self._fast_burst(stop_at, limit)
-                    cycle = self.cycle
-                    if not self.running or cycle >= limit or \
-                            (stop_at is not None and cycle >= stop_at):
-                        continue
             cycle += 1
             self.cycle = cycle
             self._bus_cycle(cycle)
@@ -1307,14 +1226,24 @@ class Soc:
 
         Exact shortcut of the general H1/H2 loop for the common case
         (one active core in fetch phase, idle data port): whole
-        instructions are processed with local state, and the loop falls
-        back to the general engine at any complication, always leaving
-        the SoC in a valid end-of-cycle state.  Scrubber ticks run
+        instructions are processed with local state.  Scrubber ticks run
         inline under ``_bus_cycle``'s rule.  A store is granted one
         cycle after it retires, with the next fetch, and stays a local
         pending write until that fetch is taken, so a return before it
         leaves the store posted on the data port.  A burst never
         crosses ``stop_at`` or the cycle limit.
+
+        It ends at any complication through one exit, which leaves the
+        SoC in the reference engine's end-of-cycle state and then hands
+        the current instruction to the reference helpers: its fetch is
+        reposted when the burst cannot take it (decode miss, busy or
+        tainted fetch bank, or an instruction that reads or writes a
+        carried dormant fault); once executed, its action code goes to
+        ``_apply`` (a multi-cycle op or load past the limit, a device
+        load, a store the general engine must grant, ``wfi``, a trap, an
+        interrupt after it), and a load answered uncorrectable goes to
+        ``_consume_load``.  Only those helpers split, replay or erase a
+        dormant fault.
         """
         c, ip, dp = self.active[0]
         banks = self.banks.banks
@@ -1340,254 +1269,187 @@ class Soc:
         fent = None     # entry and pc of the last instruction taken here
         fpc = 0
         dlast = None    # data port state after the last access made here
-        then_split = False
-        then_trap = None
+        hand = None     # what the exit hands on (see the docstring)
 
-        try:
-            while True:
-                if pend is not None and sram_lo <= pc < sram_hi and \
-                        ((pc - sram_lo) >> 2) & 7 == pend[0]:
-                    # this fetch loses arbitration to the posted store and
-                    # waits for its grant (and merge, if sub-word)
-                    g = cy + 1
-                    nxt = g if pend[5] == 0xF else g + 1
-                    if nxt > allowed:
-                        break
-                    hold_bank = pend[0]
-                    dlast = self._fast_store(pend, g)
-                    pend = None
-                    self.xbar.conflict_stalls += 1
-                    if rr_next >= 0:
-                        self.xbar.rr[hold_bank] = rr_next
-                    hold_until = cy = nxt
-                f = cy + 1
-                if f > allowed:
+        while True:
+            if pend is not None and sram_lo <= pc < sram_hi and \
+                    ((pc - sram_lo) >> 2) & 7 == pend[0]:
+                # this fetch loses arbitration to the posted store and
+                # waits for its grant (and merge, if sub-word)
+                g = cy + 1
+                nxt = g if pend[5] == 0xF else g + 1
+                if nxt > allowed:
                     break
-                wa = pc & ~3
-                if sram_lo <= wa < sram_hi:
-                    widx = (wa - sram_lo) >> 2
-                    bank = banks[widx & 7]
-                    row = widx >> 3
-                    if bank.busy_until >= f or \
-                            (bank.tainted and row in bank.tainted):
-                        break
-                    val = bank.cws[row] & m32
-                elif rom_lo <= wa < rom_hi:
-                    val = rom[(wa - rom_lo) >> 2]
-                else:
+                hold_bank = pend[0]
+                dlast = self._fast_store(pend, g)
+                pend = None
+                self.xbar.conflict_stalls += 1
+                if rr_next >= 0:
+                    self.xbar.rr[hold_bank] = rr_next
+                hold_until = cy = nxt
+            f = cy + 1
+            if f > allowed:
+                break
+            wa = pc & ~3
+            if sram_lo <= wa < sram_hi:
+                widx = (wa - sram_lo) >> 2
+                bank = banks[widx & 7]
+                row = widx >> 3
+                if bank.busy_until >= f or \
+                        (bank.tainted and row in bank.tainted):
                     break
-                entry = dget(pc)
-                if entry is None or entry[2] != val:
+                val = bank.cws[row] & m32
+            elif rom_lo <= wa < rom_hi:
+                val = rom[(wa - rom_lo) >> 2]
+            else:
+                break
+            entry = dget(pc)
+            if entry is None or entry[2] != val:
+                break
+            if self.dorm_hart >= 0 and (
+                    (entry[7] | entry[8]) & self.dorm_regs
+                    or (entry[9] | entry[10]) & self.dorm_csrs or c.mip):
+                break   # the reference helpers split, replay or erase
+            if entry[1] == 2:
+                f2 = f + 1
+                wa2 = wa + 4
+                if f2 > allowed or pend is not None or \
+                        not sram_lo <= wa2 < sram_hi:
                     break
-                if self.dorm_hart >= 0 and ((entry[7] & self.dorm_regs)
-                                            or (entry[9] & self.dorm_csrs)):
-                    self.cycle = cy
-                    self._post_fetch(c, ip)
-                    then_split = True
-                    return
-                if entry[1] == 2:
-                    f2 = f + 1
-                    wa2 = wa + 4
-                    if f2 > allowed or pend is not None or \
-                            not sram_lo <= wa2 < sram_hi:
-                        break
-                    widx2 = (wa2 - sram_lo) >> 2
-                    bank2 = banks[widx2 & 7]
-                    row2 = widx2 >> 3
-                    if bank2.busy_until >= f2 or \
-                            (bank2.tainted and row2 in bank2.tainted):
-                        break
-                    if entry[3] != bank2.cws[row2] & m32:
-                        break
-                    c.w0_stash = val
-                    c.half_stash = val >> 16
-                    f = f2
-                # the instruction is taken: grant the store posted with
-                # its fetch, then run the ticks due up to its fetch
-                if pend is not None:
-                    dlast = self._fast_store(pend, cy + 1)
-                    pend = None
-                if f >= stick:
-                    stick = self._fast_ticks(stick, f, hold_bank, hold_until)
-                cy = f
-                self.cycle = f
-                fent = entry
-                fpc = pc
-                c.cur_pc = pc
-                c.cur_word = entry[4]
-                c.cur_rd = entry[5]
-                if lines is not None:
-                    c.cur_mnem = entry[6]
-                code = entry[0](c)
-                if self.dorm_csrs | self.dorm_regs and code < 2 and \
-                        ((entry[8] & self.dorm_regs)
-                         or (entry[10] & self.dorm_csrs)):
-                    self._dormant_erase(entry[8], entry[10])
-
-                if code:
-                    if code == 1:
-                        extra = c.ev_extra
-                        if cy + extra > allowed:
-                            c.phase = PH_EX
-                            c.exec_left = extra
-                            c.exec_retire = True
-                            ip.pending = False
-                            ip.has_resp = False
-                            return
-                        cy += extra
-                        self.cycle = cy
-                        c.exec_left = 0
-                        c.exec_retire = True
-                    elif code == 2:  # load
-                        addr = c.ev_addr
-                        d = cy + 1
-                        if sram_lo <= addr < sram_hi:
-                            widx = (addr - sram_lo) >> 2
-                            bidx = widx & 7
-                            bank = banks[bidx]
-                            row = widx >> 3
-                            while bank.busy_until >= d:
-                                d += 1
-                            if d > allowed or (bank.tainted and row in bank.tainted
-                                               and self.dorm_hart >= 0):
-                                ip.pending = False
-                                ip.has_resp = False
-                                dp.want(R_SRAM, bidx, row, addr)
-                                c.phase = PH_LD
-                                self.cycle = cy
-                                then_split = self.dorm_hart >= 0 and \
-                                    bool(bank.tainted) and row in bank.tainted
-                                return
-                            if touched is not None:
-                                touched[widx] |= 1
-                            status = RS_OK
-                            if bank.tainted and row in bank.tainted:
-                                data, status = bank.read(row)
-                                if status == mem.UNCORRECTABLE:
-                                    dlast = (False, R_SRAM, bidx, row, addr, False,
-                                             0, 0, False, data, status)
-                                    cy = d
-                                    self.cycle = d
-                                    ip.pending = False
-                                    ip.has_resp = False
-                                    self._enter_trap(c, EXC_LACCESS_FAULT, addr)
-                                    return
-                            else:
-                                data = bank.cws[row] & m32
-                            dlast = (False, R_SRAM, bidx, row, addr, False,
-                                     0, 0, False, data, status)
-                        elif rom_lo <= addr < rom_hi:
-                            rrow = ((addr & ~3) - rom_lo) >> 2
-                            if d > allowed:
-                                ip.pending = False
-                                ip.has_resp = False
-                                dp.want(R_ROM, 0, rrow, addr)
-                                c.phase = PH_LD
-                                self.cycle = cy
-                                return
-                            data = rom[rrow]
-                            dlast = (False, R_ROM, 0, rrow, addr, False,
-                                     0, 0, False, data, RS_OK)
-                        else:
-                            region, bk, rw = self._route(addr)
-                            ip.pending = False
-                            ip.has_resp = False
-                            dp.want(region, bk, rw, addr)
-                            c.phase = PH_LD
-                            self.cycle = cy
-                            then_split = self.dorm_hart >= 0
-                            return
-                        cy = d
-                        self.cycle = d
-                        if c.ev_f3 != 2:
-                            data = _load_lanes(data, addr, c.ev_f3)
-                        rd = c.ev_rd
-                        if rd:
-                            c.regs[rd] = data
-                            if (1 << rd) & self.dorm_regs:
-                                self._dormant_erase(1 << rd, 0)
-                    elif code == 3:  # store: granted with the next fetch
-                        addr = c.ev_addr
-                        strobes, wdata = _store_lanes(addr, c.ev_f3, c.ev_val)
-                        region, bidx, row = self._route(addr)
-                        if region == R_ROM or region == R_NONE:
-                            ip.pending = False
-                            ip.has_resp = False
-                            then_trap = (EXC_SACCESS_FAULT, addr)
-                            return
-                        if region != R_SRAM or banks[bidx].busy_until > cy:
-                            # a device store, or a bank still busy: the
-                            # general engine grants it
-                            dp.want(region, bidx, row, addr & ~3, True, wdata,
-                                    strobes)
-                            ip.pending = False
-                            ip.has_resp = False
-                            self._fast_retire_and_fetch(c, ip, cy)
-                            return
-                        pend = (bidx, row, row << 3 | bidx, addr, wdata, strobes)
-                    elif code == 4:  # wfi
-                        self._retire(c, cy)
-                        c.sleeping = True
-                        c.phase = PH_F0
-                        ip.pending = False
-                        ip.has_resp = False
-                        return
-                    elif code:  # synchronous trap
-                        ip.pending = False
-                        ip.has_resp = False
-                        then_trap = (c.ev_cause, c.ev_tval)
-                        return
-
-                # retire at cy, then take an interrupt or go on
-                rd = entry[5]
-                c.minstret += 1
-                if rec:
-                    self.tracebuf += pack(cy, hart, pc, entry[4] & m32,
-                                          rd, c.regs[rd])
-                if lines is not None:
-                    lines.append(
-                        f"{cy} {hart} {pc:#010x} {entry[4] & m32:#010x} "
-                        f"{entry[6]} x{rd}={c.regs[rd]:#010x}")
-                if c.mip & c.mie and c.mstatus & MSTATUS_MIE:
-                    ip.pending = False
-                    ip.has_resp = False
-                    self._boundary(c, ip, cy, False)
-                    return
-                pc = c.pc
-
-            # break: nothing consumed for the current pc; repost and let
-            # the general engine take the next cycle
-            self.cycle = cy
-            self._post_fetch(c, ip)
-        finally:
-            # what the ports hold at this boundary under the reference
-            # engine: a store not yet granted, and the stale fields of the
-            # last fetch and data access
+                widx2 = (wa2 - sram_lo) >> 2
+                bank2 = banks[widx2 & 7]
+                row2 = widx2 >> 3
+                if bank2.busy_until >= f2 or \
+                        (bank2.tainted and row2 in bank2.tainted):
+                    break
+                if entry[3] != bank2.cws[row2] & m32:
+                    break
+                c.w0_stash = val
+                c.half_stash = val >> 16
+                f = f2
+            # the instruction is taken: grant the store posted with
+            # its fetch, then run the ticks due up to its fetch
             if pend is not None:
-                bidx, row, _widx, addr, wdata, strobes = pend
-                dp.want(R_SRAM, bidx, row, addr & ~3, True, wdata, strobes)
-            if dlast is not None:
-                if dp.pending:
-                    dp.resp_val, dp.resp_status = dlast[9], dlast[10]
-                else:
-                    dp.load_state(dlast)
-            if fent is not None:
-                wa = fpc & ~3
-                val = fent[2]
-                if fent[1] == 2:
-                    wa += 4
-                    val = fent[3]
-                if ip.pending:
-                    ip.resp_val, ip.resp_status = val, RS_OK
-                else:
-                    ip.load_state((False, *self._route(wa), wa, False, 0, 0,
-                                   False, val, RS_OK))
-            if stick <= self.cycle:
-                self._fast_ticks(stick, self.cycle, hold_bank, hold_until)
-            if then_split:
-                self._dormant_split()
-            elif then_trap is not None:
-                self._trap_all_or_one(c, *then_trap)
+                dlast = self._fast_store(pend, cy + 1)
+                pend = None
+            if f >= stick:
+                stick = self._fast_ticks(stick, f, hold_bank, hold_until)
+            cy = f
+            self.cycle = f
+            fent = entry
+            fpc = pc
+            c.cur_pc = pc
+            c.cur_word = entry[4]
+            c.cur_rd = entry[5]
+            if lines is not None:
+                c.cur_mnem = entry[6]
+            code = entry[0](c)
+
+            if code:
+                if code == 1:
+                    extra = c.ev_extra
+                    if cy + extra > allowed:
+                        hand = 1
+                        break
+                    cy += extra
+                    c.exec_left = 0
+                    c.exec_retire = True
+                elif code == 2:  # load
+                    addr = c.ev_addr
+                    d = cy + 1
+                    if sram_lo <= addr < sram_hi:
+                        widx = (addr - sram_lo) >> 2
+                        bank = banks[widx & 7]
+                        while bank.busy_until >= d:
+                            d += 1
+                    elif not rom_lo <= addr < rom_hi:
+                        d = big     # a device or unmapped target
+                    if d > allowed:
+                        hand = 2
+                        break
+                    if addr < sram_lo:
+                        row = (addr - rom_lo) >> 2
+                        data = rom[row]
+                        dlast = (False, R_ROM, 0, row, addr, False,
+                                 0, 0, False, data, RS_OK)
+                    else:
+                        row = widx >> 3
+                        if touched is not None:
+                            touched[widx] |= 1
+                        status = RS_OK
+                        if bank.tainted and row in bank.tainted:
+                            data, status = bank.read(row)
+                        else:
+                            data = bank.cws[row] & m32
+                        dlast = (False, R_SRAM, widx & 7, row, addr, False,
+                                 0, 0, False, data, status)
+                        if status == RS_UNCORRECTABLE:
+                            cy = d
+                            hand = _LOAD_RESP
+                            break
+                    cy = d
+                    if c.ev_f3 != 2:
+                        data = _load_lanes(data, addr, c.ev_f3)
+                    rd = c.ev_rd
+                    if rd:
+                        c.regs[rd] = data
+                elif code == 3:  # store: granted with the next fetch
+                    addr = c.ev_addr
+                    widx = (addr - sram_lo) >> 2
+                    if not sram_lo <= addr < sram_hi or \
+                            banks[widx & 7].busy_until > cy:
+                        # a ROM, device or unmapped target, or a bank
+                        # still busy: the general engine takes it
+                        hand = 3
+                        break
+                    strobes, wdata = _store_lanes(addr, c.ev_f3, c.ev_val)
+                    pend = (widx & 7, widx >> 3, widx, addr, wdata, strobes)
+                else:   # wfi or a synchronous trap
+                    hand = code
+                    break
+
+            # retire at cy, then take an interrupt or go on
+            if c.mip & c.mie and c.mstatus & MSTATUS_MIE:
+                hand = 0
+                break
+            rd = entry[5]
+            c.minstret += 1
+            if rec:
+                self.tracebuf += pack(cy, hart, pc, entry[4] & m32,
+                                      rd, c.regs[rd])
+            if lines is not None:
+                lines.append(_trace_line(cy, hart, pc, entry[4], entry[6],
+                                         rd, c.regs[rd]))
+            pc = c.pc
+
+        # the exit: what the ports hold at this boundary under the
+        # reference engine (the last data access and fetch made here, a
+        # store not yet granted), the ticks due by then, then the hand-on
+        self.cycle = cy
+        if dlast is not None:
+            dp.load_state(dlast)
+        if pend is not None:
+            bidx, row, _widx, addr, wdata, strobes = pend
+            dp.want(R_SRAM, bidx, row, addr & ~3, True, wdata, strobes)
+        if fent is not None:
+            wa = fpc & ~3
+            val = fent[2]
+            if fent[1] == 2:
+                wa += 4
+                val = fent[3]
+            ip.load_state((False, *self._route(wa), wa, False, 0, 0,
+                           False, val, RS_OK))
+        if stick <= cy:
+            self._fast_ticks(stick, cy, hold_bank, hold_until)
+        if hand is None:
+            self._post_fetch(c, ip)
+        elif hand == _LOAD_RESP:
+            c.phase = PH_LD
+            dp.has_resp = True
+            self._consume_load(c, dp, ip, cy)
+        else:   # in the phase the reference engine dispatches it from
+            c.phase = PH_F1 if fent[1] == 2 else PH_F0
+            self._apply(c, ip, dp, fent, hand, cy)
 
     def _fast_store(self, pend: tuple, g: int) -> tuple:
         """Grant a fast-burst store at cycle ``g``; returns the data
@@ -1608,27 +1470,12 @@ class Soc:
         ``upto``.  A tick is blocked by a busy bank or by a fetch that
         lost a store-fetch conflict (on ``hold_bank`` through
         ``hold_until``).  Returns the cycle of the next tick."""
-        scrub = self.scrub
         banks = self.banks.banks
-        touched = self._touched
         while s <= upto:
-            target = scrub.next_address & 7
-            blocked = banks[target].busy_until >= s or \
-                (target == hold_bank and s <= hold_until)
-            w = scrub.tick(self.banks, s, blocked)
-            if w >= 0 and touched is not None:
-                touched[w] |= 1
-            s = scrub.next_cycle
+            target = self.scrub.next_address & 7
+            s = self._scrub_tick(s, banks[target].busy_until >= s or (
+                target == hold_bank and s <= hold_until))
         return s
-
-    def _fast_retire_and_fetch(self, c: Core, ip: Port, cy: int) -> None:
-        """Retire a store posted by the fast path, then schedule the
-        next fetch (general-engine state)."""
-        self._retire(c, cy)
-        if c.mip & c.mie and c.mstatus & MSTATUS_MIE:
-            self._boundary(c, ip, cy, False)
-            return
-        self._post_fetch(c, ip)
 
     def _event_burst(self, stop_at: int | None, limit: int) -> None:
         """Event-driven execution of several cores in performance mode.
@@ -1785,32 +1632,35 @@ class Soc:
                     if p == PH_F0 and ie[k] > t:
                         continue    # its fetch was posted later
 
-                if p == PH_F0:
-                    f = fi[k]
-                    b = f[0]
-                    if slow and lose >> 2 * k & 1:
-                        if cl[b] == t1:
-                            clash = t1
-                        cl[b] = t1
-                        continue
-                    row = f[1]
-                    if touched is not None:
-                        touched[row << 3 | b] |= 1
-                    if clean or row not in tnt[b]:
-                        v = f[2][row] & m32
+                if p == PH_F0 or p == PH_DW:
+                    if p == PH_DW:  # a load or store behind a posted store
+                        code = c.dw_kind
                     else:
-                        v, st = banks[b].read(row)
-                        if st:
-                            lanes.to_fetch(self, k, t, v, st)
+                        f = fi[k]
+                        b = f[0]
+                        if slow and lose >> 2 * k & 1:
+                            if cl[b] == t1:
+                                clash = t1
+                            cl[b] = t1
+                            continue
+                        row = f[1]
+                        if touched is not None:
+                            touched[row << 3 | b] |= 1
+                        if clean or row not in tnt[b]:
+                            v = f[2][row] & m32
+                        else:
+                            v, st = banks[b].read(row)
+                            if st:
+                                lanes.to_fetch(self, k, t, v, st)
+                                hand[k] = stop = True
+                                continue
+                        e = f[3]
+                        if e[2] != v:   # a miss, a spanning or a stale entry
+                            lanes.to_fetch(self, k, t, v, RS_OK)
                             hand[k] = stop = True
                             continue
-                    e = f[3]
-                    if e[2] != v:   # a miss, a spanning or a stale entry
-                        lanes.to_fetch(self, k, t, v, RS_OK)
-                        hand[k] = stop = True
-                        continue
-                    ent[k] = e
-                    code = e[0](c)
+                        ent[k] = e
+                        code = e[0](c)
                     if code:
                         ie[k] = big
                         if code == 1:
@@ -1820,17 +1670,23 @@ class Soc:
                             if de[k] == big:
                                 na[k] = xe[k]
                             continue
-                        addr = c.ev_addr
-                        w = (addr - sram_lo) >> 2
-                        if code > 3 or w >> wbits:
-                            # wfi, a trap, or a device or unmapped target
+                        if code > 3:    # wfi or a trap
                             sync(k, t)
                             self._apply(c, IP[k], DP[k], e, code, t)
                             hand[k] = stop = True
                             continue
-                        if de[k] != big:    # behind a posted store
-                            ph[k] = PH_DW
-                            c.dw_kind = code
+                        # a load or store, issued once no store is posted
+                        if de[k] != big:
+                            if p == PH_F0:
+                                ph[k] = PH_DW
+                                c.dw_kind = code
+                            continue
+                        addr = c.ev_addr
+                        w = (addr - sram_lo) >> 2
+                        if w >> wbits:  # a ROM, device or unmapped target
+                            sync(k, t)
+                            self._issue_data(c, IP[k], DP[k], code, t)
+                            hand[k] = stop = True
                             continue
                         b = w & 7
                         if cl[b] == t1:
@@ -1845,6 +1701,8 @@ class Soc:
                             continue
                         sb, wd = _store_lanes(addr, c.ev_f3, c.ev_val)
                         dreq[k] = (addr & ~3, True, wd, sb)
+                        ph[k] = PH_F0
+                        e, f = ent[k], fi[k]
                 elif p == PH_EX:
                     if xe[k] != t:
                         if de[k] == big:
@@ -1857,7 +1715,7 @@ class Soc:
                         continue
                     ph[k] = PH_F0
                     e, f = ent[k], fi[k]
-                elif p == PH_LD:
+                else:   # PH_LD
                     b = db[k]
                     if slow and lose >> 2 * k & 2:
                         if cl[b] == t1:
@@ -1888,31 +1746,6 @@ class Soc:
                         c.regs[rd] = v
                     ph[k] = PH_F0
                     e, f = ent[k], fi[k]
-                else:   # PH_DW: once the posted store drains, issue the op
-                    if de[k] != big:
-                        continue
-                    addr = c.ev_addr
-                    w = (addr - sram_lo) >> 2
-                    if w >> wbits:
-                        sync(k, t)
-                        self._issue_data(c, IP[k], DP[k], c.dw_kind, t)
-                        hand[k] = stop = True
-                        continue
-                    b = w & 7
-                    if cl[b] == t1:
-                        clash = t1
-                    cl[b] = t1
-                    de[k] = t1
-                    db[k] = b
-                    dr[k] = w >> 3
-                    if c.dw_kind == 2:
-                        dreq[k] = (addr, False, 0, 0)
-                        ph[k] = PH_LD
-                        continue
-                    sb, wd = _store_lanes(addr, c.ev_f3, c.ev_val)
-                    dreq[k] = (addr & ~3, True, wd, sb)
-                    ph[k] = PH_F0
-                    e, f = ent[k], fi[k]
 
                 # retire, then take an interrupt or fetch the next pc
                 c.minstret += 1
@@ -1920,8 +1753,8 @@ class Soc:
                 if rec:
                     tb += pack(t, hid[k], f[4], e[4], rd, c.regs[rd])
                 if lines is not None:
-                    lines.append(f"{t} {hid[k]} {f[4]:#010x} {e[4]:#010x} "
-                                 f"{e[6]} x{rd}={c.regs[rd]:#010x}")
+                    lines.append(_trace_line(t, hid[k], f[4], e[4], e[6], rd,
+                                             c.regs[rd]))
                 if irq[k] and c.mip & c.mie and c.mstatus & MSTATUS_MIE:
                     ie[k] = big
                     sync(k, t)
@@ -1960,16 +1793,11 @@ class Soc:
         """Run the scrubber tick due at ``s`` in an event-driven burst,
         after the grants of ``s``: blocked by a busy bank or by a request
         eligible by ``s`` still waiting for it.  Returns the next tick."""
-        scrub = self.scrub
-        target = scrub.next_address & 7
-        blocked = self.banks.banks[target].busy_until >= s or any(
-            e <= s and b == target
-            for e, b in zip(lanes.ie + lanes.de,
-                            [f[0] for f in lanes.fi] + lanes.db))
-        w = scrub.tick(self.banks, s, blocked)
-        if w >= 0 and self._touched is not None:
-            self._touched[w] |= 1
-        return scrub.next_cycle
+        target = self.scrub.next_address & 7
+        return self._scrub_tick(s, self.banks.banks[target].busy_until >= s
+                                or any(e <= s and b == target for e, b in zip(
+                                    lanes.ie + lanes.de,
+                                    [f[0] for f in lanes.fi] + lanes.db)))
 
     def _maybe_switch_mode(self) -> None:
         """Apply a pending mode change at the sleep barrier."""
@@ -1992,20 +1820,12 @@ class Soc:
                 c.mhartid = i
                 c.held = False
                 c.wake_pulse = True
-            for p in (*self.vports, *(q for pair in self.cports for q in pair)):
-                p.clear()
+            self._clear_ports()
             self._wire_ports()
         elif want == MODE_LOCKSTEP and not self.lockstep:
             self.odrg.mode = MODE_LOCKSTEP
             self.lockstep = True
-            self.converged = True
-            for c in self.cores:
-                c.reset(ROM_BASE, hartid=0)
-            for p in (*self.vports, *(q for pair in self.cports for q in pair)):
-                p.clear()
-            self._wire_ports()
-            for core, ip, _dp in self.active:
-                self._post_fetch(core, ip)
+            self._restart()
 
     def _maybe_skip_idle(self, cycle: int, stop_at: int | None, limit: int) -> None:
         """Jump the clock across provably idle stretches (wfi parking)."""
@@ -2033,8 +1853,6 @@ class Soc:
         return h.hexdigest()
 
     def _finalize(self) -> RunResult:
-        if self.dorm_hart >= 0:
-            self._dormant_split()
         self.materialize()
         counters = self.banks.counters()
         return RunResult(
@@ -2090,8 +1908,6 @@ class Soc:
     # ------------------------------------------------- snapshot/restore
 
     def snapshot(self) -> dict:
-        if self.dorm_hart >= 0:
-            self._dormant_split()
         self.materialize()
         return {
             "cycle": self.cycle,
@@ -2139,4 +1955,5 @@ class Soc:
         self.tracebuf = bytearray()
         if self.trace_lines is not None:
             self.trace_lines = []
+        self._dormant_clear()   # a snapshot never carries a dormant fault
         self._wire_ports()

@@ -5,8 +5,12 @@ compressed, word and sub-word load and store operations on one small
 shared buffer, so stores and loads of different harts keep meeting on
 the same banks.  With ``fast_loop`` on and off, a run must give the same
 report (trace hash included) and the same full state at a pause and at
-the end.  The example counts come from the Hypothesis profiles in
-``conftest.py``: Tier-1 replays a fixed set, and
+the end.  The same holds for a lockstep program with one core fault
+injected at a random cycle, with the dormant-fault shortcut on and off;
+the shortcut itself may change nothing but the trace hash, since each
+core of a split group records its own retirements.  The example counts
+come from the Hypothesis profiles in ``conftest.py``: Tier-1 replays a
+fixed set, and
 ``pytest --hypothesis-profile fuzz-long tests/test_fuzz.py`` searches
 afresh with many more.
 """
@@ -17,7 +21,7 @@ from lockstep_mcu.asm import Program
 from lockstep_mcu.soc import SIMCTL_BASE, Soc, SocConfig
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 REGS = ["a0", "a1", "a2", "a3", "a4", "a5"]
@@ -127,3 +131,42 @@ def test_parallel_engines_agree(harts, pause, scrub):
 def test_lockstep_engines_agree(hart, pause, scrub):
     assert_engines_agree(build((hart, hart, hart), wait=False), "lockstep",
                          pause, scrub)
+
+
+def faulty_run(prog, fault, dormant: bool, fast: bool, scrub: int):
+    at, hart, loc, bit = fault
+    soc = Soc(SocConfig(mode="lockstep", fast_loop=fast, dormant_opt=dormant,
+                        scrub_interval=scrub, max_cycles=30_000))
+    soc.load_program(prog)
+    soc.run(stop_at=at)
+    soc.inject_core_fault(hart, loc, bit)
+    return soc.run().to_dict(), soc.snapshot()
+
+
+_fault = st.tuples(st.integers(20, 600), st.integers(0, 2),
+                   st.sampled_from(Soc.CORE_FAULT_LOCS), st.integers(0, 31))
+
+
+@example(hart={"ops": [("addi", "a0", "a4", -1931), ("mul", "a2", "a2", "a4"),
+                       ("mulh", "a4", "a0", "a3"), ("lbu", "a4", 57),
+                       ("remu", "a0", "a1", "a2"), ("and", "a4", "a1", "a4"),
+                       ("mul", "a4", "a3", "a2"), ("lw", "a4", 44),
+                       ("xor", "a5", "a1", "a2"), ("sh", "a4", 36)],
+               "loops": 6,
+               "init": [358546079, 3043427287, 4090515511, 1777249098,
+                        542351185, 2753545384]},
+         fault=(260, 1, "x14", 6), scrub=64)
+@given(hart=_hart, fault=_fault, scrub=st.sampled_from([1, 3, 7, 64]))
+def test_lockstep_faulty_engines_agree(hart, fault, scrub):
+    prog = build((hart, hart, hart), wait=False)
+    reports = {}
+    for dormant in (True, False):
+        fast = faulty_run(prog, fault, dormant, True, scrub)
+        ref = faulty_run(prog, fault, dormant, False, scrub)
+        assert fast[0] == ref[0]
+        for key in ref[1]:
+            assert fast[1][key] == ref[1][key], key
+        reports[dormant] = ref[0]
+    for report in reports.values():
+        del report["trace_hash"]
+    assert reports[True] == reports[False]

@@ -273,6 +273,27 @@ class TestDormantOptimizationExact:
         assert a.resync_events == b.resync_events
         assert a.instret == b.instret
 
+    def test_restore_drops_carried_fault(self):
+        # a fault carried dormant at the time of restore() belongs to the
+        # abandoned trajectory: the restored fault-free run is golden
+        prog = kernels.build_kernel("matmul8", "lockstep")
+        golden = Soc(SocConfig(mode="lockstep"))
+        golden.load_program(prog)
+        want = golden.run()
+        soc = Soc(SocConfig(mode="lockstep"))
+        soc.load_program(prog)
+        soc.run(stop_at=3000)
+        snap = soc.snapshot()
+        soc.inject_core_fault(1, "x21", 9)
+        soc.run(stop_at=3001)
+        soc.restore(snap)
+        res = soc.run()
+        assert res.cycles == want.cycles == 7501
+        assert res.resync_events == 0
+        assert res.mismatch_count == [0, 0, 0]
+        assert res.instret == want.instret
+        assert res.outputs_digest == want.outputs_digest
+
 
 class TestAllDiffer:
     def test_three_way_disagreement_halts_unrecoverable(self):
