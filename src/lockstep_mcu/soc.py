@@ -797,7 +797,8 @@ class Soc:
 
     def _dormant_set(self, hart: int, vals: dict[str, int]) -> None:
         """Carry ``vals`` for ``hart``: the one writer of ``dorm_*``."""
-        regs = csrs = 0
+        regs = 0
+        csrs = 0
         for loc in vals:
             r, t = _LOC_MASKS[loc]
             regs |= r
@@ -895,11 +896,12 @@ class Soc:
         interrupt or fetch the next one."""
         if retire:
             self._retire(c, now)
-        irq = c.pending_interrupt() if c.mstatus & MSTATUS_MIE else 0
-        if irq:
-            self._enter_trap(c, irq, 0, c.pc)
-        else:
-            self._post_fetch(c, ip)
+        if c.mstatus & MSTATUS_MIE:
+            irq = c.pending_interrupt()
+            if irq:
+                self._enter_trap(c, irq, 0, c.pc)
+                return
+        self._post_fetch(c, ip)
 
     def _issue_data(self, c: Core, ip: Port, dp: Port, kind: int, now: int) -> None:
         """Route a load (kind 2) or store (kind 3) onto the data port; a
@@ -1088,9 +1090,13 @@ class Soc:
         s = self.scrub
         if s.enabled and now >= s.next_cycle and self.running:
             target = s.target_bank()
-            self._scrub_tick(now, banks[target].busy_until >= now or any(
-                p.pending and p.region == R_SRAM and p.bank == target
-                for p in self.bus_ports))
+            blocked = banks[target].busy_until >= now
+            if not blocked:
+                for p in self.bus_ports:
+                    if p.pending and p.region == R_SRAM and p.bank == target:
+                        blocked = True
+                        break
+            self._scrub_tick(now, blocked)
 
     def _scrub_tick(self, s: int, blocked: bool) -> int:
         """Run the scrubber tick due at cycle ``s``; returns the next."""
@@ -1473,8 +1479,9 @@ class Soc:
         banks = self.banks.banks
         while s <= upto:
             target = self.scrub.next_address & 7
-            s = self._scrub_tick(s, banks[target].busy_until >= s or (
-                target == hold_bank and s <= hold_until))
+            blocked = banks[target].busy_until >= s or \
+                (target == hold_bank and s <= hold_until)
+            s = self._scrub_tick(s, blocked)
         return s
 
     def _event_burst(self, stop_at: int | None, limit: int) -> None:
@@ -1632,77 +1639,32 @@ class Soc:
                     if p == PH_F0 and ie[k] > t:
                         continue    # its fetch was posted later
 
-                if p == PH_F0 or p == PH_DW:
-                    if p == PH_DW:  # a load or store behind a posted store
-                        code = c.dw_kind
-                    else:
-                        f = fi[k]
-                        b = f[0]
-                        if slow and lose >> 2 * k & 1:
-                            if cl[b] == t1:
-                                clash = t1
-                            cl[b] = t1
-                            continue
-                        row = f[1]
-                        if touched is not None:
-                            touched[row << 3 | b] |= 1
-                        if clean or row not in tnt[b]:
-                            v = f[2][row] & m32
-                        else:
-                            v, st = banks[b].read(row)
-                            if st:
-                                lanes.to_fetch(self, k, t, v, st)
-                                hand[k] = stop = True
-                                continue
-                        e = f[3]
-                        if e[2] != v:   # a miss, a spanning or a stale entry
-                            lanes.to_fetch(self, k, t, v, RS_OK)
-                            hand[k] = stop = True
-                            continue
-                        ent[k] = e
-                        code = e[0](c)
-                    if code:
-                        ie[k] = big
-                        if code == 1:
-                            ph[k] = PH_EX
-                            xe[k] = t + c.ev_extra
-                            c.exec_retire = True
-                            if de[k] == big:
-                                na[k] = xe[k]
-                            continue
-                        if code > 3:    # wfi or a trap
-                            sync(k, t)
-                            self._apply(c, IP[k], DP[k], e, code, t)
-                            hand[k] = stop = True
-                            continue
-                        # a load or store, issued once no store is posted
-                        if de[k] != big:
-                            if p == PH_F0:
-                                ph[k] = PH_DW
-                                c.dw_kind = code
-                            continue
-                        addr = c.ev_addr
-                        w = (addr - sram_lo) >> 2
-                        if w >> wbits:  # a ROM, device or unmapped target
-                            sync(k, t)
-                            self._issue_data(c, IP[k], DP[k], code, t)
-                            hand[k] = stop = True
-                            continue
-                        b = w & 7
+                if p == PH_F0:
+                    f = fi[k]
+                    b = f[0]
+                    if slow and lose >> 2 * k & 1:
                         if cl[b] == t1:
                             clash = t1
                         cl[b] = t1
-                        de[k] = t1
-                        db[k] = b
-                        dr[k] = w >> 3
-                        if code == 2:
-                            dreq[k] = (addr, False, 0, 0)
-                            ph[k] = PH_LD
+                        continue
+                    row = f[1]
+                    if touched is not None:
+                        touched[row << 3 | b] |= 1
+                    if clean or row not in tnt[b]:
+                        v = f[2][row] & m32
+                    else:
+                        v, st = banks[b].read(row)
+                        if st:
+                            lanes.to_fetch(self, k, t, v, st)
+                            hand[k] = stop = True
                             continue
-                        sb, wd = _store_lanes(addr, c.ev_f3, c.ev_val)
-                        dreq[k] = (addr & ~3, True, wd, sb)
-                        ph[k] = PH_F0
-                        e, f = ent[k], fi[k]
+                    e = f[3]
+                    if e[2] != v:   # a miss, a spanning or a stale entry
+                        lanes.to_fetch(self, k, t, v, RS_OK)
+                        hand[k] = stop = True
+                        continue
+                    ent[k] = e
+                    code = e[0](c)
                 elif p == PH_EX:
                     if xe[k] != t:
                         if de[k] == big:
@@ -1715,7 +1677,8 @@ class Soc:
                         continue
                     ph[k] = PH_F0
                     e, f = ent[k], fi[k]
-                else:   # PH_LD
+                    code = 0
+                elif p == PH_LD:
                     b = db[k]
                     if slow and lose >> 2 * k & 2:
                         if cl[b] == t1:
@@ -1746,6 +1709,53 @@ class Soc:
                         c.regs[rd] = v
                     ph[k] = PH_F0
                     e, f = ent[k], fi[k]
+                    code = 0
+                else:   # PH_DW: a load or store behind a posted store
+                    if de[k] != big:
+                        continue
+                    code = c.dw_kind
+
+                if code:
+                    ie[k] = big
+                    if code == 1:
+                        ph[k] = PH_EX
+                        xe[k] = t + c.ev_extra
+                        c.exec_retire = True
+                        if de[k] == big:
+                            na[k] = xe[k]
+                        continue
+                    if code > 3:    # wfi or a trap
+                        sync(k, t)
+                        self._apply(c, IP[k], DP[k], e, code, t)
+                        hand[k] = stop = True
+                        continue
+                    addr = c.ev_addr
+                    w = (addr - sram_lo) >> 2
+                    if w >> wbits:  # a ROM, device or unmapped target
+                        sync(k, t)
+                        self._issue_data(c, IP[k], DP[k], code, t)
+                        hand[k] = stop = True
+                        continue
+                    if de[k] != big:    # issued once the posted store drains
+                        ph[k] = PH_DW
+                        c.dw_kind = code
+                        continue
+                    b = w & 7
+                    if cl[b] == t1:
+                        clash = t1
+                    cl[b] = t1
+                    de[k] = t1
+                    db[k] = b
+                    dr[k] = w >> 3
+                    if code == 2:
+                        dreq[k] = (addr, False, 0, 0)
+                        ph[k] = PH_LD
+                        continue
+                    sb, wd = _store_lanes(addr, c.ev_f3, c.ev_val)
+                    dreq[k] = (addr & ~3, True, wd, sb)
+                    if p == PH_DW:
+                        ph[k] = PH_F0
+                        e, f = ent[k], fi[k]
 
                 # retire, then take an interrupt or fetch the next pc
                 c.minstret += 1
@@ -1794,10 +1804,11 @@ class Soc:
         after the grants of ``s``: blocked by a busy bank or by a request
         eligible by ``s`` still waiting for it.  Returns the next tick."""
         target = self.scrub.next_address & 7
-        return self._scrub_tick(s, self.banks.banks[target].busy_until >= s
-                                or any(e <= s and b == target for e, b in zip(
-                                    lanes.ie + lanes.de,
-                                    [f[0] for f in lanes.fi] + lanes.db)))
+        blocked = self.banks.banks[target].busy_until >= s or any(
+            e <= s and b == target
+            for e, b in zip(lanes.ie + lanes.de,
+                            [f[0] for f in lanes.fi] + lanes.db))
+        return self._scrub_tick(s, blocked)
 
     def _maybe_switch_mode(self) -> None:
         """Apply a pending mode change at the sleep barrier."""

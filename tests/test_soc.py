@@ -11,8 +11,8 @@ from lockstep_mcu.asm import Program
 from lockstep_mcu.interconnect import R_SRAM
 from lockstep_mcu.memory import TOTAL_BYTES, TOTAL_WORDS
 from lockstep_mcu.soc import (
-    LoadError, MEMCTL_BASE, ODRG_BASE, SIMCTL_BASE, SRAM_BASE, UART_BASE,
-    Soc, SocConfig,
+    LoadError, MEMCTL_BASE, ODRG_BASE, ROM_BASE, SIMCTL_BASE, SRAM_BASE,
+    UART_BASE, Soc, SocConfig,
 )
 
 
@@ -291,6 +291,67 @@ class TestScrubTickTiming:
                 scrubs.append(soc.scrub.snapshot())
             assert res.conflict_stalls >= 40
             assert scrubs[0] == scrubs[1], interval
+
+
+def _contended_store_then_fault(target, pad):
+    """Three harts store into one bank and then store to ``target`` (ROM
+    or unmapped), six times each; a handler counts the faults in a0 and
+    steps over them.  ``pad`` skews the harts' timing apart."""
+    p = Program()
+    p.label("_start")
+    p.ins("la", "t0", "handler")
+    p.ins("csrw", "mtvec", "t0")
+    p.ins("csrr", "t0", "mhartid")
+    p.ins("la", "s0", "buf")
+    p.ins("li", "s3", target)
+    p.ins("li", "s1", 6)
+    p.ins("li", "a0", 0)
+    for _ in range(pad):
+        p.ins("beqz", "t0", "loop")     # hart 0 skips the padding
+        p.ins("addi", "a1", "a1", 1)
+    p.label("loop")
+    p.ins("sw", "s1", 0, "s0")          # may lose its bank and stay posted
+    p.ins("sw", "s1", 0, "s3")          # faults at once even so
+    p.ins("addi", "s1", "s1", -1)
+    p.ins("bnez", "s1", "loop")
+    p.ins("bnez", "t0", "park")
+    p.ins("la", "t6", SIMCTL_BASE)
+    p.ins("sw", "a0", 4, "t6")
+    p.ins("sw", "x0", 0, "t6")
+    p.label("park")
+    p.ins("wfi")
+    p.ins("j", "park")
+    p.label("handler")
+    p.ins("csrr", "t1", "mepc")
+    p.ins("addi", "t1", "t1", 4)
+    p.ins("csrw", "mepc", "t1")
+    p.ins("addi", "a0", "a0", 1)
+    p.ins("mret")
+    p.align(32)
+    p.label("buf")
+    p.space(32)
+    return p
+
+
+class TestFaultingStoreBehindPostedStore:
+    @pytest.mark.parametrize("target", [ROM_BASE, 0x30000000],
+                             ids=["rom", "unmapped"])
+    def test_engines_agree(self, target):
+        # a store to ROM or to no device faults in the cycle it issues,
+        # also while the core's previous store still waits for its bank
+        stalls = 0
+        for pad in range(8):
+            prog = _contended_store_then_fault(target, pad)
+            fast = _states(prog, "parallel", True, [40], max_cycles=5000)
+            ref = _states(prog, "parallel", False, [40], max_cycles=5000)
+            assert fast[0] == ref[0], pad
+            for (cf, got), (cr, want) in zip(fast[1], ref[1]):
+                assert cf == cr, pad
+                for key in want:
+                    assert got[key] == want[key], (pad, cr, key)
+            assert ref[0]["checksum"] == 6
+            stalls += ref[0]["conflict_stalls"]
+        assert stalls > 40
 
 
 class TestSubwordTiming:
