@@ -21,6 +21,8 @@ with the next fetch, and multi-cycle ops insert bubbles.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 M32 = 0xFFFFFFFF
 SIGN = 0x80000000
 
@@ -63,60 +65,53 @@ def _sx12(v: int) -> int:
     return v - 4096 if v & 0x800 else v
 
 
+# A hart's state: every field and its reset value.  The slots, ``reset``,
+# ``dump_state``/``load_state``, ``copy_from`` and ``state_key`` all derive
+# from this table.  The exceptions:
+#
+# * ``regs`` is copied as a list, and x0 is forced to 0 on load;
+# * ``mcycle_base`` is dumped (and keyed) as ``mcycle``, relative to the
+#   current cycle;
+# * ``pend_entry`` is a decode-cache pointer, a pure function of the
+#   stashes and memory that never affects timing: it is not dumped and
+#   is re-derived on demand;
+# * ``held`` and ``pend_entry`` are not part of the convergence key;
+# * ``pc`` and ``cur_pc`` reset to the boot pc, ``mhartid`` to the hart id.
+STATE = {
+    "regs": (0,) * 32, "pc": 0,
+    "mstatus": 0, "mtvec": 0, "mepc": 0, "mcause": 0, "mtval": 0, "mie": 0,
+    "mip": 0, "mscratch": 0, "mhartid": 0, "minstret": 0, "mcycle_base": 0,
+    "sleeping": False, "wake_pulse": False, "held": False,
+    # the scheduler's FSM: phase, bubble cycles, the current instruction,
+    # the first word of a spanning fetch, a data access waiting for the
+    # port (PH_DW)
+    "phase": PH_F0, "exec_left": 0, "exec_retire": False,
+    "cur_pc": 0, "cur_word": 0, "cur_rd": 0,
+    "half_stash": 0, "w0_stash": 0, "pend_entry": None, "dw_kind": 0,
+    # the event of an executed instruction (see the action codes above)
+    "ev_extra": 0, "ev_addr": 0, "ev_val": 0, "ev_rd": 0, "ev_f3": 0,
+    "ev_cause": 0, "ev_tval": 0,
+}
+_DUMPED = tuple(n for n in STATE if n not in ("pend_entry", "mcycle_base"))
+_keyed = attrgetter(*(n for n in _DUMPED if n not in ("regs", "held")))
+
+
 class Core:
     """One hart: architectural state plus scheduler-facing FSM fields."""
 
-    __slots__ = (
-        "hart", "regs", "pc", "mstatus", "mtvec", "mepc", "mcause", "mtval",
-        "mie", "mip", "mscratch", "mhartid", "minstret", "mcycle_base",
-        "sleeping", "wake_pulse", "held", "phase", "exec_left", "exec_retire",
-        "cur_pc", "cur_word", "cur_rd", "cur_mnem", "half_stash", "w0_stash",
-        "pend_entry", "dw_kind",
-        "ev_extra", "ev_addr", "ev_val", "ev_rd", "ev_f3", "ev_cause", "ev_tval",
-        "soc",
-    )
+    __slots__ = (*STATE, "soc")
 
     def __init__(self, hart: int, soc=None):
-        self.hart = hart
         self.soc = soc
-        self.reset(0, hartid=hart)
+        self.reset(0, hart)
 
-    def reset(self, boot_pc: int, hartid: int | None = None) -> None:
+    def reset(self, boot_pc: int, hartid: int) -> None:
+        for name, value in STATE.items():
+            setattr(self, name, value)
         self.regs = [0] * 32
         self.pc = boot_pc
-        self.mstatus = 0
-        self.mtvec = 0
-        self.mepc = 0
-        self.mcause = 0
-        self.mtval = 0
-        self.mie = 0
-        self.mip = 0
-        self.mscratch = 0
-        if hartid is not None:
-            self.mhartid = hartid
-        self.minstret = 0
-        self.mcycle_base = 0
-        self.sleeping = False
-        self.wake_pulse = False
-        self.held = False
-        self.phase = PH_F0
-        self.exec_left = 0
-        self.exec_retire = False
         self.cur_pc = boot_pc
-        self.cur_word = 0
-        self.cur_rd = 0
-        self.cur_mnem = ""
-        self.half_stash = 0
-        self.w0_stash = 0
-        self.pend_entry = None
-        self.dw_kind = 0
-        self.ev_extra = 0
-        self.ev_addr = 0
-        self.ev_val = 0
-        self.ev_rd = 0
-        self.ev_f3 = 0
-        self.ev_cause = 0
-        self.ev_tval = 0
+        self.mhartid = hartid
 
     # ------------------------------------------------------------- CSRs
 
@@ -218,34 +213,30 @@ class Core:
 
     # --------------------------------------------------- scan-chain I/O
 
-    ARCH_CSRS = ("mstatus", "mtvec", "mepc", "mcause", "mtval", "mie",
-                 "mip", "mscratch")
-
     def dump_state(self, now: int) -> dict:
         """Complete serializable snapshot (the scan-chain payload)."""
-        return {
-            "hart": self.hart,
-            "mhartid": self.mhartid,
-            "pc": self.pc,
-            "regs": list(self.regs),
-            "csr": {name: getattr(self, name) for name in self.ARCH_CSRS}
-            | {"mcycle": self.mcycle(now), "minstret": self.minstret,
-               "mhartid": self.mhartid},
-            "sleeping": self.sleeping,
-            "pipeline": {
-                "phase": self.phase,
-                "exec_left": self.exec_left,
-                "exec_retire": self.exec_retire,
-                "cur_pc": self.cur_pc,
-                "cur_word": self.cur_word,
-                "cur_rd": self.cur_rd,
-                "half_stash": self.half_stash,
-                "w0_stash": self.w0_stash,
-                "dw_kind": self.dw_kind,
-                "ev": [self.ev_extra, self.ev_addr, self.ev_val, self.ev_rd,
-                       self.ev_f3, self.ev_cause, self.ev_tval],
-            },
-        }
+        state = {name: getattr(self, name) for name in _DUMPED}
+        state["regs"] = list(self.regs)
+        state["mcycle"] = self.mcycle(now)
+        return state
+
+    def load_state(self, state: dict, now: int) -> None:
+        for name in _DUMPED:
+            setattr(self, name, state[name])
+        self.regs = list(state["regs"])
+        self.regs[0] = 0
+        self.mcycle_base = now - state["mcycle"]
+        self.pend_entry = None
+
+    def copy_from(self, other: "Core") -> None:
+        """Clone another core's complete state (lockstep split helper)."""
+        for name in STATE:
+            setattr(self, name, getattr(other, name))
+        self.regs = list(other.regs)
+
+    def state_key(self, now: int) -> tuple:
+        """Hashable digest of the state, for convergence checks."""
+        return (tuple(self.regs), self.mcycle(now)) + _keyed(self)
 
     def read_loc(self, loc: str, now: int) -> int:
         """The value of fault location ``loc``: ``x1``-``x31``, ``pc`` or
@@ -264,83 +255,6 @@ class Core:
             self.mcycle_base = now - value
         else:
             setattr(self, loc, value)
-
-    def load_state(self, state: dict, now: int) -> None:
-        self.mhartid = state["mhartid"]
-        self.pc = state["pc"]
-        self.regs = list(state["regs"])
-        self.regs[0] = 0
-        for name in self.ARCH_CSRS:
-            setattr(self, name, state["csr"][name])
-        self.mcycle_base = now - state["csr"]["mcycle"]
-        self.minstret = state["csr"]["minstret"]
-        self.sleeping = state["sleeping"]
-        pipe = state["pipeline"]
-        self.phase = pipe["phase"]
-        self.exec_left = pipe["exec_left"]
-        self.exec_retire = pipe["exec_retire"]
-        self.cur_pc = pipe["cur_pc"]
-        self.cur_word = pipe["cur_word"]
-        self.cur_rd = pipe["cur_rd"]
-        self.half_stash = pipe["half_stash"]
-        self.w0_stash = pipe["w0_stash"]
-        self.dw_kind = pipe["dw_kind"]
-        self.pend_entry = None  # decode-cache pointer, re-derived on demand
-        (self.ev_extra, self.ev_addr, self.ev_val, self.ev_rd,
-         self.ev_f3, self.ev_cause, self.ev_tval) = pipe["ev"]
-
-    def copy_from(self, other: "Core") -> None:
-        """Clone another core's complete state (lockstep split helper)."""
-        self.regs = list(other.regs)
-        self.pc = other.pc
-        self.mstatus = other.mstatus
-        self.mtvec = other.mtvec
-        self.mepc = other.mepc
-        self.mcause = other.mcause
-        self.mtval = other.mtval
-        self.mie = other.mie
-        self.mip = other.mip
-        self.mscratch = other.mscratch
-        self.mhartid = other.mhartid
-        self.minstret = other.minstret
-        self.mcycle_base = other.mcycle_base
-        self.sleeping = other.sleeping
-        self.wake_pulse = other.wake_pulse
-        self.held = other.held
-        self.phase = other.phase
-        self.exec_left = other.exec_left
-        self.exec_retire = other.exec_retire
-        self.cur_pc = other.cur_pc
-        self.cur_word = other.cur_word
-        self.cur_rd = other.cur_rd
-        self.cur_mnem = other.cur_mnem
-        self.half_stash = other.half_stash
-        self.w0_stash = other.w0_stash
-        self.pend_entry = other.pend_entry
-        self.dw_kind = other.dw_kind
-        self.ev_extra = other.ev_extra
-        self.ev_addr = other.ev_addr
-        self.ev_val = other.ev_val
-        self.ev_rd = other.ev_rd
-        self.ev_f3 = other.ev_f3
-        self.ev_cause = other.ev_cause
-        self.ev_tval = other.ev_tval
-
-    def state_key(self, now: int) -> tuple:
-        """Hashable digest of the full state, for convergence checks.
-
-        The decode-cache pointer is excluded: it is a pure function of
-        (w0_stash, half_stash, memory) and never affects timing.
-        """
-        return (
-            self.pc, tuple(self.regs), self.mstatus, self.mtvec, self.mepc,
-            self.mcause, self.mtval, self.mie, self.mip, self.mscratch,
-            self.mhartid, self.minstret, self.mcycle(now), self.sleeping,
-            self.wake_pulse, self.phase, self.exec_left, self.exec_retire,
-            self.cur_pc, self.cur_word, self.cur_rd, self.half_stash,
-            self.w0_stash, self.dw_kind, self.ev_extra, self.ev_addr,
-            self.ev_val, self.ev_rd, self.ev_f3, self.ev_cause, self.ev_tval,
-        )
 
 
 # ======================================================== instruction set

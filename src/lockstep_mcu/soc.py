@@ -27,7 +27,9 @@ several cores in performance mode.  Both stop at cycle boundaries and
 give exactly the reference engine's results.  Neither decides anything
 about a dormant fault: an instruction that touches one is handed back
 to the reference helpers, which alone split, replay or erase it.
-``restore()`` drops a carried fault with the rest of the old state.
+``snapshot()`` records a carried fault without splitting the group, and
+``restore()`` reinstates exactly the snapshot's (none, for a fault-free
+one).
 
 Address map (all register accesses word-sized):
 
@@ -394,7 +396,9 @@ class _Lanes:
             self.DP.append(dp)
             self.ph.append(p)
             self.xe.append(cy + max(c.exec_left, 1) if p == PH_EX else _NEVER)
-            self.ent.append((None, 1, 0, 0, c.cur_word, c.cur_rd, c.cur_mnem))
+            self.ent.append((None, 1, 0, 0, c.cur_word, c.cur_rd,
+                             soc._mnemonic(c) if soc.trace_lines is not None
+                             else ""))
             self.ie.append(cy + 1 if ip.pending else _NEVER)
             self.fi.append(_fetch_info(c.cur_pc, words, soc.dcache)
                            if ip.pending else
@@ -411,7 +415,7 @@ class _Lanes:
         c, ip, dp = self.C[k], self.IP[k], self.DP[k]
         e, f = self.ent[k], self.fi[k]
         c.cur_pc = pc = f[4]
-        c.cur_word, c.cur_rd, c.cur_mnem = e[4], e[5], e[6]
+        c.cur_word, c.cur_rd = e[4], e[5]
         c.phase = self.ph[k]
         if c.phase == PH_EX:
             c.exec_left = self.xe[k] - b
@@ -477,7 +481,6 @@ class Soc:
         self.tracebuf = bytearray()
         self.trace_lines: list[str] | None = [] if self.config.trace_lines else None
         self.rec_trace = self.config.record_trace
-        self._done_pending = False
         self._diverge_check_at = 0
         # dormant lockstep fault: the minority's deviating locations are
         # carried beside the converged fast path until something reads them
@@ -530,7 +533,6 @@ class Soc:
         self.scrub.next_address = 0
         self.scrub.corrections = 0
         self.scrub.uncorrectable_seen = 0
-        self._done_pending = False
         self._diverge_check_at = 0
         self._restart(self.config.release_mask())
 
@@ -716,7 +718,6 @@ class Soc:
         o.resync_state = RESYNC_DONE
         o.resync_events += 1
         o.last_done_cycle = self.cycle
-        self._done_pending = True
 
     # ------------------------------------------------------ fault hooks
 
@@ -724,11 +725,16 @@ class Soc:
                        + tuple(CORE_LOC_TAGS))
 
     def materialize(self) -> None:
-        """Make cores 1/2 real (they mirror core 0 on the fast path); a
-        carried dormant fault splits the group."""
+        """Make cores 1/2 real; a carried dormant fault splits the group."""
         if self.dorm_hart >= 0:
             self.split()
-        elif self.lockstep and self.converged:
+        else:
+            self._mirror()
+
+    def _mirror(self) -> None:
+        """Copy core 0 into cores 1/2, which a converged lockstep group
+        leaves stale."""
+        if self.lockstep and self.converged:
             for c in self.cores[1:]:
                 c.copy_from(self.cores[0])
 
@@ -739,7 +745,7 @@ class Soc:
             return
         hart, vals = self.dorm_hart, self.dorm_vals
         self._dormant_clear()
-        self.materialize()
+        self._mirror()
         now = self.cycle
         for loc, delta in vals.items():
             c = self.cores[hart]
@@ -889,7 +895,17 @@ class Soc:
                 now, c.mhartid, c.cur_pc, c.cur_word & M32, rd, c.regs[rd])
         if self.trace_lines is not None:
             self.trace_lines.append(_trace_line(
-                now, c.mhartid, c.cur_pc, c.cur_word, c.cur_mnem, rd, c.regs[rd]))
+                now, c.mhartid, c.cur_pc, c.cur_word, self._mnemonic(c), rd,
+                c.regs[rd]))
+
+    def _mnemonic(self, c: Core) -> str:
+        """The trace text of core ``c``'s current instruction: its
+        decode-cache entry's, or a fresh decode's on a miss."""
+        pc, word = c.cur_pc, c.cur_word
+        entry = self.dcache.get(pc)
+        if entry is not None and entry[4] == word:
+            return entry[6]
+        return (decode32 if word & 3 == 3 else decode16)(word, pc)[2]
 
     def _boundary(self, c: Core, ip: Port, now: int, retire: bool) -> None:
         """End an instruction, retiring it when ``retire``: take a pending
@@ -930,7 +946,6 @@ class Soc:
             return
         c.cur_word = entry[4]
         c.cur_rd = entry[5]
-        c.cur_mnem = entry[6]
         self._apply(c, ip, dp, entry, entry[0](c), now)
 
     def _apply(self, c: Core, ip: Port, dp: Port, entry: tuple, code: int,
@@ -1203,8 +1218,6 @@ class Soc:
                     self._tick_core(c, ip, dp, cycle)
                 if self.running:
                     self._vote_cycle(cycle)
-                    if self._done_pending:
-                        self._done_pending = False
                     if self.odrg.resync_state == RESYNC_DONE:
                         self.odrg.resync_state = RESYNC_IDLE
                     if (self.converged is False and self.running
@@ -1214,8 +1227,7 @@ class Soc:
             else:
                 for c, ip, dp in self.active:
                     self._tick_core(c, ip, dp, cycle)
-                if self._done_pending:
-                    self._done_pending = False
+                if self.odrg.resync_state == RESYNC_DONE:
                     self.odrg.resync_state = RESYNC_IDLE
                     if self.lockstep and not self.converged:
                         self._try_collapse()
@@ -1242,18 +1254,18 @@ class Soc:
         It ends at any complication through one exit, which leaves the
         SoC in the reference engine's end-of-cycle state and then hands
         the current instruction to the reference helpers: its fetch is
-        reposted when the burst cannot take it (decode miss, busy or
-        tainted fetch bank, or an instruction that reads or writes a
-        carried dormant fault); once executed, its action code goes to
-        ``_apply`` (a multi-cycle op or load past the limit, a device
-        load, a store the general engine must grant, ``wfi``, a trap, an
+        reposted when the burst cannot take it (a ROM or unmapped pc, a
+        decode miss or spanning fetch, a busy or tainted fetch bank, or
+        an instruction that reads or writes a carried dormant fault);
+        once executed, its action code goes to ``_apply`` (a multi-cycle
+        op or load past the limit, a ROM, device or unmapped load, a
+        store the general engine must grant, ``wfi``, a trap, an
         interrupt after it), and a load answered uncorrectable goes to
         ``_consume_load``.  Only those helpers split, replay or erase a
         dormant fault.
         """
         c, ip, dp = self.active[0]
         banks = self.banks.banks
-        rom = self.rom
         dget = self.dcache.get
         rec = self.rec_trace
         lines = self.trace_lines
@@ -1267,13 +1279,11 @@ class Soc:
         pc = c.pc
         m32 = M32
         sram_lo, sram_hi = SRAM_BASE, SRAM_END
-        rom_lo, rom_hi = ROM_BASE, ROM_END
         hart = c.mhartid
         rr_next = -1 if ip.core_idx == VOTED else (ip.core_idx + 1) % 3
         hold_bank = hold_until = -1  # a fetch that lost to a store waits
         pend = None     # (bank index, row, word index, addr, wdata, strobes)
-        fent = None     # entry and pc of the last instruction taken here
-        fpc = 0
+        fent = None     # the entry of the last instruction taken here
         dlast = None    # data port state after the last access made here
         hand = None     # what the exit hands on (see the docstring)
 
@@ -1296,43 +1306,21 @@ class Soc:
             f = cy + 1
             if f > allowed:
                 break
-            wa = pc & ~3
-            if sram_lo <= wa < sram_hi:
-                widx = (wa - sram_lo) >> 2
-                bank = banks[widx & 7]
-                row = widx >> 3
-                if bank.busy_until >= f or \
-                        (bank.tainted and row in bank.tainted):
-                    break
-                val = bank.cws[row] & m32
-            elif rom_lo <= wa < rom_hi:
-                val = rom[(wa - rom_lo) >> 2]
-            else:
+            if not sram_lo <= pc < sram_hi:
+                break
+            widx = (pc - sram_lo) >> 2
+            bank = banks[widx & 7]
+            row = widx >> 3
+            if bank.busy_until >= f or (bank.tainted and row in bank.tainted):
                 break
             entry = dget(pc)
-            if entry is None or entry[2] != val:
+            if entry is None or entry[2] != bank.cws[row] & m32 or \
+                    entry[1] == 2:
                 break
             if self.dorm_hart >= 0 and (
                     (entry[7] | entry[8]) & self.dorm_regs
                     or (entry[9] | entry[10]) & self.dorm_csrs or c.mip):
                 break   # the reference helpers split, replay or erase
-            if entry[1] == 2:
-                f2 = f + 1
-                wa2 = wa + 4
-                if f2 > allowed or pend is not None or \
-                        not sram_lo <= wa2 < sram_hi:
-                    break
-                widx2 = (wa2 - sram_lo) >> 2
-                bank2 = banks[widx2 & 7]
-                row2 = widx2 >> 3
-                if bank2.busy_until >= f2 or \
-                        (bank2.tainted and row2 in bank2.tainted):
-                    break
-                if entry[3] != bank2.cws[row2] & m32:
-                    break
-                c.w0_stash = val
-                c.half_stash = val >> 16
-                f = f2
             # the instruction is taken: grant the store posted with
             # its fetch, then run the ticks due up to its fetch
             if pend is not None:
@@ -1343,12 +1331,9 @@ class Soc:
             cy = f
             self.cycle = f
             fent = entry
-            fpc = pc
             c.cur_pc = pc
             c.cur_word = entry[4]
             c.cur_rd = entry[5]
-            if lines is not None:
-                c.cur_mnem = entry[6]
             code = entry[0](c)
 
             if code:
@@ -1368,31 +1353,25 @@ class Soc:
                         bank = banks[widx & 7]
                         while bank.busy_until >= d:
                             d += 1
-                    elif not rom_lo <= addr < rom_hi:
-                        d = big     # a device or unmapped target
+                    else:
+                        d = big     # a ROM, device or unmapped target
                     if d > allowed:
                         hand = 2
                         break
-                    if addr < sram_lo:
-                        row = (addr - rom_lo) >> 2
-                        data = rom[row]
-                        dlast = (False, R_ROM, 0, row, addr, False,
-                                 0, 0, False, data, RS_OK)
+                    row = widx >> 3
+                    if touched is not None:
+                        touched[widx] |= 1
+                    status = RS_OK
+                    if bank.tainted and row in bank.tainted:
+                        data, status = bank.read(row)
                     else:
-                        row = widx >> 3
-                        if touched is not None:
-                            touched[widx] |= 1
-                        status = RS_OK
-                        if bank.tainted and row in bank.tainted:
-                            data, status = bank.read(row)
-                        else:
-                            data = bank.cws[row] & m32
-                        dlast = (False, R_SRAM, widx & 7, row, addr, False,
-                                 0, 0, False, data, status)
-                        if status == RS_UNCORRECTABLE:
-                            cy = d
-                            hand = _LOAD_RESP
-                            break
+                        data = bank.cws[row] & m32
+                    dlast = (False, R_SRAM, widx & 7, row, addr, False,
+                             0, 0, False, data, status)
+                    if status == RS_UNCORRECTABLE:
+                        cy = d
+                        hand = _LOAD_RESP
+                        break
                     cy = d
                     if c.ev_f3 != 2:
                         data = _load_lanes(data, addr, c.ev_f3)
@@ -1438,13 +1417,9 @@ class Soc:
             bidx, row, _widx, addr, wdata, strobes = pend
             dp.want(R_SRAM, bidx, row, addr & ~3, True, wdata, strobes)
         if fent is not None:
-            wa = fpc & ~3
-            val = fent[2]
-            if fent[1] == 2:
-                wa += 4
-                val = fent[3]
-            ip.load_state((False, *self._route(wa), wa, False, 0, 0,
-                           False, val, RS_OK))
+            widx = (c.cur_pc - SRAM_BASE) >> 2
+            ip.load_state((False, R_SRAM, widx & 7, widx >> 3, c.cur_pc & ~3,
+                           False, 0, 0, False, fent[2], RS_OK))
         if stick <= cy:
             self._fast_ticks(stick, cy, hold_bank, hold_until)
         if hand is None:
@@ -1454,7 +1429,7 @@ class Soc:
             dp.has_resp = True
             self._consume_load(c, dp, ip, cy)
         else:   # in the phase the reference engine dispatches it from
-            c.phase = PH_F1 if fent[1] == 2 else PH_F0
+            c.phase = PH_F0
             self._apply(c, ip, dp, fent, hand, cy)
 
     def _fast_store(self, pend: tuple, g: int) -> tuple:
@@ -1503,7 +1478,7 @@ class Soc:
         the reference engine holds them at that cycle boundary.
         """
         cy = self.cycle
-        if self._done_pending or self.odrg.pending_mode is not None:
+        if self.odrg.pending_mode is not None:
             return
         lanes = _Lanes.collect(self, cy)
         if lanes is None:
@@ -1919,22 +1894,22 @@ class Soc:
     # ------------------------------------------------- snapshot/restore
 
     def snapshot(self) -> dict:
-        self.materialize()
+        """The complete state; a carried dormant fault is recorded beside
+        the converged cores, not split."""
+        self._mirror()
         return {
             "cycle": self.cycle,
             "flags": (self.running, self.exited, self.exit_code,
                       self.timed_out, self.unrecoverable, self.loaded,
                       self.entry, self.checksum_reg, self.lockstep,
-                      self.converged, self._done_pending,
-                      self._diverge_check_at),
+                      self.converged, self._diverge_check_at),
             "uart": bytes(self.uart_out),
             "banks": self.banks.snapshot(),
             "scrub": self.scrub.snapshot(),
             "odrg": self.odrg.snapshot(),
             "xbar": self.xbar.snapshot(),
             "cores": [c.dump_state(self.cycle) for c in self.cores],
-            "held": [c.held for c in self.cores],
-            "wake": [c.wake_pulse for c in self.cores],
+            "dormant": (self.dorm_hart, dict(self.dorm_vals)),
             "vports": [p.state_tuple() for p in self.vports],
             "cports": [[q.state_tuple() for q in pair] for pair in self.cports],
             "rom": list(self.rom),
@@ -1944,7 +1919,7 @@ class Soc:
         self.cycle = snap["cycle"]
         (self.running, self.exited, self.exit_code, self.timed_out,
          self.unrecoverable, self.loaded, self.entry, self.checksum_reg,
-         self.lockstep, self.converged, self._done_pending,
+         self.lockstep, self.converged,
          self._diverge_check_at) = snap["flags"]
         self.uart_out = bytearray(snap["uart"])
         self.banks.restore(snap["banks"])
@@ -1953,10 +1928,6 @@ class Soc:
         self.xbar.restore(snap["xbar"])
         for c, state in zip(self.cores, snap["cores"]):
             c.load_state(state, self.cycle)
-        for c, held in zip(self.cores, snap["held"]):
-            c.held = held
-        for c, wake in zip(self.cores, snap["wake"]):
-            c.wake_pulse = wake
         for p, t in zip(self.vports, snap["vports"]):
             p.load_state(t)
         for pair, ts in zip(self.cports, snap["cports"]):
@@ -1966,5 +1937,5 @@ class Soc:
         self.tracebuf = bytearray()
         if self.trace_lines is not None:
             self.trace_lines = []
-        self._dormant_clear()   # a snapshot never carries a dormant fault
+        self._dormant_set(*snap["dormant"])
         self._wire_ports()

@@ -433,6 +433,41 @@ class TestDumpLoad:
         c.load_state(state, now)
         assert c.dump_state(now) == state
 
+    def test_every_field_round_trips(self):
+        # every state field set away from its reset value must survive a
+        # dump into another core, and a copy_from
+        from lockstep_mcu.core import STATE, Core
+        now = 10_000
+        src = Core(0)
+        for i, (name, value) in enumerate(STATE.items()):
+            if name == "regs":
+                new = [0] + [0x1000 + r for r in range(1, 32)]
+            elif isinstance(value, bool):
+                new = not value
+            elif value is None:
+                new = (None, 2, 0x13, 0x97, 0x9700013, 1)
+            else:
+                new = value + 100 + i
+            setattr(src, name, new)
+        for name, value in STATE.items():
+            assert getattr(src, name) != value, name
+        state = src.dump_state(now)
+        assert "pend_entry" not in state
+        loaded = Core(1)
+        loaded.load_state(state, now)
+        assert loaded.dump_state(now) == state
+        assert loaded.state_key(now) == src.state_key(now)
+        assert loaded.pend_entry is None
+        copied = Core(2)
+        copied.copy_from(src)
+        assert copied.dump_state(now) == state
+        assert copied.state_key(now) == src.state_key(now)
+        assert copied.regs is not src.regs
+        for name in STATE:
+            if name != "pend_entry":
+                assert getattr(loaded, name) == getattr(src, name), name
+            assert getattr(copied, name) == getattr(src, name), name
+
     def test_dump_after_reset(self):
         soc = Soc(SocConfig())
         from lockstep_mcu import kernels

@@ -8,7 +8,10 @@ report (trace hash included) and the same full state at a pause and at
 the end.  The same holds for a lockstep program with one core fault
 injected at a random cycle, with the dormant-fault shortcut on and off;
 the shortcut itself may change nothing but the trace hash, since each
-core of a split group records its own retirements.  The example counts
+core of a split group records its own retirements.  Finally, pausing any
+of these runs at a random cycle to take a ``snapshot()`` must not change
+it, and a fresh ``Soc`` that restores the snapshot must retire the rest
+of the run with the same trace lines.  The example counts
 come from the Hypothesis profiles in ``conftest.py``: Tier-1 replays a
 fixed set, and
 ``pytest --hypothesis-profile fuzz-long tests/test_fuzz.py`` searches
@@ -99,10 +102,20 @@ def build(harts, wait: bool = True) -> Program:
     return p
 
 
-def states(prog, mode: str, fast: bool, pause: int, scrub: int):
-    soc = Soc(SocConfig(mode=mode, fast_loop=fast, scrub_interval=scrub,
-                        max_cycles=30_000))
+def make_soc(prog, mode: str, fault=None, **cfg) -> Soc:
+    """A ``Soc`` loaded with ``prog``; with ``fault`` = (cycle, hart,
+    location, bit), paused just after injecting it."""
+    soc = Soc(SocConfig(mode=mode, max_cycles=30_000, **cfg))
     soc.load_program(prog)
+    if fault is not None:
+        at, hart, loc, bit = fault
+        soc.run(stop_at=at)
+        soc.inject_core_fault(hart, loc, bit)
+    return soc
+
+
+def states(prog, mode: str, fast: bool, pause: int, scrub: int):
+    soc = make_soc(prog, mode, fast_loop=fast, scrub_interval=scrub)
     soc.run(stop_at=pause)
     at_pause = (soc.cycle, soc.snapshot())
     res = soc.run()
@@ -134,12 +147,8 @@ def test_lockstep_engines_agree(hart, pause, scrub):
 
 
 def faulty_run(prog, fault, dormant: bool, fast: bool, scrub: int):
-    at, hart, loc, bit = fault
-    soc = Soc(SocConfig(mode="lockstep", fast_loop=fast, dormant_opt=dormant,
-                        scrub_interval=scrub, max_cycles=30_000))
-    soc.load_program(prog)
-    soc.run(stop_at=at)
-    soc.inject_core_fault(hart, loc, bit)
+    soc = make_soc(prog, "lockstep", fault, fast_loop=fast,
+                   dormant_opt=dormant, scrub_interval=scrub)
     return soc.run().to_dict(), soc.snapshot()
 
 
@@ -170,3 +179,34 @@ def test_lockstep_faulty_engines_agree(hart, fault, scrub):
     for report in reports.values():
         del report["trace_hash"]
     assert reports[True] == reports[False]
+
+
+_pausable = st.one_of(
+    st.tuples(st.tuples(_hart, _hart, _hart), st.none()),
+    st.tuples(_hart, st.none()),
+    st.tuples(_hart, _fault),
+)
+
+
+@given(run=_pausable, pause=st.integers(0, 600))
+def test_snapshot_restore_matches_uninterrupted(run, pause):
+    """A three-hart parallel program, a lockstep one, or a lockstep one
+    with a core fault (then ``pause`` counts from the injection)."""
+    harts, fault = run
+    if isinstance(harts, tuple):
+        prog, mode = build(harts), "parallel"
+    else:
+        prog, mode = build((harts, harts, harts), wait=False), "lockstep"
+    if fault is not None:
+        pause += fault[0]
+    whole = make_soc(prog, mode, fault, trace_lines=True).run()
+    soc = make_soc(prog, mode, fault, trace_lines=True)
+    soc.run(stop_at=pause)
+    done = len(soc.trace_lines)
+    snap = soc.snapshot()
+    rest = soc.run()
+    assert rest.to_dict() == whole.to_dict()
+    assert rest.trace_lines == whole.trace_lines
+    restored = make_soc(prog, mode, trace_lines=True)
+    restored.restore(snap)
+    assert restored.run().trace_lines == whole.trace_lines[done:]

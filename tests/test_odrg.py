@@ -294,6 +294,34 @@ class TestDormantOptimizationExact:
         assert res.instret == want.instret
         assert res.outputs_digest == want.outputs_digest
 
+    def test_snapshot_keeps_carried_fault(self):
+        # observing a paused faulty run must not change it: snapshot()
+        # records a carried fault beside the converged group instead of
+        # splitting it, and restore() brings the fault back
+        prog = kernels.build_kernel("matmul8", "lockstep")
+
+        def faulty():
+            soc = Soc(SocConfig(mode="lockstep"))
+            soc.load_program(prog)
+            soc.run(stop_at=3000)
+            soc.inject_core_fault(1, "x3", 9)   # a register never read
+            return soc
+
+        want = faulty().run().to_dict()
+        soc = faulty()
+        soc.run(stop_at=3500)
+        snap = soc.snapshot()
+        assert soc.converged
+        assert snap["dormant"][0] == 1 and list(snap["dormant"][1]) == ["x3"]
+        assert soc.run().to_dict() == want
+        restored = Soc(SocConfig(mode="lockstep"))
+        restored.load_program(prog)
+        restored.restore(snap)
+        assert restored.dorm_hart == 1
+        got = restored.run().to_dict()
+        del got["trace_hash"], want["trace_hash"]   # post-restore only
+        assert got == want
+
 
 class TestAllDiffer:
     def test_three_way_disagreement_halts_unrecoverable(self):

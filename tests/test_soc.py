@@ -8,6 +8,7 @@ import pytest
 
 from lockstep_mcu import kernels
 from lockstep_mcu.asm import Program
+from lockstep_mcu.core import PH_EX, PH_LD
 from lockstep_mcu.interconnect import R_SRAM
 from lockstep_mcu.memory import TOTAL_BYTES, TOTAL_WORDS
 from lockstep_mcu.soc import (
@@ -115,6 +116,25 @@ class TestDeterminism:
         rb = b.run()
         assert ra.cycles == rb.cycles
         assert ra.outputs_digest == rb.outputs_digest
+
+    def test_restored_trace_lines_match_uninterrupted(self):
+        # a run restored in the middle of a multi-cycle op or a load
+        # prints that instruction's trace line like the uninterrupted run
+        prog = kernels.matmul_kernel(8, "single")
+        whole = fresh(prog=prog, trace_lines=True).run().trace_lines
+        probe = fresh(prog=prog, trace_lines=True)
+        paused = []
+        for stop in range(2000, 2400):
+            probe.run(stop_at=stop)
+            if probe.cores[0].phase not in (PH_EX, PH_LD):
+                continue
+            paused.append(stop)
+            if len(paused) <= 6:
+                b = fresh(prog=prog, trace_lines=True)
+                b.restore(probe.snapshot())
+                tail = whole[len(probe.trace_lines):]
+                assert b.run().trace_lines == tail, stop
+        assert len(paused) > 100
 
 
 def _conflict_pending(soc):
