@@ -135,6 +135,9 @@ class CampaignSpec:
             value = getattr(self, name)
             if value is not None and not _is_int(value):
                 raise CampaignError(f"{name} must be an integer: {value!r}")
+        if not isinstance(self.scrub_enabled, bool):
+            raise CampaignError(
+                f"scrub_enabled must be true or false: {self.scrub_enabled!r}")
         if self.runs < 0:
             raise CampaignError("runs must be >= 0")
         if self.scrub_interval < 1:
@@ -145,8 +148,8 @@ class CampaignSpec:
             if t not in TARGET_KINDS:
                 raise CampaignError(f"bad target kind: {t!r}")
         for h in self.harts:
-            if h not in (0, 1, 2):
-                raise CampaignError(f"bad hart: {h}")
+            if not _is_int(h) or h not in (0, 1, 2):
+                raise CampaignError(f"bad hart: {h!r}")
         for loc in self.locs:
             if loc not in Soc.CORE_FAULT_LOCS:
                 raise CampaignError(f"bad core fault location: {loc!r}")
@@ -172,6 +175,8 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignSpec":
+        if not isinstance(d, dict):
+            raise CampaignError(f"a spec must be an object: {d!r}")
         known = {
             "kernel", "binary", "entry", "mode", "runs", "seed", "max_cycles",
             "scrub_interval", "scrub_enabled", "targets", "harts", "locs",
@@ -180,6 +185,13 @@ class CampaignSpec:
         unknown = set(d) - known
         if unknown:
             raise CampaignError(f"unknown spec fields: {sorted(unknown)}")
+
+        def seq(name: str, default: tuple) -> tuple:
+            value = d.get(name, default)
+            if not isinstance(value, (list, tuple)):
+                raise CampaignError(f"{name} must be a list: {value!r}")
+            return tuple(value)
+
         events = None
         if "events" in d:
             events = d["events"]
@@ -193,25 +205,22 @@ class CampaignSpec:
                 if "kind" not in e or "at_cycle" not in e:
                     raise CampaignError("every event needs kind and at_cycle")
             events = [FaultEvent(**e) for e in events]
-        try:
-            spec = cls(
-                kernel=d.get("kernel", "matmul24"),
-                binary=d.get("binary"),
-                entry=d.get("entry"),
-                mode=d.get("mode", "lockstep"),
-                runs=d.get("runs", 100),
-                seed=d.get("seed", 1),
-                max_cycles=d.get("max_cycles"),
-                scrub_interval=d.get("scrub_interval", 64),
-                scrub_enabled=bool(d.get("scrub_enabled", True)),
-                targets=tuple(d.get("targets", ("core",))),
-                harts=tuple(d.get("harts", (0, 1, 2))),
-                locs=tuple(d.get("locs", CORE_LOCS)),
-                cycle_window=tuple(d.get("cycle_window", (0.0, 1.0))),
-                explicit_events=events,
-            )
-        except TypeError as e:  # a scalar where a list belongs
-            raise CampaignError(f"bad spec field: {e}") from None
+        spec = cls(
+            kernel=d.get("kernel", "matmul24"),
+            binary=d.get("binary"),
+            entry=d.get("entry"),
+            mode=d.get("mode", "lockstep"),
+            runs=d.get("runs", 100),
+            seed=d.get("seed", 1),
+            max_cycles=d.get("max_cycles"),
+            scrub_interval=d.get("scrub_interval", 64),
+            scrub_enabled=d.get("scrub_enabled", True),
+            targets=seq("targets", ("core",)),
+            harts=seq("harts", (0, 1, 2)),
+            locs=seq("locs", CORE_LOCS),
+            cycle_window=seq("cycle_window", (0.0, 1.0)),
+            explicit_events=events,
+        )
         spec.validate()
         return spec
 

@@ -3,7 +3,8 @@
 Machine-readable JSON goes to stdout (or ``--report``/``-o`` files);
 the human summary goes to stderr.  Exit codes: 0 success, 1 guest
 returned a nonzero exit value, 2 timeout, 3 unrecoverable vote,
-4 campaign detected silent data corruption, 64 usage or spec errors.
+4 campaign detected silent data corruption, 64 usage or spec errors
+(an out-of-range argument, an output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -36,6 +37,32 @@ def _interval(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _unsigned(bits: int):
+    """An argparse type: an integer literal of at most ``bits`` bits."""
+    def parse(text: str) -> int:
+        value = int(text, 0)
+        if not 0 <= value < 1 << bits:
+            raise argparse.ArgumentTypeError(
+                f"must be in 0..{(1 << bits) - 1:#x}, got {text}")
+        return value
+    parse.__name__ = f"{bits}-bit unsigned integer"
+    return parse
+
+
+class _OutputError(Exception):
+    """An output file could not be written."""
+
+
+def _write(path: str, data: str | bytes) -> None:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    try:
+        with open(path, "wb") as f:
+            f.write(data)
+    except OSError as e:
+        raise _OutputError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _build_parser() -> _Parser:
@@ -78,9 +105,9 @@ def _build_parser() -> _Parser:
     ec = sub.add_parser("ecc", help="poke the (39,32) SEC-DED codec")
     esub = ec.add_subparsers(dest="ecc_command", required=True)
     enc = esub.add_parser("encode", help="encode a 32-bit word")
-    enc.add_argument("word", type=lambda s: int(s, 0))
+    enc.add_argument("word", type=_unsigned(32))
     dec = esub.add_parser("decode", help="decode a 39-bit codeword")
-    dec.add_argument("codeword", type=lambda s: int(s, 0))
+    dec.add_argument("codeword", type=_unsigned(39))
     esub.add_parser("matrix", help="dump the parity-check matrix")
 
     camp = sub.add_parser("campaign", help="fault-injection campaigns")
@@ -113,16 +140,13 @@ def _cmd_run(args) -> int:
     report["seed"] = args.seed
     text = json.dumps(report, indent=2)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+        _write(args.report, text + "\n")
     else:
         print(text)
     if args.trace and res.trace_lines is not None:
-        with open(args.trace, "w", encoding="utf-8") as f:
-            f.write("\n".join(res.trace_lines) + "\n")
+        _write(args.trace, "\n".join(res.trace_lines) + "\n")
     if args.dump_mem:
-        with open(args.dump_mem, "wb") as f:
-            f.write(soc.banks.dump_image())
+        _write(args.dump_mem, soc.banks.dump_image())
     print(f"mode={res.mode} cycles={res.cycles} exit={res.exit_code} "
           f"resyncs={res.resync_events} "
           f"ecc_corr={sum(res.ecc_correctable)}", file=sys.stderr)
@@ -145,8 +169,7 @@ def _cmd_kernels(args) -> int:
     except ValueError as e:
         print(f"lockstep-mcu: {e}", file=sys.stderr)
         return EXIT_USAGE
-    with open(args.output, "wb") as f:
-        f.write(image)
+    _write(args.output, image)
     print(f"{args.name}: {len(image)} bytes at {args.base:#x}", file=sys.stderr)
     return EXIT_OK
 
@@ -154,7 +177,7 @@ def _cmd_kernels(args) -> int:
 def _cmd_ecc(args) -> int:
     if args.ecc_command == "encode":
         cw = ecc.encode(args.word)
-        print(json.dumps({"word": f"{args.word & 0xFFFFFFFF:#010x}",
+        print(json.dumps({"word": f"{args.word:#010x}",
                           "codeword": f"{cw:#011x}",
                           "parity": f"{cw >> 32:#04x}"}))
         return EXIT_OK
@@ -178,8 +201,7 @@ def _cmd_campaign(args) -> int:
         return EXIT_USAGE
     text = json.dumps(report, indent=2)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+        _write(args.output, text + "\n")
     else:
         print(text)
     classes = report["classes"]
@@ -193,13 +215,13 @@ def _cmd_campaign(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "kernels":
-        return _cmd_kernels(args)
-    if args.command == "ecc":
-        return _cmd_ecc(args)
-    return _cmd_campaign(args)
+    cmd = {"run": _cmd_run, "kernels": _cmd_kernels,
+           "ecc": _cmd_ecc}.get(args.command, _cmd_campaign)
+    try:
+        return cmd(args)
+    except _OutputError as e:
+        print(f"lockstep-mcu: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -478,7 +478,9 @@ class Soc:
         self.active: list[tuple[Core, Port, Port]] = []
 
         self.dcache: dict[int, tuple] = {}
+        # retirement records not yet fed to the running trace hash
         self.tracebuf = bytearray()
+        self._trace_sha = hashlib.sha256()
         self.trace_lines: list[str] | None = [] if self.config.trace_lines else None
         self.rec_trace = self.config.record_trace
         self._diverge_check_at = 0
@@ -525,6 +527,7 @@ class Soc:
         self.uart_out = bytearray()
         self.checksum_reg = 0
         self.tracebuf = bytearray()
+        self._trace_sha = hashlib.sha256()
         if self.trace_lines is not None:
             self.trace_lines = []
         self.odrg = OdrgUnit(self.config.odrg_mode())
@@ -1118,7 +1121,15 @@ class Soc:
         w = self.scrub.tick(self.banks, s, blocked)
         if w >= 0 and self._touched is not None:
             self._touched[w] |= 1
+        self._trace_flush()
         return self.scrub.next_cycle
+
+    def _trace_flush(self) -> None:
+        """Feed the buffered retirement records to the trace hash and
+        empty the buffer in place (the bursts hold it as a local)."""
+        if self.tracebuf:
+            self._trace_sha.update(self.tracebuf)
+            self.tracebuf.clear()
 
     def _bank_op(self, p: Port, bank: mem.Bank, now: int) -> None:
         touched = self._touched
@@ -1251,6 +1262,19 @@ class Soc:
         leaves the store posted on the data port.  A burst never
         crosses ``stop_at`` or the cycle limit.
 
+        Each pc's fetch is checked once per burst (an SRAM pc, an
+        untainted row whose word matches a one-word decode-cache entry,
+        no carried dormant fault read or written) and the result kept in
+        a local table.  Only a granted store changes a codeword or
+        taints a row, so it drops the two pcs of the word it writes;
+        loads and scrubber steps only correct rows the table never
+        holds.  The busy-bank test stays per fetch.  The carried fault,
+        ``mip`` and hence the interrupt test change only outside a
+        burst or, for the interrupt enables, at an instruction with CSR
+        mask bits; ``cycle`` and ``minstret`` are written before such
+        an instruction (its closure reads them) and at the exit, the
+        current-instruction fields at the exit only.
+
         It ends at any complication through one exit, which leaves the
         SoC in the reference engine's end-of-cycle state and then hands
         the current instruction to the reference helpers: its fetch is
@@ -1267,8 +1291,9 @@ class Soc:
         c, ip, dp = self.active[0]
         banks = self.banks.banks
         dget = self.dcache.get
-        rec = self.rec_trace
+        tb = self.tracebuf if self.rec_trace else None
         lines = self.trace_lines
+        traced = tb is not None or lines is not None
         pack = _TRACE_REC.pack
         scrub = self.scrub
         touched = self._touched
@@ -1276,15 +1301,25 @@ class Soc:
         allowed = limit if stop_at is None else min(limit, stop_at)
         cy = self.cycle
         stick = max(scrub.next_cycle, cy + 1) if scrub.enabled else big
+        guard = min(stick, allowed + 1)     # the next tick or the end
         pc = c.pc
+        regs = c.regs
         m32 = M32
         sram_lo, sram_hi = SRAM_BASE, SRAM_END
         hart = c.mhartid
         rr_next = -1 if ip.core_idx == VOTED else (ip.core_idx + 1) % 3
+        dorm = self.dorm_hart >= 0
+        mip = c.mip
+        irq = mip & c.mie and c.mstatus & MSTATUS_MIE
+        # pc -> (closure, fetch bank, masked word, rd, CSR mask bits, pc,
+        # decode-cache entry) of a fetch checked in this burst
+        tab: dict[int, tuple] = {}
+        ret = 0         # retired since ``c.minstret`` was last written
         hold_bank = hold_until = -1  # a fetch that lost to a store waits
         pend = None     # (bank index, row, word index, addr, wdata, strobes)
-        fent = None     # the entry of the last instruction taken here
-        dlast = None    # data port state after the last access made here
+        fent = None     # the table entry of the last instruction taken here
+        dlast = None    # (addr, is_write, wdata, strobes, resp_val, resp_status)
+                        # of the last data access made here
         hand = None     # what the exit hands on (see the docstring)
 
         while True:
@@ -1297,44 +1332,58 @@ class Soc:
                 if nxt > allowed:
                     break
                 hold_bank = pend[0]
-                dlast = self._fast_store(pend, g)
+                dlast = self._fast_store(pend, g, tab)
                 pend = None
                 self.xbar.conflict_stalls += 1
                 if rr_next >= 0:
                     self.xbar.rr[hold_bank] = rr_next
                 hold_until = cy = nxt
             f = cy + 1
-            if f > allowed:
+            try:
+                t = tab[pc]
+            except KeyError:
+                if not sram_lo <= pc < sram_hi:
+                    break
+                widx = (pc - sram_lo) >> 2
+                bank = banks[widx & 7]
+                row = widx >> 3
+                if bank.tainted and row in bank.tainted:
+                    break
+                entry = dget(pc)
+                if entry is None or entry[2] != bank.cws[row] & m32 or \
+                        entry[1] == 2:
+                    break
+                if dorm and ((entry[7] | entry[8]) & self.dorm_regs
+                             or (entry[9] | entry[10]) & self.dorm_csrs
+                             or mip):
+                    break   # the reference helpers split, replay or erase
+                t = tab[pc] = (entry[0], bank, entry[4] & m32, entry[5],
+                               entry[9] | entry[10], pc, entry)
+            if t[1].busy_until >= f:
                 break
-            if not sram_lo <= pc < sram_hi:
-                break
-            widx = (pc - sram_lo) >> 2
-            bank = banks[widx & 7]
-            row = widx >> 3
-            if bank.busy_until >= f or (bank.tainted and row in bank.tainted):
-                break
-            entry = dget(pc)
-            if entry is None or entry[2] != bank.cws[row] & m32 or \
-                    entry[1] == 2:
-                break
-            if self.dorm_hart >= 0 and (
-                    (entry[7] | entry[8]) & self.dorm_regs
-                    or (entry[9] | entry[10]) & self.dorm_csrs or c.mip):
-                break   # the reference helpers split, replay or erase
             # the instruction is taken: grant the store posted with
             # its fetch, then run the ticks due up to its fetch
-            if pend is not None:
-                dlast = self._fast_store(pend, cy + 1)
-                pend = None
-            if f >= stick:
+            if f >= guard:
+                if f > allowed:
+                    break
+                if pend is not None:
+                    dlast = self._fast_store(pend, f, tab)
+                    pend = None
                 stick = self._fast_ticks(stick, f, hold_bank, hold_until)
+                guard = min(stick, allowed + 1)
+            elif pend is not None:
+                dlast = self._fast_store(pend, f, tab)
+                pend = None
             cy = f
-            self.cycle = f
-            fent = entry
-            c.cur_pc = pc
-            c.cur_word = entry[4]
-            c.cur_rd = entry[5]
-            code = entry[0](c)
+            fent = t
+            if t[4]:
+                self.cycle = f
+                c.minstret += ret
+                ret = 0
+                code = t[0](c)
+                irq = mip & c.mie and c.mstatus & MSTATUS_MIE
+            else:
+                code = t[0](c)
 
             if code:
                 if code == 1:
@@ -1366,8 +1415,7 @@ class Soc:
                         data, status = bank.read(row)
                     else:
                         data = bank.cws[row] & m32
-                    dlast = (False, R_SRAM, widx & 7, row, addr, False,
-                             0, 0, False, data, status)
+                    dlast = (addr, False, 0, 0, data, status)
                     if status == RS_UNCORRECTABLE:
                         cy = d
                         hand = _LOAD_RESP
@@ -1377,7 +1425,7 @@ class Soc:
                         data = _load_lanes(data, addr, c.ev_f3)
                     rd = c.ev_rd
                     if rd:
-                        c.regs[rd] = data
+                        regs[rd] = data
                 elif code == 3:  # store: granted with the next fetch
                     addr = c.ev_addr
                     widx = (addr - sram_lo) >> 2
@@ -1394,34 +1442,44 @@ class Soc:
                     break
 
             # retire at cy, then take an interrupt or go on
-            if c.mip & c.mie and c.mstatus & MSTATUS_MIE:
+            if irq:
                 hand = 0
                 break
-            rd = entry[5]
-            c.minstret += 1
-            if rec:
-                self.tracebuf += pack(cy, hart, pc, entry[4] & m32,
-                                      rd, c.regs[rd])
-            if lines is not None:
-                lines.append(_trace_line(cy, hart, pc, entry[4], entry[6],
-                                         rd, c.regs[rd]))
+            ret += 1
+            if traced:
+                rd = t[3]
+                if tb is not None:
+                    tb += pack(cy, hart, pc, t[2], rd, regs[rd])
+                if lines is not None:
+                    lines.append(_trace_line(cy, hart, pc, t[2], t[6][6],
+                                             rd, regs[rd]))
             pc = c.pc
 
-        # the exit: what the ports hold at this boundary under the
-        # reference engine (the last data access and fetch made here, a
-        # store not yet granted), the ticks due by then, then the hand-on
+        # the exit: what the core and ports hold at this boundary under
+        # the reference engine (the last instruction, data access and
+        # fetch made here, a store not yet granted), the ticks due by
+        # then, then the hand-on
         self.cycle = cy
+        c.minstret += ret
         if dlast is not None:
-            dp.load_state(dlast)
+            addr, w, wdata, strobes, v, st = dlast
+            widx = (addr - SRAM_BASE) >> 2
+            dp.load_state((False, R_SRAM, widx & 7, widx >> 3, addr, w, wdata,
+                           strobes, False, v, st))
         if pend is not None:
             bidx, row, _widx, addr, wdata, strobes = pend
             dp.want(R_SRAM, bidx, row, addr & ~3, True, wdata, strobes)
         if fent is not None:
-            widx = (c.cur_pc - SRAM_BASE) >> 2
-            ip.load_state((False, R_SRAM, widx & 7, widx >> 3, c.cur_pc & ~3,
-                           False, 0, 0, False, fent[2], RS_OK))
+            fpc = fent[5]
+            c.cur_pc = fpc
+            c.cur_word = fent[6][4]
+            c.cur_rd = fent[3]
+            widx = (fpc - SRAM_BASE) >> 2
+            ip.load_state((False, R_SRAM, widx & 7, widx >> 3, fpc & ~3,
+                           False, 0, 0, False, fent[6][2], RS_OK))
         if stick <= cy:
             self._fast_ticks(stick, cy, hold_bank, hold_until)
+        self._trace_flush()
         if hand is None:
             self._post_fetch(c, ip)
         elif hand == _LOAD_RESP:
@@ -1430,11 +1488,12 @@ class Soc:
             self._consume_load(c, dp, ip, cy)
         else:   # in the phase the reference engine dispatches it from
             c.phase = PH_F0
-            self._apply(c, ip, dp, fent, hand, cy)
+            self._apply(c, ip, dp, fent[6], hand, cy)
 
-    def _fast_store(self, pend: tuple, g: int) -> tuple:
-        """Grant a fast-burst store at cycle ``g``; returns the data
-        port state it leaves."""
+    def _fast_store(self, pend: tuple, g: int, tab: dict) -> tuple:
+        """Grant a fast-burst store at cycle ``g``, dropping the pcs of
+        the word it writes from the burst's fetch table ``tab``; returns
+        the access as ``_fast_burst``'s ``dlast``."""
         bidx, row, widx, addr, wdata, strobes = pend
         bank = self.banks.banks[bidx]
         bank.write(row, wdata, strobes)
@@ -1442,8 +1501,10 @@ class Soc:
             self._touched[widx] |= 2
         if strobes != 0xF:
             bank.busy_until = g + 1
-        return (False, R_SRAM, bidx, row, addr & ~3, True, wdata, strobes,
-                False, 0, RS_OK)
+        a = addr & ~3
+        tab.pop(a, None)
+        tab.pop(a + 2, None)
+        return a, True, wdata, strobes, 0, RS_OK
 
     def _fast_ticks(self, s: int, upto: int, hold_bank: int,
                     hold_until: int) -> int:
@@ -1773,6 +1834,7 @@ class Soc:
         for k in kr:
             if not hand[k]:
                 sync(k, t)
+        self._trace_flush()
 
     def _lane_tick(self, s: int, lanes: "_Lanes") -> int:
         """Run the scrubber tick due at ``s`` in an event-driven burst,
@@ -1840,6 +1902,7 @@ class Soc:
 
     def _finalize(self) -> RunResult:
         self.materialize()
+        self._trace_flush()
         counters = self.banks.counters()
         return RunResult(
             mode=self.config.mode,
@@ -1858,8 +1921,8 @@ class Soc:
             scrub_uncorrectable=self.scrub.uncorrectable_seen,
             latent_uncorrectable=self.banks.latent_uncorrectable(),
             conflict_stalls=self.xbar.conflict_stalls,
-            trace_hash=hashlib.sha256(bytes(self.tracebuf)).hexdigest()
-            if self.rec_trace else None,
+            trace_hash=self._trace_sha.hexdigest() if self.rec_trace
+            else None,
             outputs_digest=self.outputs_digest(),
             trace_lines=self.trace_lines,
             defuse=None if self._touched is None else self._def_use(),
@@ -1935,6 +1998,7 @@ class Soc:
                 q.load_state(t)
         self.rom = list(snap["rom"])
         self.tracebuf = bytearray()
+        self._trace_sha = hashlib.sha256()
         if self.trace_lines is not None:
             self.trace_lines = []
         self._dormant_set(*snap["dormant"])

@@ -71,6 +71,28 @@ class TestSpecValidation:
         with pytest.raises(CampaignError, match="runs must be an integer"):
             CampaignSpec.from_dict({"kernel": "matmul8", "runs": "many"})
 
+    @pytest.mark.parametrize("value", ["no", 0, None])
+    def test_non_boolean_scrub_enabled_rejected(self, value):
+        with pytest.raises(CampaignError, match="scrub_enabled"):
+            CampaignSpec.from_dict({"kernel": "matmul8",
+                                    "scrub_enabled": value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("targets", "core"), ("harts", "012"), ("locs", "x1"),
+        ("harts", 1), ("cycle_window", "01")])
+    def test_string_or_scalar_list_field_rejected(self, name, value):
+        with pytest.raises(CampaignError, match=f"{name} must be a list"):
+            CampaignSpec.from_dict({"kernel": "matmul8", name: value})
+
+    @pytest.mark.parametrize("hart", [True, 1.0, "1"])
+    def test_non_integer_hart_rejected(self, hart):
+        with pytest.raises(CampaignError, match="bad hart"):
+            CampaignSpec.from_dict({"kernel": "matmul8", "harts": [hart]})
+
+    def test_non_object_spec_rejected(self):
+        with pytest.raises(CampaignError, match="must be an object"):
+            CampaignSpec.from_dict(5)
+
     def test_events_must_match_runs(self):
         spec = self.event_spec()
         spec["runs"] = 2

@@ -143,6 +143,39 @@ class TestKernels:
         assert code == 64
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is a usage error (64), not
+    a traceback with the guest-error code (1)."""
+
+    @pytest.mark.parametrize("flag", ["--report", "--trace", "--dump-mem"])
+    def test_run_outputs(self, capsys, tmp_path, flag):
+        bad = str(tmp_path / "missing" / "out")
+        code, _, err = run_cli(capsys, "run", "--kernel", "exit0", flag, bad)
+        assert code == 64
+        assert f"cannot write {bad}" in err
+
+    def test_run_output_is_a_directory(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "run", "--kernel", "exit0",
+                               "--report", str(tmp_path))
+        assert code == 64
+        assert "cannot write" in err
+
+    def test_kernels_emit(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "kernels", "emit", "exit0", "-o",
+                               str(tmp_path / "missing" / "x.bin"))
+        assert code == 64
+        assert "cannot write" in err
+
+    def test_campaign_run(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kernel": "matmul3", "runs": 1,
+                                    "seed": 1}))
+        code, _, err = run_cli(capsys, "campaign", "run", str(spec), "-o",
+                               str(tmp_path / "missing" / "r.json"))
+        assert code == 64
+        assert "cannot write" in err
+
+
 class TestEcc:
     def test_encode_zero(self, capsys):
         code, out, _ = run_cli(capsys, "ecc", "encode", "0x00000000")
@@ -166,6 +199,21 @@ class TestEcc:
         assert d["status"] == "corrected"
         assert d["bit_index"] == 5
         assert d["data"] == "0x12345678"
+
+    @pytest.mark.parametrize("argv", [
+        ("decode", "-5"), ("decode", "0x8000000000"),
+        ("encode", "-1"), ("encode", "0x100000000")])
+    def test_out_of_range_argument_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["ecc", *argv])
+        assert e.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must be in 0.." in err
+
+    def test_widest_arguments_accepted(self, capsys):
+        assert run_cli(capsys, "ecc", "encode", "0xffffffff")[0] == 0
+        assert run_cli(capsys, "ecc", "decode", "0x7fffffffff")[0] == 0
 
     def test_matrix_dump(self, capsys):
         code, out, _ = run_cli(capsys, "ecc", "matrix")
@@ -231,6 +279,15 @@ class TestCampaign:
         code, _, err = run_cli(capsys, "campaign", "run", str(path))
         assert code == 64
         assert "bad event hart" in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("scrub_enabled", "no"), ("targets", "core")])
+    def test_mistyped_spec_field_usage_error(self, capsys, tmp_path, field,
+                                             value):
+        path = self.spec_file(tmp_path, **{field: value})
+        code, _, err = run_cli(capsys, "campaign", "run", str(path))
+        assert code == 64
+        assert field in err
 
     def test_bad_spec_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -3,7 +3,10 @@
 Generated programs give each hart its own bounded loop of ALU, mul/div,
 compressed, word and sub-word load and store operations on one small
 shared buffer, so stores and loads of different harts keep meeting on
-the same banks.  With ``fast_loop`` on and off, a run must give the same
+the same banks, and of CSR operations: reads of the cycle and retired
+instruction counters (which the fused single-core burst writes back
+only before such an instruction and at its exit) and set/clear of
+``mscratch``.  Every value read or written ends up in the exit code.  With ``fast_loop`` on and off, a run must give the same
 report (trace hash included) and the same full state at a pause and at
 the end.  The same holds for a lockstep program with one core fault
 injected at a random cycle, with the dormant-fault shortcut on and off;
@@ -32,6 +35,7 @@ ALU = ["add", "sub", "xor", "or", "and", "sll", "srl", "sra", "slt", "sltu",
        "mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu"]
 LOADS = {"lw": 4, "lh": 2, "lhu": 2, "lb": 1, "lbu": 1}
 STORES = {"sw": 4, "sh": 2, "sb": 1}
+COUNTERS = ["mcycle", "minstret", "mcycleh"]
 BUF_BYTES = 64      # two words per bank
 
 _reg = st.sampled_from(REGS)
@@ -44,6 +48,10 @@ _op = st.one_of(
             st.just(m), _reg,
             st.integers(0, BUF_BYTES // (LOADS | STORES)[m] - 1).map(
                 lambda i, m=m: i * (LOADS | STORES)[m]))),
+    st.one_of(
+        st.tuples(st.just("csrr"), _reg, st.sampled_from(COUNTERS)),
+        st.tuples(st.sampled_from(["csrs", "csrc"]), st.just("mscratch"),
+                  _reg)),
 )
 _hart = st.fixed_dictionaries({
     "ops": st.lists(_op, min_size=1, max_size=12),
@@ -54,7 +62,7 @@ _hart = st.fixed_dictionaries({
 
 def build(harts, wait: bool = True) -> Program:
     """One block per hart; hart 0 waits for the others' done flags (when
-    ``wait``), then exits with the xor of its registers."""
+    ``wait``), then exits with the xor of its registers and ``mscratch``."""
     p = Program()
     p.label("_start")
     p.ins("csrr", "t0", "mhartid")
@@ -91,6 +99,8 @@ def build(harts, wait: bool = True) -> Program:
                 p.ins("beqz", "t1", f"wait{j}")
         for r in REGS[1:]:
             p.ins("xor", "a0", "a0", r)
+        p.ins("csrr", "t1", "mscratch")
+        p.ins("xor", "a0", "a0", "t1")
         p.ins("la", "t6", SIMCTL_BASE)
         p.ins("sw", "a0", 4, "t6")
         p.ins("sw", "x0", 0, "t6")

@@ -210,6 +210,124 @@ def _store_fetch_conflict_loop(op, offset):
     return p
 
 
+def _self_modifying_loop(op, n):
+    """A loop that executes the instruction at ``patch`` and, on every
+    other iteration, rewrites it (``sw`` of the word, ``sh`` of the upper
+    half of a 32-bit ``addi``, or ``sh`` of a ``c.addi`` in the upper
+    half of its word) so the next fetch of it must see the new word.
+    The two encodings add ``incs`` to a0; a0 is the result register."""
+    p = Program()
+    p.label("_start")
+    p.ins("la", "s0", "patch")
+    p.ins("li", "s1", n)
+    p.ins("li", "a0", 0)
+    if op == "sw":      # addi a0, a0, 1 -> addi a0, a0, 17
+        p.ins("lw", "s2", 0, "s0")
+        p.ins("li", "t0", 1 << 24)
+        p.ins("add", "s3", "s2", "t0")
+        store, incs = ("sw", "s3", 0, "s0"), (1, 17)
+    elif op == "sh":    # its upper half: addi a0, a0, 1 -> addi a0, a0, 2
+        p.ins("lhu", "s2", 2, "s0")
+        p.ins("addi", "s3", "s2", 0x10)
+        store, incs = ("sh", "s3", 2, "s0"), (1, 2)
+    else:               # c.addi a0, 1 -> c.addi a0, 3 at word offset 2
+        p.ins("lhu", "s2", 0, "s0")
+        p.ins("addi", "s3", "s2", 8)
+        store, incs = ("sh", "s3", 0, "s0"), (1, 3)
+    p.ins("j", "loop")
+    p.align(32)
+    if op == "c.sh":
+        p.ins("c.nop")      # never executed: only the pc a + 2 is
+        p.label("loop")
+        p.label("patch")
+        p.ins("c.addi", "a0", 1)
+    else:
+        p.label("loop")
+        p.label("patch")
+        p.ins("addi", "a0", "a0", 1)
+    p.ins("andi", "t1", "s1", 1)
+    p.ins("beqz", "t1", "skip")
+    p.ins(*store)
+    p.ins("mv", "t2", "s2")             # the next rewrite swaps back
+    p.ins("mv", "s2", "s3")
+    p.ins("mv", "s3", "t2")
+    p.label("skip")
+    p.ins("addi", "s1", "s1", -1)
+    p.ins("bnez", "s1", "loop")
+    p.ins("la", "t6", SIMCTL_BASE)
+    p.ins("sw", "a0", 4, "t6")
+    p.ins("sw", "x0", 0, "t6")
+    return p, incs
+
+
+class TestSelfModifyingCode:
+    @pytest.mark.parametrize("mode", ["lockstep", "single"])
+    @pytest.mark.parametrize("op", ["sw", "sh", "c.sh"])
+    def test_rewritten_instruction_refetched(self, op, mode):
+        # the fused burst checks a pc's fetch once and keeps the result;
+        # a store to the instruction's word must drop it, or the burst
+        # runs the old instruction again
+        n = 40
+        prog, incs = _self_modifying_loop(op, n)
+        want, cur = 0, 0
+        for i in range(n, 0, -1):
+            want += incs[cur]
+            cur ^= i & 1
+        fast = _states(prog, mode, True, [200], trace_lines=True)
+        ref = _states(prog, mode, False, [200], trace_lines=True)
+        assert ref[0]["checksum"] == want
+        assert fast[0] == ref[0]
+        for (cf, got), (cr, want_snap) in zip(fast[1], ref[1]):
+            assert cf == cr
+            assert got == want_snap, cr
+
+
+class TestInterruptEnabledInBurst:
+    @pytest.mark.parametrize("mode", ["lockstep", "single"])
+    def test_taken_right_after_enabling_csr_op(self, mode):
+        # a software interrupt pending behind a cleared mstatus.MIE is
+        # taken right after the CSR instruction that sets MIE, also in
+        # the fused burst (from the second pass, once the loop is
+        # decoded), not at the next instruction that leaves the burst
+        n = 4
+        p = Program()
+        p.label("_start")
+        p.ins("csrw", "mstatus", "x0")
+        p.ins("li", "t0", 8)
+        p.ins("csrw", "mie", "t0")      # MSIE only
+        p.ins("la", "t0", "handler")
+        p.ins("csrw", "mtvec", "t0")
+        p.ins("la", "s0", ODRG_BASE)
+        p.ins("li", "s1", 1)
+        p.ins("li", "s2", n)
+        p.ins("li", "a0", 0)
+        p.label("loop")
+        p.ins("sw", "s1", 0x2C, "s0")   # msip: pending, MIE still clear
+        p.ins("addi", "a0", "a0", 1)
+        p.ins("addi", "a0", "a0", 1)
+        p.ins("csrrsi", "x0", "mstatus", 8)    # MIE: taken right here
+        p.ins("addi", "a0", "a0", 100)
+        p.ins("addi", "s2", "s2", -1)
+        p.ins("bnez", "s2", "loop")
+        p.ins("la", "t6", SIMCTL_BASE)
+        p.ins("sw", "a0", 4, "t6")
+        p.ins("sw", "x0", 0, "t6")
+        p.label("handler")
+        p.ins("sw", "x0", 0x2C, "s0")   # ack msip
+        p.ins("slli", "a0", "a0", 1)
+        p.ins("li", "t0", 0x80)
+        p.ins("csrc", "mstatus", "t0")  # mret leaves MIE clear
+        p.ins("mret")
+        want = 0
+        for _ in range(n):
+            want = (want + 2) * 2 + 100
+        fast = _states(p, mode, True, [], trace_lines=True)
+        ref = _states(p, mode, False, [], trace_lines=True)
+        assert ref[0]["checksum"] == want
+        assert fast[0] == ref[0]
+        assert fast[1] == ref[1]
+
+
 class TestParallelPauseResume:
     def soc(self):
         return fresh(mode="parallel", prog=kernels.matmul_kernel(8, "parallel3"))
