@@ -31,7 +31,7 @@ from . import kernels as kern
 from .core import CORE_LOC_TAGS
 from .ecc import WORD_BITS
 from .memory import NUM_BANKS, ROWS_PER_BANK
-from .soc import FATAL_EXIT_BASE, DefUse, Soc, SocConfig, RunResult
+from .soc import FATAL_EXIT_BASE, DefUse, LoadError, Soc, SocConfig, RunResult
 
 OUTCOME_CLASSES = (
     "masked_voter", "corrected_ecc", "resynced", "detected_uncorrectable",
@@ -256,11 +256,15 @@ def _make_soc(spec: CampaignSpec, record_trace: bool,
                     scrub_interval=spec.scrub_interval,
                     record_trace=record_trace)
     soc = Soc(cfg)
-    if spec.binary is not None:
-        with open(spec.binary, "rb") as f:
-            soc.load_program(f.read(), spec.entry)
-    else:
-        soc.load_program(kern.build_kernel(spec.kernel, spec.mode), spec.entry)
+    try:
+        if spec.binary is not None:
+            with open(spec.binary, "rb") as f:
+                soc.load_program(f.read(), spec.entry)
+        else:
+            soc.load_program(kern.build_kernel(spec.kernel, spec.mode),
+                             spec.entry)
+    except LoadError as e:
+        raise CampaignError(str(e)) from None
     return soc
 
 
@@ -444,5 +448,10 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> dict:
 
 
 def load_spec(path: str) -> CampaignSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        return CampaignSpec.from_dict(json.load(f))
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        d = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as e:   # not UTF-8, not JSON, too deep
+        raise CampaignError(f"{path} is not a JSON spec: {e}") from None
+    return CampaignSpec.from_dict(d)

@@ -32,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _interval(text: str) -> int:
+def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -79,8 +79,8 @@ def _build_parser() -> _Parser:
                      help="entry address for --binary (default SRAM base)")
     run.add_argument("--mode", choices=("lockstep", "single", "parallel"),
                      default="lockstep")
-    run.add_argument("--max-cycles", type=int, default=10_000_000)
-    run.add_argument("--scrub-interval", type=_interval, default=64,
+    run.add_argument("--max-cycles", type=_positive, default=10_000_000)
+    run.add_argument("--scrub-interval", type=_positive, default=64,
                      help="cycles between scrubber reads (>= 1)")
     run.add_argument("--no-scrub", action="store_true")
     run.add_argument("--trace", metavar="PATH",
@@ -196,7 +196,7 @@ def _cmd_campaign(args) -> int:
     try:
         spec = load_spec(args.spec)
         report = run_campaign(spec, jobs=max(1, args.jobs))
-    except (CampaignError, OSError, json.JSONDecodeError) as e:
+    except (CampaignError, OSError) as e:
         print(f"lockstep-mcu: campaign error: {e}", file=sys.stderr)
         return EXIT_USAGE
     text = json.dumps(report, indent=2)

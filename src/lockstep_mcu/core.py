@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from operator import attrgetter
 
+from .asm import _BRANCHES, _CSROPS, _LOADS, _OPIMM, _OPREG, _STORES
+
 M32 = 0xFFFFFFFF
 SIGN = 0x80000000
 
@@ -262,12 +264,17 @@ class Core:
 # Factory functions close over decoded fields.  ``ln`` is the encoded
 # length (2 or 4) used to advance pc.
 
+def _nop(ln):
+    """An instruction whose only effect is to advance pc."""
+    def ex(c):
+        c.pc = (c.pc + ln) & M32
+        return 0
+    return ex
+
+
 def _alu_imm(mnem, rd, rs1, imm, ln):
     if rd == 0:
-        def ex(c):
-            c.pc = (c.pc + ln) & M32
-            return 0
-        return ex
+        return _nop(ln)
     if mnem == "addi":
         def ex(c):
             r = c.regs
@@ -319,10 +326,7 @@ def _alu_imm(mnem, rd, rs1, imm, ln):
 
 def _shift_imm(mnem, rd, rs1, sh, ln):
     if rd == 0:
-        def ex(c):
-            c.pc = (c.pc + ln) & M32
-            return 0
-        return ex
+        return _nop(ln)
     if mnem == "slli":
         def ex(c):
             r = c.regs
@@ -346,10 +350,7 @@ def _shift_imm(mnem, rd, rs1, sh, ln):
 
 def _alu_reg(mnem, rd, rs1, rs2, ln):
     if rd == 0:
-        def ex(c):
-            c.pc = (c.pc + ln) & M32
-            return 0
-        return ex
+        return _nop(ln)
     simple = {
         "add": lambda a, b: (a + b) & M32,
         "sub": lambda a, b: (a - b) & M32,
@@ -518,9 +519,8 @@ def _store(f3, rs1, rs2, imm, ln):
     return ex
 
 
-def _csr_op(f3, rd, csr, src, word, ln):
+def _csr_op(f3, rd, csr, src, writes, word, ln):
     write_only = f3 in (1, 5) and rd == 0  # csrrw/csrrwi with rd=x0 skip read
-    read_only = f3 in (2, 3, 6, 7) and src == 0  # csrrs/c x0 never writes
 
     def ex(c):
         now = c.soc.cycle
@@ -536,7 +536,7 @@ def _csr_op(f3, rd, csr, src, word, ln):
             new = (old or 0) | v
         else:
             new = (old or 0) & ~v
-        if not read_only:
+        if writes:
             if not c.csr_write(csr, new, now):
                 c.ev_cause = EXC_ILLEGAL
                 c.ev_tval = word
@@ -566,30 +566,20 @@ def _wfi(ln):
     return ex
 
 
-def _fence(ln):
-    def ex(c):
-        c.pc = (c.pc + ln) & M32
-        return 0
-    return ex
-
-
-def _trap_now(cause, tval):
-    def ex(c):
-        c.ev_cause = cause
-        c.ev_tval = tval
-        return 5
-    return ex
-
-
-# ---------------------------------------------------- access-set analysis
+# ---------------------------------------------------------------- decoder
 #
-# Conservative per-instruction state access sets, used by the lockstep
-# scheduler to keep a single-bit fault "dormant" while nothing reads it.
-# Register masks are bit-per-x-register; CSR masks use the tag bits
-# below.  Read masks over-approximate (extra bits only cost speed);
-# write masks under-approximate (only unconditional writes of retired
-# instructions may appear, since a spurious bit would wrongly erase a
-# live fault).
+# The decoder is the only code that reads operand fields out of an
+# instruction word.  Each result is (closure, rd, text, reads, writes,
+# csr reads, csr writes): ``rd`` is the register the instruction writes
+# (0 for none), the one its trace line shows, and the last four are its
+# state access sets.  The lockstep scheduler keeps a single-bit fault
+# "dormant" while nothing reads it, and a golden run's def/use log
+# unions the read sets.  Register masks are bit-per-x-register, x0
+# dropped; CSR masks use the tag bits below.  Read masks
+# over-approximate (extra bits only cost speed); write masks name only
+# unconditional writes of retired instructions, since a spurious bit
+# would wrongly erase a live fault.  An encoding that traps claims to
+# read every register and CSR and to write nothing.
 
 CT_MSTATUS = 1
 CT_MTVEC = 2
@@ -615,119 +605,38 @@ CORE_LOC_TAGS = {
     "mscratch": CT_MSCRATCH, "mcycle": CT_MCYCLE, "minstret": CT_MINSTRET,
 }
 
-_RW_ALL_CSRS = (1 << 10) - 1
+_ALL_REGS = (1 << 32) - 2
+_ALL_CSRS = (1 << 10) - 1
+
+# field value -> mnemonic, the inverses of the assembler's tables
+_OPIMM_NAMES = {f3: m for m, f3 in _OPIMM.items()}
+_OP_NAMES = {key: m for m, key in _OPREG.items()}
+_LD_NAMES = {f3: m for m, f3 in _LOADS.items()}
+_ST_NAMES = {f3: m for m, f3 in _STORES.items()}
+_BR_NAMES = {f3: m for m, f3 in _BRANCHES.items()}
+_CSR_NAMES = {f3: m for m, f3 in _CSROPS.items()}
 
 
-def rw_sets(word: int, ilen: int) -> tuple[int, int, int, int]:
-    """(reg reads, reg writes, csr reads, csr writes) for one instruction.
-
-    Unknown encodings claim to read everything and write nothing, the
-    safe direction for both masks.
-    """
-    if ilen == 2:
-        return _rw_sets16(word)
-    op = word & 0x7F
-    rd = (word >> 7) & 31
-    f3 = (word >> 12) & 7
-    rs1 = (word >> 15) & 31
-    rs2 = (word >> 20) & 31
-    wr = (1 << rd) & ~1
-    if op in (0b0010011, 0b0000011, 0b1100111):   # op-imm, load, jalr
-        return (1 << rs1) & ~1, wr, 0, 0
-    if op == 0b0110011:                            # op / muldiv
-        return ((1 << rs1) | (1 << rs2)) & ~1, wr, 0, 0
-    if op in (0b0100011, 0b1100011):               # store, branch
-        return ((1 << rs1) | (1 << rs2)) & ~1, 0, 0, 0
-    if op in (0b0110111, 0b0010111, 0b1101111):    # lui, auipc, jal
-        return 0, wr, 0, 0
-    if op == 0b0001111:                            # fences
-        return 0, 0, 0, 0
-    if op == 0b1110011:
-        if f3 == 0:
-            if word == 0x30200073:                 # mret
-                return 0, 0, CT_MEPC | CT_MSTATUS, CT_MSTATUS
-            return 0, 0, _RW_ALL_CSRS, 0          # ecall/ebreak/wfi: trap/bail
-        if f3 in (1, 2, 3, 5, 6, 7):               # csr ops
-            tag = CSR_TAG.get(word >> 20, _RW_ALL_CSRS)
-            rr = (1 << rs1) & ~1 if f3 < 4 else 0
-            writes = True
-            if f3 in (2, 3) and rs1 == 0:
-                writes = False                     # csrrs/c with x0
-            if f3 in (6, 7) and rs1 == 0:
-                writes = False                     # csrrsi/ci with zimm=0
-            cw = tag if (writes and tag != _RW_ALL_CSRS) else 0
-            return rr, wr, tag, cw
-    return (1 << 32) - 2, 0, _RW_ALL_CSRS, 0
+def _decoded(ex, rd, text, *srcs, csr_reads=0, csr_writes=0):
+    """A decode result for closure ``ex`` that reads registers ``srcs``
+    and writes ``rd``."""
+    reads = 0
+    for r in srcs:
+        reads |= 1 << r
+    return ex, rd, text, reads & ~1, (1 << rd) & ~1, csr_reads, csr_writes
 
 
-def _rw_sets16(half: int) -> tuple[int, int, int, int]:
-    q = half & 3
-    f3 = (half >> 13) & 7
-    rdp = 8 + ((half >> 2) & 7)
-    rs1p = 8 + ((half >> 7) & 7)
-    full = (half >> 7) & 31
-    rs2full = (half >> 2) & 31
-    if q == 0:
-        if f3 == 0:
-            return 1 << 2, 1 << rdp, 0, 0          # c.addi4spn
-        if f3 == 2:
-            return 1 << rs1p, 1 << rdp, 0, 0       # c.lw
-        if f3 == 6:
-            return (1 << rs1p) | (1 << rdp), 0, 0, 0   # c.sw
-    elif q == 1:
-        if f3 == 0 or f3 == 2:                     # c.addi / c.li
-            return ((1 << full) & ~1 if f3 == 0 else 0), (1 << full) & ~1, 0, 0
-        if f3 == 1:
-            return 0, 1 << 1, 0, 0                 # c.jal
-        if f3 == 5:
-            return 0, 0, 0, 0                      # c.j
-        if f3 == 3:
-            if full == 2:
-                return 1 << 2, 1 << 2, 0, 0        # c.addi16sp
-            return 0, (1 << full) & ~1, 0, 0       # c.lui
-        if f3 == 4:
-            sub = (half >> 10) & 3
-            if sub < 3:
-                return 1 << rdp, 1 << rdp, 0, 0    # shifts / c.andi
-            rs2p = 8 + ((half >> 2) & 7)
-            return (1 << rdp) | (1 << rs2p), 1 << rdp, 0, 0
-        return 1 << rs1p, 0, 0, 0                  # c.beqz / c.bnez
-    else:
-        if f3 == 0:
-            return (1 << full) & ~1, (1 << full) & ~1, 0, 0  # c.slli
-        if f3 == 2:
-            return 1 << 2, (1 << full) & ~1, 0, 0  # c.lwsp
-        if f3 == 6:
-            return (1 << 2) | (1 << rs2full), 0, 0, 0  # c.swsp
-        if f3 == 4:
-            bit12 = (half >> 12) & 1
-            if rs2full == 0:
-                if full == 0:
-                    return 0, 0, _RW_ALL_CSRS, 0   # c.ebreak: trap/bail
-                # c.jr / c.jalr
-                return (1 << full) & ~1, (1 << 1) if bit12 else 0, 0, 0
-            if bit12:
-                return ((1 << full) | (1 << rs2full)) & ~1, (1 << full) & ~1, 0, 0
-            return (1 << rs2full) & ~1, (1 << full) & ~1, 0, 0  # c.mv
-    return (1 << 32) - 2, 0, _RW_ALL_CSRS, 0
-
-
-_BR_NAMES = {0: "beq", 1: "bne", 4: "blt", 5: "bge", 6: "bltu", 7: "bgeu"}
-_LD_NAMES = {0: "lb", 1: "lh", 2: "lw", 4: "lbu", 5: "lhu"}
-_ST_NAMES = {0: "sb", 1: "sh", 2: "sw"}
-_OPIMM_NAMES = {0: "addi", 2: "slti", 3: "sltiu", 4: "xori", 6: "ori", 7: "andi"}
-_OP_NAMES = {
-    (0, 0x00): "add", (0, 0x20): "sub", (1, 0x00): "sll", (2, 0x00): "slt",
-    (3, 0x00): "sltu", (4, 0x00): "xor", (5, 0x00): "srl", (5, 0x20): "sra",
-    (6, 0x00): "or", (7, 0x00): "and",
-    (0, 0x01): "mul", (1, 0x01): "mulh", (2, 0x01): "mulhsu", (3, 0x01): "mulhu",
-    (4, 0x01): "div", (5, 0x01): "divu", (6, 0x01): "rem", (7, 0x01): "remu",
-}
-_CSR_NAMES = {1: "csrrw", 2: "csrrs", 3: "csrrc", 5: "csrrwi", 6: "csrrsi", 7: "csrrci"}
+def _trap(cause, tval, text="illegal"):
+    """A decode result for an encoding that traps when it executes."""
+    def ex(c):
+        c.ev_cause = cause
+        c.ev_tval = tval
+        return 5
+    return ex, 0, text, _ALL_REGS, 0, _ALL_CSRS, 0
 
 
 def decode32(word: int, pc: int):
-    """Decode a 32-bit instruction to (closure, rd, mnemonic)."""
+    """Decode a 32-bit instruction (see the decoder notes above)."""
     op = word & 0x7F
     rd = (word >> 7) & 31
     f3 = (word >> 12) & 7
@@ -739,85 +648,98 @@ def decode32(word: int, pc: int):
         if f3 == 1 or f3 == 5:
             sh = rs2
             if f3 == 1 and f7 == 0:
-                return _shift_imm("slli", rd, rs1, sh, 4), rd, f"slli x{rd}, x{rs1}, {sh}"
-            if f3 == 5 and f7 == 0:
-                return _shift_imm("srli", rd, rs1, sh, 4), rd, f"srli x{rd}, x{rs1}, {sh}"
-            if f3 == 5 and f7 == 0x20:
-                return _shift_imm("srai", rd, rs1, sh, 4), rd, f"srai x{rd}, x{rs1}, {sh}"
-            return _trap_now(EXC_ILLEGAL, word), 0, "illegal"
+                mnem = "slli"
+            elif f3 == 5 and f7 == 0:
+                mnem = "srli"
+            elif f3 == 5 and f7 == 0x20:
+                mnem = "srai"
+            else:
+                return _trap(EXC_ILLEGAL, word)
+            return _decoded(_shift_imm(mnem, rd, rs1, sh, 4), rd,
+                            f"{mnem} x{rd}, x{rs1}, {sh}", rs1)
         mnem = _OPIMM_NAMES[f3]
         imm = _sx12(word >> 20)
-        return _alu_imm(mnem, rd, rs1, imm, 4), rd, f"{mnem} x{rd}, x{rs1}, {imm}"
+        return _decoded(_alu_imm(mnem, rd, rs1, imm, 4), rd,
+                        f"{mnem} x{rd}, x{rs1}, {imm}", rs1)
     if op == 0b0110011:
-        key = (f3, f7)
-        if key not in _OP_NAMES:
-            return _trap_now(EXC_ILLEGAL, word), 0, "illegal"
-        mnem = _OP_NAMES[key]
-        text = f"{mnem} x{rd}, x{rs1}, x{rs2}"
-        if f7 == 0x01:
-            return _muldiv(mnem, rd, rs1, rs2, 4), rd, text
-        return _alu_reg(mnem, rd, rs1, rs2, 4), rd, text
+        mnem = _OP_NAMES.get((f3, f7))
+        if mnem is None:
+            return _trap(EXC_ILLEGAL, word)
+        factory = _muldiv if f7 == 0x01 else _alu_reg
+        return _decoded(factory(mnem, rd, rs1, rs2, 4), rd,
+                        f"{mnem} x{rd}, x{rs1}, x{rs2}", rs1, rs2)
     if op == 0b0000011:
         if f3 not in _LD_NAMES:
-            return _trap_now(EXC_ILLEGAL, word), 0, "illegal"
+            return _trap(EXC_ILLEGAL, word)
         imm = _sx12(word >> 20)
-        return _load(f3, rd, rs1, imm, 4), rd, f"{_LD_NAMES[f3]} x{rd}, {imm}(x{rs1})"
+        return _decoded(_load(f3, rd, rs1, imm, 4), rd,
+                        f"{_LD_NAMES[f3]} x{rd}, {imm}(x{rs1})", rs1)
     if op == 0b0100011:
         if f3 not in _ST_NAMES:
-            return _trap_now(EXC_ILLEGAL, word), 0, "illegal"
+            return _trap(EXC_ILLEGAL, word)
         imm = _sx12(((word >> 25) << 5) | ((word >> 7) & 31))
-        return _store(f3, rs1, rs2, imm, 4), 0, f"{_ST_NAMES[f3]} x{rs2}, {imm}(x{rs1})"
+        return _decoded(_store(f3, rs1, rs2, imm, 4), 0,
+                        f"{_ST_NAMES[f3]} x{rs2}, {imm}(x{rs1})", rs1, rs2)
     if op == 0b1100011:
         if f3 not in _BR_NAMES:
-            return _trap_now(EXC_ILLEGAL, word), 0, "illegal"
+            return _trap(EXC_ILLEGAL, word)
         imm = (((word >> 31) & 1) << 12) | (((word >> 7) & 1) << 11) | \
             (((word >> 25) & 0x3F) << 5) | (((word >> 8) & 0xF) << 1)
         if imm & 0x1000:
             imm -= 0x2000
         target = (pc + imm) & M32
         mnem = _BR_NAMES[f3]
-        return _branch(mnem, rs1, rs2, target, 4), 0, f"{mnem} x{rs1}, x{rs2}, {target:#x}"
+        return _decoded(_branch(mnem, rs1, rs2, target, 4), 0,
+                        f"{mnem} x{rs1}, x{rs2}, {target:#x}", rs1, rs2)
     if op == 0b0110111:
-        return _lui(rd, word & 0xFFFFF000, 4), rd, f"lui x{rd}, {word >> 12:#x}"
+        return _decoded(_lui(rd, word & 0xFFFFF000, 4), rd,
+                        f"lui x{rd}, {word >> 12:#x}")
     if op == 0b0010111:
-        return _auipc(rd, word & 0xFFFFF000, pc, 4), rd, f"auipc x{rd}, {word >> 12:#x}"
+        return _decoded(_auipc(rd, word & 0xFFFFF000, pc, 4), rd,
+                        f"auipc x{rd}, {word >> 12:#x}")
     if op == 0b1101111:
         imm = (((word >> 31) & 1) << 20) | (((word >> 12) & 0xFF) << 12) | \
             (((word >> 20) & 1) << 11) | (((word >> 21) & 0x3FF) << 1)
         if imm & 0x100000:
             imm -= 0x200000
         target = (pc + imm) & M32
-        return _jal(rd, target, pc, 4), rd, f"jal x{rd}, {target:#x}"
+        return _decoded(_jal(rd, target, pc, 4), rd, f"jal x{rd}, {target:#x}")
     if op == 0b1100111 and f3 == 0:
         imm = _sx12(word >> 20)
-        return _jalr(rd, rs1, imm, pc, 4), rd, f"jalr x{rd}, {imm}(x{rs1})"
+        return _decoded(_jalr(rd, rs1, imm, pc, 4), rd,
+                        f"jalr x{rd}, {imm}(x{rs1})", rs1)
     if op == 0b0001111:
-        return _fence(4), 0, "fence.i" if f3 == 1 else "fence"
+        return _decoded(_nop(4), 0, "fence.i" if f3 == 1 else "fence")
     if op == 0b1110011:
         if f3 == 0:
-            imm12 = word >> 20
             if word == 0x00000073:
-                return _trap_now(EXC_ECALL_M, 0), 0, "ecall"
+                return _trap(EXC_ECALL_M, 0, "ecall")
             if word == 0x00100073:
-                return _trap_now(EXC_BREAKPOINT, pc), 0, "ebreak"
+                return _trap(EXC_BREAKPOINT, pc, "ebreak")
             if word == 0x30200073:
-                return _mret(), 0, "mret"
+                return _decoded(_mret(), 0, "mret",
+                                csr_reads=CT_MEPC | CT_MSTATUS,
+                                csr_writes=CT_MSTATUS)
             if word == 0x10500073:
-                return _wfi(4), 0, "wfi"
-            return _trap_now(EXC_ILLEGAL, word), 0, "illegal"
+                return _decoded(_wfi(4), 0, "wfi", csr_reads=_ALL_CSRS)
+            return _trap(EXC_ILLEGAL, word)
         if f3 in _CSR_NAMES:
+            # an unknown CSR reads everything; csrrs/csrrc with x0 and
+            # csrrsi/csrrci with zimm 0 never write
             csr = word >> 20
-            src = rs1
-            return (_csr_op(f3, rd, csr, src, word, 4), rd,
-                    f"{_CSR_NAMES[f3]} x{rd}, {csr:#x}, {src}")
-        return _trap_now(EXC_ILLEGAL, word), 0, "illegal"
-    return _trap_now(EXC_ILLEGAL, word), 0, "illegal"
+            tag = CSR_TAG.get(csr, _ALL_CSRS)
+            writes = f3 in (1, 5) or rs1 != 0
+            return _decoded(_csr_op(f3, rd, csr, rs1, writes, word, 4), rd,
+                            f"{_CSR_NAMES[f3]} x{rd}, {csr:#x}, {rs1}",
+                            rs1 if f3 < 4 else 0, csr_reads=tag,
+                            csr_writes=tag if writes and tag != _ALL_CSRS else 0)
+    return _trap(EXC_ILLEGAL, word)
 
 
 def decode16(half: int, pc: int):
     """Decode a compressed instruction by expanding to base semantics."""
     if half == 0:
-        return _trap_now(EXC_ILLEGAL, 0), 0, "illegal"
+        return _trap(EXC_ILLEGAL, 0)
     q = half & 3
     f3 = (half >> 13) & 7
     if q == 0:
@@ -827,18 +749,20 @@ def decode16(half: int, pc: int):
             imm = (((half >> 11) & 3) << 4) | (((half >> 7) & 0xF) << 6) | \
                 (((half >> 6) & 1) << 2) | (((half >> 5) & 1) << 3)
             if imm == 0:
-                return _trap_now(EXC_ILLEGAL, half), 0, "illegal"
-            return (_alu_imm("addi", rdp, 2, imm, 2), rdp,
-                    f"c.addi4spn x{rdp}, {imm}")
+                return _trap(EXC_ILLEGAL, half)
+            return _decoded(_alu_imm("addi", rdp, 2, imm, 2), rdp,
+                            f"c.addi4spn x{rdp}, {imm}", 2)
         if f3 == 2:
             imm = (((half >> 10) & 7) << 3) | (((half >> 6) & 1) << 2) | \
                 (((half >> 5) & 1) << 6)
-            return _load(2, rdp, rs1p, imm, 2), rdp, f"c.lw x{rdp}, {imm}(x{rs1p})"
+            return _decoded(_load(2, rdp, rs1p, imm, 2), rdp,
+                            f"c.lw x{rdp}, {imm}(x{rs1p})", rs1p)
         if f3 == 6:
             imm = (((half >> 10) & 7) << 3) | (((half >> 6) & 1) << 2) | \
                 (((half >> 5) & 1) << 6)
-            return _store(2, rs1p, rdp, imm, 2), 0, f"c.sw x{rdp}, {imm}(x{rs1p})"
-        return _trap_now(EXC_ILLEGAL, half), 0, "illegal"
+            return _decoded(_store(2, rs1p, rdp, imm, 2), 0,
+                            f"c.sw x{rdp}, {imm}(x{rs1p})", rs1p, rdp)
+        return _trap(EXC_ILLEGAL, half)
     if q == 1:
         if f3 == 0:
             rd = (half >> 7) & 31
@@ -846,8 +770,9 @@ def decode16(half: int, pc: int):
             if imm & 0x20:
                 imm -= 64
             if rd == 0:
-                return _fence(2), 0, "c.nop"
-            return _alu_imm("addi", rd, rd, imm, 2), rd, f"c.addi x{rd}, {imm}"
+                return _decoded(_nop(2), 0, "c.nop")
+            return _decoded(_alu_imm("addi", rd, rd, imm, 2), rd,
+                            f"c.addi x{rd}, {imm}", rd)
         if f3 == 1 or f3 == 5:
             u = half
             imm = (((u >> 12) & 1) << 11) | (((u >> 11) & 1) << 4) | \
@@ -859,13 +784,14 @@ def decode16(half: int, pc: int):
             target = (pc + imm) & M32
             rd = 1 if f3 == 1 else 0
             mnem = "c.jal" if f3 == 1 else "c.j"
-            return _jal(rd, target, pc, 2), rd, f"{mnem} {target:#x}"
+            return _decoded(_jal(rd, target, pc, 2), rd, f"{mnem} {target:#x}")
         if f3 == 2:
             rd = (half >> 7) & 31
             imm = ((half >> 2) & 31) | (((half >> 12) & 1) << 5)
             if imm & 0x20:
                 imm -= 64
-            return _alu_imm("addi", rd, 0, imm, 2), rd, f"c.li x{rd}, {imm}"
+            return _decoded(_alu_imm("addi", rd, 0, imm, 2), rd,
+                            f"c.li x{rd}, {imm}")
         if f3 == 3:
             rd = (half >> 7) & 31
             if rd == 2:
@@ -874,73 +800,74 @@ def decode16(half: int, pc: int):
                     (((half >> 2) & 1) << 5)
                 if imm & 0x200:
                     imm -= 0x400
-                return _alu_imm("addi", 2, 2, imm, 2), 2, f"c.addi16sp {imm}"
+                return _decoded(_alu_imm("addi", 2, 2, imm, 2), 2,
+                                f"c.addi16sp {imm}", 2)
             imm = (((half >> 12) & 1) << 17) | (((half >> 2) & 31) << 12)
             if imm & 0x20000:
                 imm -= 0x40000
-            return _lui(rd, imm & M32, 2), rd, f"c.lui x{rd}, {(imm >> 12) & 0x3F:#x}"
+            return _decoded(_lui(rd, imm & M32, 2), rd,
+                            f"c.lui x{rd}, {(imm >> 12) & 0x3F:#x}")
         if f3 == 4:
             sub = (half >> 10) & 3
             rdp = 8 + ((half >> 7) & 7)
             if sub == 0 or sub == 1:
                 sh = ((half >> 2) & 31) | (((half >> 12) & 1) << 5)
-                mnem = "c.srli" if sub == 0 else "c.srai"
-                return (_shift_imm("srli" if sub == 0 else "srai", rdp, rdp, sh & 31, 2),
-                        rdp, f"{mnem} x{rdp}, {sh}")
+                mnem = "srli" if sub == 0 else "srai"
+                return _decoded(_shift_imm(mnem, rdp, rdp, sh & 31, 2), rdp,
+                                f"c.{mnem} x{rdp}, {sh}", rdp)
             if sub == 2:
                 imm = ((half >> 2) & 31) | (((half >> 12) & 1) << 5)
                 if imm & 0x20:
                     imm -= 64
-                return _alu_imm("andi", rdp, rdp, imm, 2), rdp, f"c.andi x{rdp}, {imm}"
+                return _decoded(_alu_imm("andi", rdp, rdp, imm, 2), rdp,
+                                f"c.andi x{rdp}, {imm}", rdp)
             rs2p = 8 + ((half >> 2) & 7)
-            op2 = (half >> 5) & 3
             if (half >> 12) & 1:
-                return _trap_now(EXC_ILLEGAL, half), 0, "illegal"
-            mnem = ("sub", "xor", "or", "and")[op2]
-            return (_alu_reg(mnem, rdp, rdp, rs2p, 2), rdp,
-                    f"c.{mnem} x{rdp}, x{rs2p}")
-        if f3 == 6 or f3 == 7:
-            rs1p = 8 + ((half >> 7) & 7)
-            u = half
-            imm = (((u >> 12) & 1) << 8) | (((u >> 10) & 3) << 3) | \
-                (((u >> 5) & 3) << 6) | (((u >> 3) & 3) << 1) | \
-                (((u >> 2) & 1) << 5)
-            if imm & 0x100:
-                imm -= 0x200
-            target = (pc + imm) & M32
-            mnem = "c.beqz" if f3 == 6 else "c.bnez"
-            return (_branch("beq" if f3 == 6 else "bne", rs1p, 0, target, 2),
-                    0, f"{mnem} x{rs1p}, {target:#x}")
-        return _trap_now(EXC_ILLEGAL, half), 0, "illegal"
+                return _trap(EXC_ILLEGAL, half)
+            mnem = ("sub", "xor", "or", "and")[(half >> 5) & 3]
+            return _decoded(_alu_reg(mnem, rdp, rdp, rs2p, 2), rdp,
+                            f"c.{mnem} x{rdp}, x{rs2p}", rdp, rs2p)
+        # f3 6 or 7
+        rs1p = 8 + ((half >> 7) & 7)
+        u = half
+        imm = (((u >> 12) & 1) << 8) | (((u >> 10) & 3) << 3) | \
+            (((u >> 5) & 3) << 6) | (((u >> 3) & 3) << 1) | \
+            (((u >> 2) & 1) << 5)
+        if imm & 0x100:
+            imm -= 0x200
+        target = (pc + imm) & M32
+        mnem = "c.beqz" if f3 == 6 else "c.bnez"
+        return _decoded(_branch("beq" if f3 == 6 else "bne", rs1p, 0, target, 2),
+                        0, f"{mnem} x{rs1p}, {target:#x}", rs1p)
     # q == 2
+    rd = (half >> 7) & 31
+    rs2 = (half >> 2) & 31
     if f3 == 0:
-        rd = (half >> 7) & 31
         sh = ((half >> 2) & 31) | (((half >> 12) & 1) << 5)
-        return _shift_imm("slli", rd, rd, sh & 31, 2), rd, f"c.slli x{rd}, {sh}"
+        return _decoded(_shift_imm("slli", rd, rd, sh & 31, 2), rd,
+                        f"c.slli x{rd}, {sh}", rd)
     if f3 == 2:
-        rd = (half >> 7) & 31
         if rd == 0:
-            return _trap_now(EXC_ILLEGAL, half), 0, "illegal"
+            return _trap(EXC_ILLEGAL, half)
         imm = (((half >> 12) & 1) << 5) | (((half >> 4) & 7) << 2) | \
             (((half >> 2) & 3) << 6)
-        return _load(2, rd, 2, imm, 2), rd, f"c.lwsp x{rd}, {imm}"
+        return _decoded(_load(2, rd, 2, imm, 2), rd, f"c.lwsp x{rd}, {imm}", 2)
     if f3 == 4:
-        bit12 = (half >> 12) & 1
-        rd = (half >> 7) & 31
-        rs2 = (half >> 2) & 31
-        if bit12 == 0:
+        if (half >> 12) & 1 == 0:
             if rs2 == 0:
                 if rd == 0:
-                    return _trap_now(EXC_ILLEGAL, half), 0, "illegal"
-                return _jalr(0, rd, 0, pc, 2), 0, f"c.jr x{rd}"
-            return _alu_reg("add", rd, 0, rs2, 2), rd, f"c.mv x{rd}, x{rs2}"
+                    return _trap(EXC_ILLEGAL, half)
+                return _decoded(_jalr(0, rd, 0, pc, 2), 0, f"c.jr x{rd}", rd)
+            return _decoded(_alu_reg("add", rd, 0, rs2, 2), rd,
+                            f"c.mv x{rd}, x{rs2}", rs2)
         if rs2 == 0:
             if rd == 0:
-                return _trap_now(EXC_BREAKPOINT, pc), 0, "c.ebreak"
-            return _jalr(1, rd, 0, pc, 2), 1, f"c.jalr x{rd}"
-        return _alu_reg("add", rd, rd, rs2, 2), rd, f"c.add x{rd}, x{rs2}"
+                return _trap(EXC_BREAKPOINT, pc, "c.ebreak")
+            return _decoded(_jalr(1, rd, 0, pc, 2), 1, f"c.jalr x{rd}", rd)
+        return _decoded(_alu_reg("add", rd, rd, rs2, 2), rd,
+                        f"c.add x{rd}, x{rs2}", rd, rs2)
     if f3 == 6:
-        rs2 = (half >> 2) & 31
         imm = (((half >> 9) & 0xF) << 2) | (((half >> 7) & 3) << 6)
-        return _store(2, 2, rs2, imm, 2), 0, f"c.swsp x{rs2}, {imm}"
-    return _trap_now(EXC_ILLEGAL, half), 0, "illegal"
+        return _decoded(_store(2, 2, rs2, imm, 2), 0, f"c.swsp x{rs2}, {imm}",
+                        2, rs2)
+    return _trap(EXC_ILLEGAL, half)

@@ -127,10 +127,6 @@ def encode(data: int) -> int:
     return data | (parity_of(data) << DATA_BITS)
 
 
-def syndrome(codeword: int) -> int:
-    return parity_of(codeword & DATA_MASK) ^ (codeword >> DATA_BITS)
-
-
 def decode_raw(codeword: int) -> tuple[int, int, int]:
     """Fast-path decode: returns (data, status_code, bit_index).
 

@@ -55,7 +55,7 @@ from .core import (
     Core, M32, PH_F0, PH_F1, PH_EX, PH_LD, PH_DW,
     EXC_IACCESS_FAULT, EXC_LACCESS_FAULT, EXC_SACCESS_FAULT,
     MSTATUS_MIE, MIE_MEIE, MIE_MSIE, CORE_LOC_TAGS,
-    decode16, decode32, rw_sets,
+    decode16, decode32,
 )
 from .interconnect import (
     Crossbar, Port, R_DEV, R_NONE, R_ROM, R_SRAM,
@@ -91,6 +91,7 @@ FATAL_EXIT_BASE = 0xDEAD0000  # unhandled trap: exit code 0xDEAD0000 | cause
 CONVERGENCE_CHECK_PERIOD = 64
 
 _TRACE_REC = struct.Struct("<QBIIBI")
+_TRACE_FLUSH = 1 << 16      # bytes of records the reference engine buffers
 
 # core fault location -> (its bit in a register mask, its CSR tag)
 _LOC_MASKS = {f"x{i}": (1 << i, 0) for i in range(1, 32)}
@@ -894,8 +895,11 @@ class Soc:
         c.minstret += 1
         rd = c.cur_rd
         if self.rec_trace:
-            self.tracebuf += _TRACE_REC.pack(
+            tb = self.tracebuf
+            tb += _TRACE_REC.pack(
                 now, c.mhartid, c.cur_pc, c.cur_word & M32, rd, c.regs[rd])
+            if len(tb) >= _TRACE_FLUSH:
+                self._trace_flush()
         if self.trace_lines is not None:
             self.trace_lines.append(_trace_line(
                 now, c.mhartid, c.cur_pc, c.cur_word, self._mnemonic(c), rd,
@@ -975,9 +979,8 @@ class Soc:
     def _decode(self, pc: int, nwords: int, w0: int, w1: int, word: int) -> tuple:
         """Decode the instruction ``word`` at ``pc`` (fetched as ``nwords``
         words ``w0``, ``w1``) into a decode-cache entry."""
-        ilen = 4 if word & 3 == 3 else 2
-        op, rd, mnem = (decode32 if ilen == 4 else decode16)(word, pc)
-        entry = (op, nwords, w0, w1, word, rd, mnem) + rw_sets(word, ilen)
+        op, *rest = (decode32 if word & 3 == 3 else decode16)(word, pc)
+        entry = (op, nwords, w0, w1, word, *rest)
         self.dcache[pc] = entry
         return entry
 

@@ -187,13 +187,13 @@ class TestDecodeRoundtrip:
     @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
     def test_32bit(self, case):
         word = one_word(*case)
-        _op, _rd, text = decode32(word, BASE)
+        text = decode32(word, BASE)[2]
         assert text.split()[0].rstrip(",") == case[0]
 
     @pytest.mark.parametrize("case", C_CASES, ids=lambda c: c[0])
     def test_16bit(self, case):
         half = one_half(*case)
-        _op, _rd, text = decode16(half, BASE)
+        text = decode16(half, BASE)[2]
         assert text.split()[0].rstrip(",") == case[0]
 
     def test_mixed_stream(self):

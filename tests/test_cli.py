@@ -295,3 +295,38 @@ class TestCampaign:
         code, _, err = run_cli(capsys, "campaign", "run", str(path))
         assert code == 64
         assert "campaign error" in err
+
+
+class TestBadInput:
+    """Malformed input ends in a one-line error and exit 64, not a
+    traceback."""
+
+    def campaign(self, capsys, tmp_path, data: bytes):
+        path = tmp_path / "spec.json"
+        path.write_bytes(data)
+        return run_cli(capsys, "campaign", "run", str(path))
+
+    def test_spec_not_utf8(self, capsys, tmp_path):
+        code, _, err = self.campaign(capsys, tmp_path, b'{"kernel": "\xff"}')
+        assert code == 64
+        assert "campaign error" in err
+
+    def test_spec_nested_too_deep(self, capsys, tmp_path):
+        code, _, err = self.campaign(capsys, tmp_path, b"[" * 100_000)
+        assert code == 64
+        assert "campaign error" in err
+
+    def test_spec_entry_outside_sram(self, capsys, tmp_path):
+        image = tmp_path / "exit0.bin"
+        run_cli(capsys, "kernels", "emit", "exit0", "-o", str(image))
+        spec = {"binary": str(image), "entry": 3, "runs": 1}
+        code, _, err = self.campaign(capsys, tmp_path,
+                                     json.dumps(spec).encode())
+        assert code == 64
+        assert "outside SRAM" in err
+
+    def test_negative_max_cycles(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["run", "--kernel", "hello", "--max-cycles", "-1"])
+        assert e.value.code == 64
+        assert "--max-cycles" in capsys.readouterr().err

@@ -1,10 +1,12 @@
 """Directed ISA tests: semantics forced by the architecture, cycle
 costs per the pipeline model, traps, state dump/load."""
 
+import random
+
 import pytest
 
-from lockstep_mcu.asm import Program
-from lockstep_mcu.core import rw_sets
+from lockstep_mcu.asm import Program, assemble
+from lockstep_mcu.core import Core, decode16, decode32
 from lockstep_mcu.soc import SIMCTL_BASE, SRAM_BASE, Soc, SocConfig
 
 M32 = 0xFFFFFFFF
@@ -493,38 +495,116 @@ class TestDumpLoad:
         assert ra.trace_hash != rb.trace_hash  # trace buffers differ (post-restore only)
 
 
+def _encode(*ins) -> int:
+    """The encoding of one instruction (16 or 32 bits)."""
+    p = Program()
+    p.label("_start")
+    p.ins(*ins)
+    raw = assemble(p, 0)
+    return int.from_bytes(raw[:4] if raw[0] & 3 == 3 else raw[:2], "little")
+
+
+def _access_sets(word: int) -> tuple:
+    """(reg reads, reg writes, csr reads, csr writes) of one encoding."""
+    return (decode32 if word & 3 == 3 else decode16)(word, SRAM_BASE)[3:]
+
+
+_TRAP_TEXTS = ("illegal", "ecall", "ebreak", "c.ebreak")
+_EXEC_FIELDS = ("pc", "ev_extra", "ev_addr", "ev_val", "ev_rd", "ev_f3",
+                "ev_cause", "ev_tval")
+
+
+class _Clock:
+    cycle = 1000
+
+
+class _Regs(list):
+    """A register file that records which registers are assigned."""
+    written = 0
+
+    def __setitem__(self, r, value):
+        self.written |= 1 << r
+        super().__setitem__(r, value)
+
+
+def _execute(ex, regs: list) -> tuple:
+    """Run closure ``ex`` on a fresh core holding ``regs``: (action code,
+    pc and event fields, final registers)."""
+    c = Core(0, _Clock)
+    c.regs = _Regs(regs)
+    c.pc = SRAM_BASE
+    code = ex(c)
+    return code, {f: getattr(c, f) for f in _EXEC_FIELDS}, c.regs
+
+
+def _legal_encodings():
+    """Every 16-bit half and a seeded sample of 32-bit words with the base
+    opcodes, minus the encodings that decode to a trap."""
+    rng = random.Random(2023)
+    ops = (0x13, 0x33, 0x03, 0x23, 0x63, 0x37, 0x17, 0x6F, 0x67, 0x0F, 0x73)
+    words = [w for w in range(65536) if w & 3 != 3]
+    for _ in range(6000):
+        w = rng.getrandbits(32) & ~0x7F | rng.choice(ops)
+        if w & 0x7F == 0x33 or (w & 0x7F == 0x13 and (w >> 12) & 3 == 1):
+            w = w & 0x01FFFFFF | rng.choice((0, 1, 0x20)) << 25
+        words.append(w)
+    for w in words:
+        ex, _rd, text, *sets = (decode32 if w & 3 == 3 else decode16)(w, SRAM_BASE)
+        if text not in _TRAP_TEXTS:
+            yield w, text, ex, sets
+
+
 class TestAccessSets:
     def test_alu_sets(self):
-        from lockstep_mcu.asm import assemble
-        import struct
-        p = Program()
-        p.label("_start")
-        p.ins("add", "a0", "a1", "a2")
-        word = struct.unpack("<I", assemble(p, 0)[:4])[0]
-        r, w, cr, cw = rw_sets(word, 4)
+        r, w, cr, cw = _access_sets(_encode("add", "a0", "a1", "a2"))
         assert r == (1 << 11) | (1 << 12)
         assert w == 1 << 10
         assert cr == cw == 0
 
     def test_store_reads_both(self):
-        from lockstep_mcu.asm import assemble
-        import struct
-        p = Program()
-        p.label("_start")
-        p.ins("sw", "a0", 4, "a1")
-        word = struct.unpack("<I", assemble(p, 0)[:4])[0]
-        r, w, cr, cw = rw_sets(word, 4)
+        r, w, cr, cw = _access_sets(_encode("sw", "a0", 4, "a1"))
         assert r == (1 << 10) | (1 << 11)
         assert w == 0
 
     def test_csrrs_x0_never_writes(self):
-        from lockstep_mcu.asm import assemble
-        import struct
-        p = Program()
-        p.label("_start")
-        p.ins("csrr", "a0", "mtvec")  # csrrs a0, mtvec, x0
-        word = struct.unpack("<I", assemble(p, 0)[:4])[0]
-        r, w, cr, cw = rw_sets(word, 4)
+        # csrrs a0, mtvec, x0
+        r, w, cr, cw = _access_sets(_encode("csrr", "a0", "mtvec"))
         assert w == 1 << 10
         assert cr == 2  # CT_MTVEC
         assert cw == 0
+
+    @pytest.mark.parametrize("ins", [("c.srli", "a0", 3), ("c.srai", "a0", 3),
+                                     ("c.andi", "a0", -2), ("c.sub", "a0", "a1"),
+                                     ("c.xor", "a0", "a1"), ("c.or", "a0", "a1"),
+                                     ("c.and", "a0", "a1")], ids=lambda i: i[0])
+    def test_compressed_alu_reads_rd(self, ins):
+        # rd' sits in bits 9:7 of these CA/CB encodings
+        r, w, _cr, _cw = _access_sets(_encode(*ins))
+        assert r == (1 << 10) | (1 << 11 if ins[2] == "a1" else 0)
+        assert w == 1 << 10
+
+    def test_traps_read_everything(self):
+        for word in (0, 0x9002, 0x00000073, 0x00100073, 0xFFFFFFFF, 0x0000501B):
+            assert _access_sets(word) == ((1 << 32) - 2, 0, (1 << 10) - 1, 0)
+
+    def test_masks_match_semantics(self):
+        """Registers outside the read mask do not change what a closure
+        does, and the registers it writes are exactly the write mask
+        (the loaded register, for a load)."""
+        rng = random.Random(7)
+        for word, text, ex, (reads, writes, _cr, _cw) in _legal_encodings():
+            a = [0] + [rng.getrandbits(32) for _ in range(31)]
+            b = [a[r] if reads >> r & 1 else rng.getrandbits(32) | 1 << 31
+                 for r in range(32)]
+            b[0] = 0
+            code, fields, fa = _execute(ex, a)
+            fb = _execute(ex, b)
+            assert fb[:2] == (code, fields), text
+            if code == 5:       # a trap leaves the registers alone
+                assert fa.written == 0, text
+            elif code == 2:     # the loaded register is written later
+                assert fa.written == 0 and (1 << fields["ev_rd"]) & ~1 == writes, text
+            else:
+                assert fa.written & ~1 == writes, text
+                assert [fa[r] for r in range(32) if writes >> r & 1] == \
+                    [fb[2][r] for r in range(32) if writes >> r & 1], text

@@ -1,15 +1,17 @@
 """Differential fuzzing of the fused engines against the reference engine.
 
 Generated programs give each hart its own bounded loop of ALU, mul/div,
-compressed, word and sub-word load and store operations on one small
-shared buffer, so stores and loads of different harts keep meeting on
-the same banks, and of CSR operations: reads of the cycle and retired
-instruction counters (which the fused single-core burst writes back
-only before such an instruction and at its exit) and set/clear of
-``mscratch``.  Every value read or written ends up in the exit code.  With ``fast_loop`` on and off, a run must give the same
-report (trace hash included) and the same full state at a pause and at
-the end.  The same holds for a lockstep program with one core fault
-injected at a random cycle, with the dormant-fault shortcut on and off;
+compressed ALU (``c.addi`` and the CA/CB ops ``c.srli`` ... ``c.and``),
+word and sub-word load and store operations on one small shared buffer,
+so stores and loads of different harts keep meeting on the same banks,
+and of CSR operations: reads of the cycle and retired instruction
+counters (which the fused single-core burst writes back only before
+such an instruction and at its exit) and set/clear of ``mscratch``.
+Every value read or written ends up in the exit code.  With
+``fast_loop`` on and off, a run must give the same report (trace hash
+included) and the same full state at a pause and at the end.  The same
+holds for a lockstep program with one core fault injected at a random
+cycle, with the dormant-fault shortcut on and off;
 the shortcut itself may change nothing but the trace hash, since each
 core of a split group records its own retirements.  Finally, pausing any
 of these runs at a random cycle to take a ``snapshot()`` must not change
@@ -43,6 +45,9 @@ _op = st.one_of(
     st.tuples(st.sampled_from(ALU), _reg, _reg, _reg),
     st.tuples(st.just("addi"), _reg, _reg, st.integers(-2048, 2047)),
     st.tuples(st.just("c.addi"), _reg, st.integers(1, 31)),
+    st.tuples(st.sampled_from(["c.srli", "c.srai"]), _reg, st.integers(0, 31)),
+    st.tuples(st.just("c.andi"), _reg, st.integers(-32, 31)),
+    st.tuples(st.sampled_from(["c.sub", "c.xor", "c.or", "c.and"]), _reg, _reg),
     st.sampled_from(sorted(LOADS | STORES)).flatmap(
         lambda m: st.tuples(
             st.just(m), _reg,
@@ -175,6 +180,10 @@ _fault = st.tuples(st.integers(20, 600), st.integers(0, 2),
                "init": [358546079, 3043427287, 4090515511, 1777249098,
                         542351185, 2753545384]},
          fault=(260, 1, "x14", 6), scrub=64)
+# a dormant fault in rd' of a compressed ALU op (rd' is in bits 9:7)
+@example(hart={"ops": [("c.andi", "a0", -2)], "loops": 2,
+               "init": [0x55, 1, 2, 3, 4, 5]},
+         fault=(40, 1, "x10", 0), scrub=64)
 @given(hart=_hart, fault=_fault, scrub=st.sampled_from([1, 3, 7, 64]))
 def test_lockstep_faulty_engines_agree(hart, fault, scrub):
     prog = build((hart, hart, hart), wait=False)

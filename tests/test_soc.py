@@ -370,6 +370,19 @@ class TestLifetime:
             gc.enable()
 
 
+class TestTraceBuffer:
+    def test_reference_engine_buffer_stays_bounded(self):
+        # with the scrubber off, no tick flushes the reference engine's
+        # retirement records: the buffer must still stay bounded, and the
+        # trace hash must not move
+        prog = kernels.build_kernel("matmul24", "lockstep")
+        soc = fresh(prog=prog, fast_loop=False, scrub_enabled=False)
+        soc.run(stop_at=30_000)
+        assert len(soc.tracebuf) < 1 << 17
+        whole = fresh(prog=prog, scrub_enabled=False).run()
+        assert soc.run().trace_hash == whole.trace_hash
+
+
 class TestConfig:
     @pytest.mark.parametrize("interval", [0, -3])
     def test_scrub_interval_must_be_positive(self, interval):
