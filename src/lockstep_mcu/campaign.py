@@ -25,7 +25,7 @@ import json
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from . import kernels as kern
 from .core import CORE_LOC_TAGS
@@ -177,20 +177,9 @@ class CampaignSpec:
     def from_dict(cls, d: dict) -> "CampaignSpec":
         if not isinstance(d, dict):
             raise CampaignError(f"a spec must be an object: {d!r}")
-        known = {
-            "kernel", "binary", "entry", "mode", "runs", "seed", "max_cycles",
-            "scrub_interval", "scrub_enabled", "targets", "harts", "locs",
-            "cycle_window", "events", "schema",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in _SPEC_FIELDS} - {"events", "schema"}
         if unknown:
             raise CampaignError(f"unknown spec fields: {sorted(unknown)}")
-
-        def seq(name: str, default: tuple) -> tuple:
-            value = d.get(name, default)
-            if not isinstance(value, (list, tuple)):
-                raise CampaignError(f"{name} must be a list: {value!r}")
-            return tuple(value)
 
         events = None
         if "events" in d:
@@ -205,48 +194,32 @@ class CampaignSpec:
                 if "kind" not in e or "at_cycle" not in e:
                     raise CampaignError("every event needs kind and at_cycle")
             events = [FaultEvent(**e) for e in events]
-        spec = cls(
-            kernel=d.get("kernel", "matmul24"),
-            binary=d.get("binary"),
-            entry=d.get("entry"),
-            mode=d.get("mode", "lockstep"),
-            runs=d.get("runs", 100),
-            seed=d.get("seed", 1),
-            max_cycles=d.get("max_cycles"),
-            scrub_interval=d.get("scrub_interval", 64),
-            scrub_enabled=d.get("scrub_enabled", True),
-            targets=seq("targets", ("core",)),
-            harts=seq("harts", (0, 1, 2)),
-            locs=seq("locs", CORE_LOCS),
-            cycle_window=seq("cycle_window", (0.0, 1.0)),
-            explicit_events=events,
-        )
+        kw = {}
+        for f in _SPEC_FIELDS:
+            value = d.get(f.name, f.default)
+            if isinstance(f.default, tuple):     # read as a list
+                if not isinstance(value, (list, tuple)):
+                    raise CampaignError(f"{f.name} must be a list: {value!r}")
+                value = tuple(value)
+            kw[f.name] = value
+        spec = cls(**kw, explicit_events=events)
         spec.validate()
         return spec
 
     def to_dict(self) -> dict:
-        d = {
-            "schema": "campaign-spec/1",
-            "kernel": self.kernel,
-            "binary": self.binary,
-            "entry": self.entry,
-            "mode": self.mode,
-            "runs": self.runs,
-            "seed": self.seed,
-            "max_cycles": self.max_cycles,
-            "scrub_interval": self.scrub_interval,
-            "scrub_enabled": self.scrub_enabled,
-            "targets": list(self.targets),
-            "harts": list(self.harts),
-            "locs": list(self.locs),
-            "cycle_window": list(self.cycle_window),
-        }
+        """The spec as JSON, keys in field order, tuples as lists."""
+        d = {"schema": "campaign-spec/1"}
+        for f in _SPEC_FIELDS:
+            value = getattr(self, f.name)
+            d[f.name] = list(value) if isinstance(f.default, tuple) else value
         if self.explicit_events is not None:
-            d["events"] = [
-                {"kind": e.kind, "at_cycle": e.at_cycle, "hart": e.hart,
-                 "loc": e.loc, "bank": e.bank, "row": e.row, "bit": e.bit}
-                for e in self.explicit_events]
+            d["events"] = [asdict(e) for e in self.explicit_events]
         return d
+
+
+# the spec's JSON fields, in order; the events are written as "events"
+_SPEC_FIELDS = tuple(f for f in fields(CampaignSpec)
+                     if f.name != "explicit_events")
 
 
 def _make_soc(spec: CampaignSpec, record_trace: bool,

@@ -798,11 +798,15 @@ def decode16(half: int, pc: int):
                 imm = (((half >> 12) & 1) << 9) | (((half >> 6) & 1) << 4) | \
                     (((half >> 5) & 1) << 6) | (((half >> 3) & 3) << 7) | \
                     (((half >> 2) & 1) << 5)
+                if imm == 0:    # c.addi16sp 0 is reserved
+                    return _trap(EXC_ILLEGAL, half)
                 if imm & 0x200:
                     imm -= 0x400
                 return _decoded(_alu_imm("addi", 2, 2, imm, 2), 2,
                                 f"c.addi16sp {imm}", 2)
             imm = (((half >> 12) & 1) << 17) | (((half >> 2) & 31) << 12)
+            if imm == 0:    # c.lui with a zero immediate is reserved
+                return _trap(EXC_ILLEGAL, half)
             if imm & 0x20000:
                 imm -= 0x40000
             return _decoded(_lui(rd, imm & M32, 2), rd,
@@ -811,9 +815,11 @@ def decode16(half: int, pc: int):
             sub = (half >> 10) & 3
             rdp = 8 + ((half >> 7) & 7)
             if sub == 0 or sub == 1:
-                sh = ((half >> 2) & 31) | (((half >> 12) & 1) << 5)
+                sh = (half >> 2) & 31
+                if (half >> 12) & 1:    # shamt[5]: reserved on RV32C
+                    return _trap(EXC_ILLEGAL, half)
                 mnem = "srli" if sub == 0 else "srai"
-                return _decoded(_shift_imm(mnem, rdp, rdp, sh & 31, 2), rdp,
+                return _decoded(_shift_imm(mnem, rdp, rdp, sh, 2), rdp,
                                 f"c.{mnem} x{rdp}, {sh}", rdp)
             if sub == 2:
                 imm = ((half >> 2) & 31) | (((half >> 12) & 1) << 5)
@@ -843,9 +849,10 @@ def decode16(half: int, pc: int):
     rd = (half >> 7) & 31
     rs2 = (half >> 2) & 31
     if f3 == 0:
-        sh = ((half >> 2) & 31) | (((half >> 12) & 1) << 5)
-        return _decoded(_shift_imm("slli", rd, rd, sh & 31, 2), rd,
-                        f"c.slli x{rd}, {sh}", rd)
+        if (half >> 12) & 1:    # shamt[5]: reserved on RV32C
+            return _trap(EXC_ILLEGAL, half)
+        return _decoded(_shift_imm("slli", rd, rd, rs2, 2), rd,
+                        f"c.slli x{rd}, {rs2}", rd)
     if f3 == 2:
         if rd == 0:
             return _trap(EXC_ILLEGAL, half)

@@ -1226,25 +1226,25 @@ class Soc:
             cycle += 1
             self.cycle = cycle
             self._bus_cycle(cycle)
-            if self.lockstep and not self.converged:
+            # H2: a group split at this point gets the voted responses,
+            # steps its three cores and votes their requests; one that a
+            # replay splits in this cycle has voted already
+            split = self.lockstep and not self.converged
+            if split:
                 self._broadcast_resps()
-                for c, ip, dp in self.active:
-                    self._tick_core(c, ip, dp, cycle)
-                if self.running:
+            for c, ip, dp in self.active:
+                self._tick_core(c, ip, dp, cycle)
+            if self.running or not split:
+                if split:
                     self._vote_cycle(cycle)
-                    if self.odrg.resync_state == RESYNC_DONE:
-                        self.odrg.resync_state = RESYNC_IDLE
-                    if (self.converged is False and self.running
-                            and cycle >= self._diverge_check_at):
-                        self._try_collapse()
-                        self._diverge_check_at = cycle + CONVERGENCE_CHECK_PERIOD
-            else:
-                for c, ip, dp in self.active:
-                    self._tick_core(c, ip, dp, cycle)
                 if self.odrg.resync_state == RESYNC_DONE:
                     self.odrg.resync_state = RESYNC_IDLE
-                    if self.lockstep and not self.converged:
+                    if self.lockstep and not (split or self.converged):
                         self._try_collapse()
+                if split and self.running and \
+                        cycle >= self._diverge_check_at:
+                    self._try_collapse()
+                    self._diverge_check_at = cycle + CONVERGENCE_CHECK_PERIOD
             if self.odrg.pending_mode is not None:
                 self._maybe_switch_mode()
             if self.running:
@@ -1533,7 +1533,12 @@ class Soc:
         cycle's grants come first, with the crossbar's round robin on a
         shared bank and busy banks delaying their requests, then the
         cores step in ``self.active`` order, then a due scrubber tick
-        runs under ``_bus_cycle``'s rule.  What the local state cannot
+        runs under ``_bus_cycle``'s rule.  A cycle goes through the full
+        arbitration only when two requests claim one bank for it (a
+        request claims its bank's next cycle when it is posted and again
+        each time it loses), when a sub-word store made a bank busy for
+        it, or when it is the burst's first cycle; in any other cycle
+        every due request is granted at once.  What the local state cannot
         express (device and ROM accesses, decode misses, spanning
         fetches, bad responses, traps, ``wfi``, interrupts) is written
         back and handed to the reference helpers, and the burst ends
@@ -1585,21 +1590,11 @@ class Soc:
         wbits = (mem.TOTAL_WORDS - 1).bit_length()  # w >> wbits: outside SRAM
         m32 = M32
 
-        # Every request claims its bank for the cycle it will act in (a
-        # busy bank claims itself); a second claim marks that cycle as
-        # one with a shared or busy bank, which alone needs arbitration.
-        t1 = cy + 1
+        # the claim rule above: ``cl[b] == t1`` once a request has claimed
+        # bank ``b`` for cycle ``t1``; ``clash`` is the next cycle that
+        # goes through the full arbitration
         cl = [-1] * len(busy)
-        for b, v in enumerate(busy):
-            if v >= t1:
-                cl[b] = t1
-        clash = -1
-        for k in kr:
-            for e, b in ((ie[k], fi[k][0]), (de[k], db[k])):
-                if e == t1:
-                    if cl[b] == t1:
-                        clash = t1
-                    cl[b] = t1
+        clash = cy + 1
 
         stop = False
         guard = min(stick, allowed + 1)
@@ -1620,33 +1615,33 @@ class Soc:
                 tick_now = t == stick
             self.cycle = t
             t1 = t + 1
-            # H1 on a cycle with a shared or busy bank: which requests
-            # wait (bit 2k: the fetch of core k, bit 2k+1: its data)
+            # H1 on such a cycle: which requests wait (bit 2k: the fetch
+            # of core k, bit 2k+1: its data request)
             slow = clash == t
             if slow:
                 lose = 0
                 want: dict[int, list] = {}
                 for k in kr:
-                    if na[k] != t:
-                        continue
-                    if de[k] <= t:
-                        b = db[k]
-                        if busy[b] >= t:
-                            lose |= 2 << 2 * k
-                        else:
-                            want.setdefault(b, []).append((DP[k], 2 << 2 * k))
-                    if ie[k] <= t:
-                        b = fi[k][0]
-                        if busy[b] >= t:
-                            lose |= 1 << 2 * k
-                        else:
-                            want.setdefault(b, []).append((IP[k], 1 << 2 * k))
+                    if na[k] == t:
+                        if de[k] <= t:
+                            want.setdefault(db[k], []).append(
+                                (DP[k], 2 << 2 * k))
+                        if ie[k] <= t:
+                            want.setdefault(fi[k][0], []).append(
+                                (IP[k], 1 << 2 * k))
                 for b, g in want.items():
-                    if len(g) > 1:
+                    if busy[b] >= t:
+                        win = None
+                    elif len(g) > 1:
                         win = xbar.arbitrate([p for p, _bit in g], b)
-                        for p, bit in g:
-                            if p is not win:
-                                lose |= bit
+                    else:
+                        continue
+                    for p, bit in g:
+                        if p is not win:
+                            lose |= bit
+                            if cl[b] == t1:
+                                clash = t1
+                            cl[b] = t1
 
             for k in kr:
                 if na[k] != t:
@@ -1655,12 +1650,8 @@ class Soc:
                 c = C[k]
                 p = ph[k]
                 if de[k] <= t and p != PH_LD:   # a posted store
-                    b = db[k]
-                    if slow and lose >> 2 * k & 2:
-                        if cl[b] == t1:
-                            clash = t1
-                        cl[b] = t1
-                    else:
+                    if not (slow and lose >> 2 * k & 2):
+                        b = db[k]
                         rq = dreq[k]
                         row = dr[k]
                         banks[b].write(row, rq[2], rq[3])
@@ -1669,37 +1660,28 @@ class Soc:
                         if touched is not None:
                             touched[row << 3 | b] |= 2
                         if rq[3] != 0xF:
-                            busy[b] = banks[b].busy_until = t1
-                            if cl[b] == t1:
-                                clash = t1
-                            cl[b] = t1
+                            busy[b] = banks[b].busy_until = clash = t1
                         drv[k] = 0
                         de[k] = big
                     if p == PH_F0 and ie[k] > t:
                         continue    # its fetch was posted later
 
                 if p == PH_F0:
+                    if slow and lose >> 2 * k & 1:
+                        continue
                     f = fi[k]
                     b = f[0]
-                    if slow and lose >> 2 * k & 1:
-                        if cl[b] == t1:
-                            clash = t1
-                        cl[b] = t1
-                        continue
                     row = f[1]
                     if touched is not None:
                         touched[row << 3 | b] |= 1
                     if clean or row not in tnt[b]:
-                        v = f[2][row] & m32
+                        v, st = f[2][row] & m32, RS_OK
                     else:
                         v, st = banks[b].read(row)
-                        if st:
-                            lanes.to_fetch(self, k, t, v, st)
-                            hand[k] = stop = True
-                            continue
                     e = f[3]
-                    if e[2] != v:   # a miss, a spanning or a stale entry
-                        lanes.to_fetch(self, k, t, v, RS_OK)
+                    if e[2] != v or st:
+                        # a miss, a spanning or stale entry, a bad row
+                        lanes.to_fetch(self, k, t, v, st)
                         hand[k] = stop = True
                         continue
                     ent[k] = e
@@ -1718,12 +1700,9 @@ class Soc:
                     e, f = ent[k], fi[k]
                     code = 0
                 elif p == PH_LD:
-                    b = db[k]
                     if slow and lose >> 2 * k & 2:
-                        if cl[b] == t1:
-                            clash = t1
-                        cl[b] = t1
                         continue
+                    b = db[k]
                     row = dr[k]
                     if touched is not None:
                         touched[row << 3 | b] |= 1
@@ -1763,16 +1742,12 @@ class Soc:
                         if de[k] == big:
                             na[k] = xe[k]
                         continue
-                    if code > 3:    # wfi or a trap
-                        sync(k, t)
-                        self._apply(c, IP[k], DP[k], e, code, t)
-                        hand[k] = stop = True
-                        continue
                     addr = c.ev_addr
                     w = (addr - sram_lo) >> 2
-                    if w >> wbits:  # a ROM, device or unmapped target
+                    if code > 3 or w >> wbits:
+                        # wfi, a trap, or a ROM, device or unmapped target
                         sync(k, t)
-                        self._issue_data(c, IP[k], DP[k], code, t)
+                        self._apply(c, IP[k], DP[k], ent[k], code, t)
                         hand[k] = stop = True
                         continue
                     if de[k] != big:    # issued once the posted store drains
@@ -1796,7 +1771,10 @@ class Soc:
                         ph[k] = PH_F0
                         e, f = ent[k], fi[k]
 
-                # retire, then take an interrupt or fetch the next pc
+                # retire, then fetch the next pc; an interrupt or a pc
+                # outside SRAM goes to ``_boundary``, which only posts the
+                # fetch when this interrupt test fails (``mip`` does not
+                # change inside a burst)
                 c.minstret += 1
                 rd = e[5]
                 if rec:
@@ -1804,22 +1782,17 @@ class Soc:
                 if lines is not None:
                     lines.append(_trace_line(t, hid[k], f[4], e[4], e[6], rd,
                                              c.regs[rd]))
-                if irq[k] and c.mip & c.mie and c.mstatus & MSTATUS_MIE:
+                pc = c.pc
+                f = fget(pc)
+                if f is None and not (pc - sram_lo) >> 2 >> wbits:
+                    f = fcache[pc] = _fetch_info(pc, cws, dcache)
+                if f is None or \
+                        irq[k] and c.mip & c.mie and c.mstatus & MSTATUS_MIE:
                     ie[k] = big
                     sync(k, t)
                     self._boundary(c, IP[k], t, False)
                     hand[k] = stop = True
                     continue
-                pc = c.pc
-                f = fget(pc)
-                if f is None:
-                    if (pc - sram_lo) >> 2 >> wbits:
-                        ie[k] = big
-                        sync(k, t)
-                        self._post_fetch(c, IP[k])
-                        hand[k] = stop = True
-                        continue
-                    f = fcache[pc] = _fetch_info(pc, cws, dcache)
                 b = f[0]
                 if cl[b] == t1:
                     clash = t1

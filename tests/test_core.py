@@ -340,6 +340,20 @@ class TestTraps:
         res = soc.run()
         assert res.exit_code == 0xDEAD0002
 
+    # c.slli, c.srli and c.srai with shamt[5] set, c.addi16sp 0, c.lui 0
+    @pytest.mark.parametrize("half", [0x1506, 0x9105, 0x6101, 0x6501],
+                             ids=hex)
+    def test_reserved_compressed_encoding_illegal(self, half):
+        assert decode16(half, SRAM_BASE)[2] == "illegal"
+        p = Program()
+        p.label("_start")
+        p.word(0x0001 << 16 | half)     # then c.nop
+        p.ins("la", "t6", SIMCTL_BASE)
+        p.ins("sw", "x0", 0, "t6")
+        soc = Soc(SocConfig())
+        soc.load_program(p)
+        assert soc.run().exit_code == 0xDEAD0002
+
     def test_ecall_fatal_cause_11(self):
         p = Program()
         p.label("_start")

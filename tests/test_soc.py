@@ -2,18 +2,23 @@
 
 import gc
 import json
+import sys
+import types
 import weakref
+from pathlib import Path
 
 import pytest
 
+import lockstep_mcu
 from lockstep_mcu import kernels
-from lockstep_mcu.asm import Program
-from lockstep_mcu.core import PH_EX, PH_LD
-from lockstep_mcu.interconnect import R_SRAM
+from lockstep_mcu import soc as soc_mod
+from lockstep_mcu.asm import Program, label_map
+from lockstep_mcu.core import MSTATUS_MIE, PH_EX, PH_LD
+from lockstep_mcu.interconnect import RS_CORRECTED, R_SRAM
 from lockstep_mcu.memory import TOTAL_BYTES, TOTAL_WORDS
 from lockstep_mcu.soc import (
     LoadError, MEMCTL_BASE, ODRG_BASE, ROM_BASE, SIMCTL_BASE, SRAM_BASE,
-    UART_BASE, Soc, SocConfig,
+    UART_BASE, Soc, SocConfig, build_boot_rom,
 )
 
 
@@ -355,6 +360,165 @@ class TestParallelPauseResume:
                         "conflict_stalls", "ecc_correctable",
                         "ecc_uncorrectable", "checksum", "exit_code"):
                 assert getattr(rb, key) == getattr(ref, key), (k, key)
+
+
+def _two_harts(hart0, hart1):
+    """A parallel program: hart 0 runs what ``hart0(p)`` emits and exits
+    with a0 as the result, hart 1 runs what ``hart1(p)`` emits and parks,
+    and hart 2 parks at once."""
+    p = Program()
+    p.label("_start")
+    p.ins("csrr", "t0", "mhartid")
+    p.ins("beqz", "t0", "hart0")
+    p.ins("li", "t1", 1)
+    p.ins("beq", "t0", "t1", "hart1")
+    p.label("park")
+    p.ins("wfi")
+    p.ins("j", "park")
+    p.label("hart1")
+    hart1(p)
+    p.ins("j", "park")
+    p.label("hart0")
+    hart0(p)
+    p.ins("la", "t6", SIMCTL_BASE)
+    p.ins("sw", "a0", 4, "t6")
+    p.ins("sw", "x0", 0, "t6")
+    return p
+
+
+def _count_loop(label, reg, n, acc="a0"):
+    """``n`` passes of a loop at ``label`` that adds the counter ``reg``
+    to ``acc``."""
+    def emit(p):
+        p.ins("li", reg, n)
+        p.label(label)
+        p.ins("add", acc, acc, reg)
+        p.ins("addi", reg, reg, -1)
+        p.ins("bnez", reg, label)
+    return emit
+
+
+def _burst_spy(monkeypatch, cls, name, seen):
+    """Wrap ``cls.name``; returns the list of ``seen(*args)``, taken before
+    the call, of the calls from ``Soc._event_burst`` for which it is not
+    None."""
+    hits = []
+    orig = getattr(cls, name)
+
+    def wrapper(*a):
+        if sys._getframe(1).f_code.co_name == "_event_burst":
+            got = seen(*a)
+            if got is not None:
+                hits.append(got)
+        return orig(*a)
+    monkeypatch.setattr(cls, name, wrapper)
+    return hits
+
+
+def _retire_hand_back(seen):
+    """A ``seen`` for ``Soc._boundary`` that skips the trap bubble: the
+    core's phase is ``PH_EX`` there and ``PH_F0`` after a retire."""
+    return lambda _soc, c, _ip, _t, _retire: None if c.phase == PH_EX else seen(c)
+
+
+class TestEventBurstHandBacks:
+    """Parallel programs that make ``_event_burst`` hand a core back to
+    the reference helpers; both engines must end identically."""
+
+    def test_tainted_fetch_row(self, monkeypatch):
+        prog = _two_harts(_count_loop("l0", "s1", 300),
+                          _count_loop("l1", "s1", 400, "a1"))
+        w = (label_map(prog, SRAM_BASE)["l1"] - SRAM_BASE) >> 2
+        hits = _burst_spy(monkeypatch, soc_mod._Lanes, "to_fetch",
+                          lambda _lanes, _soc, _k, _t, _v, st: st or None)
+        got = []
+        for fast in (True, False):
+            soc = fresh("parallel", prog, fast_loop=fast)
+            assert soc.run(stop_at=400) is None
+            soc.banks.flip_bit(w & 7, w >> 3, 5)
+            got.append((soc.run().to_dict(), soc.snapshot()))
+        assert hits == [RS_CORRECTED]
+        assert got[0] == got[1]
+        assert got[1][0]["ecc_correctable"][w & 7] == 1
+
+    def test_next_pc_in_rom(self, monkeypatch):
+        halt = label_map(build_boot_rom(SRAM_BASE), ROM_BASE)["_halt"]
+
+        def into_rom(p):
+            p.ins("li", "t2", halt)
+            p.ins("jr", "t2")
+        prog = _two_harts(_count_loop("l0", "s1", 300), into_rom)
+        hits = _burst_spy(monkeypatch, Soc, "_boundary", _retire_hand_back(
+            lambda c: None if SRAM_BASE <= c.pc < SRAM_BASE + TOTAL_BYTES
+            else c.pc))
+        fast = _states(prog, "parallel", True, [300])
+        ref = _states(prog, "parallel", False, [300])
+        # the first after the jr, then one per pass of the _halt loop
+        assert len(hits) > 100 and set(hits) == {halt}
+        assert fast == ref
+        assert ref[0]["checksum"] == 300 * 301 // 2
+
+    def test_interrupt_after_retire(self, monkeypatch):
+        def send_msip(p):
+            # after a delay, raise hart 1's software interrupt
+            _count_loop("l0", "s1", 150)(p)
+            p.ins("la", "s0", ODRG_BASE)
+            p.ins("li", "s1", 1)
+            p.ins("sw", "s1", 0x30, "s0")   # msip[1]
+            _count_loop("l2", "s1", 150)(p)
+
+        def gated_loop(p):
+            # every pass runs a 40-pass loop with interrupts masked, then
+            # unmasks them: once the pass has been decoded, a pending
+            # interrupt is taken right after the csrrsi inside the burst
+            p.ins("li", "s2", 12)
+            p.label("outer")
+            p.ins("csrrci", "x0", "mstatus", 8)
+            _count_loop("l1", "s1", 40, "a1")(p)
+            p.ins("csrrsi", "x0", "mstatus", 8)
+            p.ins("addi", "s2", "s2", -1)
+            p.ins("bnez", "s2", "outer")
+        prog = _two_harts(send_msip, gated_loop)
+        hits = _burst_spy(monkeypatch, Soc, "_boundary", _retire_hand_back(
+            lambda c: c.mhartid
+            if c.mip & c.mie and c.mstatus & MSTATUS_MIE else None))
+        fast = _states(prog, "parallel", True, [500])
+        ref = _states(prog, "parallel", False, [500])
+        assert hits == [1]
+        assert fast == ref
+
+
+def _perfbench_tracing():
+    """perfbench/tracing.py as a module, compiled from its source so that
+    nothing is written under perfbench/."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    mod = types.ModuleType("tracing")
+    exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+    return mod
+
+
+class TestBenchmarkProbes:
+    """The benchmark's probes wrap simulator functions by name, so a
+    rename must fail here, not only in a traced benchmark run."""
+
+    @pytest.mark.parametrize("name", ["RunProbe", "Tracer"])
+    def test_install_run_uninstall(self, name):
+        progs = {"lockstep": kernels.matmul_kernel(3, "single"),
+                 "parallel": kernels.matmul_kernel(3, "parallel3")}
+        want = {mode: fresh(mode, p).run().to_dict() for mode, p in progs.items()}
+        probe = getattr(_perfbench_tracing(), name)(lockstep_mcu)
+        probe.install()
+        saved = {}      # the original of an attribute wrapped twice comes first
+        for obj, attr, orig in probe._saved:
+            saved.setdefault((obj, attr), orig)
+        try:
+            assert saved
+            assert {mode: fresh(mode, p).run().to_dict()
+                    for mode, p in progs.items()} == want
+        finally:
+            probe.uninstall()
+        for (obj, attr), orig in saved.items():
+            assert getattr(obj, attr) is orig, attr
 
 
 class TestLifetime:
