@@ -14,6 +14,8 @@ port (the older operation in the pipeline drains first).
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 # request regions
 R_SRAM = 0
 R_ROM = 1
@@ -29,10 +31,21 @@ RS_FAULT = 3
 VOTED = -1  # core_idx of the lockstep voted ports
 
 
+# A port's state: every field and its cleared value, in ``state_tuple``
+# order.  The slots, ``clear``, ``state_tuple``, ``load_state`` and
+# ``copy_from`` derive from this table; ``want``, ``respond`` and
+# ``request_tuple`` are on the per-cycle path and stay written out.
+PORT_STATE = {
+    "pending": False, "region": R_NONE, "bank": 0, "row": 0, "addr": 0,
+    "is_write": False, "wdata": 0, "strobes": 0,
+    "has_resp": False, "resp_val": 0, "resp_status": RS_OK,
+}
+_CLEARED = tuple(PORT_STATE.values())
+_port_state = attrgetter(*PORT_STATE)
+
+
 class Port:
-    __slots__ = ("core_idx", "is_data", "pending", "region", "bank", "row",
-                 "addr", "is_write", "wdata", "strobes",
-                 "has_resp", "resp_val", "resp_status")
+    __slots__ = ("core_idx", "is_data", *PORT_STATE)
 
     def __init__(self, core_idx: int, is_data: bool):
         self.core_idx = core_idx
@@ -40,17 +53,7 @@ class Port:
         self.clear()
 
     def clear(self) -> None:
-        self.pending = False
-        self.region = R_NONE
-        self.bank = 0
-        self.row = 0
-        self.addr = 0
-        self.is_write = False
-        self.wdata = 0
-        self.strobes = 0
-        self.has_resp = False
-        self.resp_val = 0
-        self.resp_status = RS_OK
+        self.load_state(_CLEARED)
 
     def want(self, region: int, bank: int, row: int, addr: int,
              is_write: bool = False, wdata: int = 0, strobes: int = 0) -> None:
@@ -81,15 +84,12 @@ class Port:
         return (self.region, self.bank, self.row, self.addr, self.is_write,
                 self.wdata, self.strobes)
 
-    def state_tuple(self):
-        return (self.pending, self.region, self.bank, self.row, self.addr,
-                self.is_write, self.wdata, self.strobes,
-                self.has_resp, self.resp_val, self.resp_status)
+    def state_tuple(self) -> tuple:
+        return _port_state(self)
 
     def load_state(self, t) -> None:
-        (self.pending, self.region, self.bank, self.row, self.addr,
-         self.is_write, self.wdata, self.strobes,
-         self.has_resp, self.resp_val, self.resp_status) = t
+        for name, value in zip(PORT_STATE, t):
+            setattr(self, name, value)
 
     def copy_from(self, other: "Port") -> None:
         self.load_state(other.state_tuple())

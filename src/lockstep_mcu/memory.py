@@ -17,6 +17,8 @@ honours ``busy_until`` when arbitrating.
 from __future__ import annotations
 
 import struct
+from copy import copy
+from operator import attrgetter
 
 from . import ecc
 
@@ -51,17 +53,23 @@ def bank_of(addr: int) -> tuple[int, int]:
     return word & 7, word >> 3
 
 
+# A bank's state: every field and its reset value, in the order of
+# ``BankArray.snapshot``.  The slots, construction, ``snapshot`` and
+# ``restore`` derive from this table, copying each value with ``copy``.
+BANK_STATE = {
+    "cws": [0] * ROWS_PER_BANK,     # encode(0) == 0, so zeroed is clean
+    "tainted": set(),
+    "write_disable": 0,     # 39-bit mask; set bits are frozen at store time
+    "correctable_count": 0, "uncorrectable_count": 0, "busy_until": -1,
+}
+
+
 class Bank:
-    __slots__ = ("cws", "tainted", "write_disable", "correctable_count",
-                 "uncorrectable_count", "busy_until")
+    __slots__ = tuple(BANK_STATE)
 
     def __init__(self):
-        self.cws = [0] * ROWS_PER_BANK  # encode(0) == 0, so zeroed is clean
-        self.tainted: set[int] = set()
-        self.write_disable = 0  # 39-bit mask; set bits are frozen at store time
-        self.correctable_count = 0
-        self.uncorrectable_count = 0
-        self.busy_until = -1
+        for name, value in BANK_STATE.items():
+            setattr(self, name, copy(value))
 
     def read(self, row: int) -> tuple[int, int]:
         """Return (data, status); corrects the stored word in place."""
@@ -188,24 +196,23 @@ class BankArray:
         }
 
     def snapshot(self) -> tuple:
-        return (
-            [list(b.cws) for b in self.banks],
-            [set(b.tainted) for b in self.banks],
-            [b.write_disable for b in self.banks],
-            [b.correctable_count for b in self.banks],
-            [b.uncorrectable_count for b in self.banks],
-            [b.busy_until for b in self.banks],
-        )
+        """One list per ``BANK_STATE`` field, one entry per bank."""
+        return tuple([copy(getattr(b, name)) for b in self.banks]
+                     for name in BANK_STATE)
 
     def restore(self, snap: tuple) -> None:
-        cws, taints, wds, corr, uncorr, busy = snap
-        for i, b in enumerate(self.banks):
-            b.cws = list(cws[i])
-            b.tainted = set(taints[i])
-            b.write_disable = wds[i]
-            b.correctable_count = corr[i]
-            b.uncorrectable_count = uncorr[i]
-            b.busy_until = busy[i]
+        for name, values in zip(BANK_STATE, snap):
+            for b, value in zip(self.banks, values):
+                setattr(b, name, copy(value))
+
+
+# The scrubber's state in ``snapshot`` order; ``next_address`` is a global
+# word index.  A new scrubber takes ``enabled`` and ``interval`` from its
+# arguments, starts at word 0 with its first tick one interval in, and
+# has counted nothing.
+SCRUB_STATE = ("enabled", "interval", "next_address", "next_cycle",
+               "corrections", "uncorrectable_seen")
+_scrub_state = attrgetter(*SCRUB_STATE)
 
 
 class Scrubber:
@@ -217,16 +224,10 @@ class Scrubber:
     are counted and left in place; the scrubber never traps.
     """
 
-    __slots__ = ("enabled", "interval", "next_address", "next_cycle",
-                 "corrections", "uncorrectable_seen", "sweep_length")
+    __slots__ = (*SCRUB_STATE, "sweep_length")
 
     def __init__(self, interval: int = 64, enabled: bool = True):
-        self.enabled = enabled
-        self.interval = interval
-        self.next_address = 0  # global word index
-        self.next_cycle = interval
-        self.corrections = 0
-        self.uncorrectable_seen = 0
+        self.restore((enabled, interval, 0, interval, 0, 0))
         self.sweep_length = TOTAL_WORDS
 
     def target_bank(self) -> int:
@@ -259,9 +260,8 @@ class Scrubber:
         self.next_address = (idx + 1) % self.sweep_length
 
     def snapshot(self) -> tuple:
-        return (self.enabled, self.interval, self.next_address, self.next_cycle,
-                self.corrections, self.uncorrectable_seen)
+        return _scrub_state(self)
 
     def restore(self, snap: tuple) -> None:
-        (self.enabled, self.interval, self.next_address, self.next_cycle,
-         self.corrections, self.uncorrectable_seen) = snap
+        for name, value in zip(SCRUB_STATE, snap):
+            setattr(self, name, value)

@@ -12,6 +12,7 @@ the saved state before resuming.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 
 MODE_LOCKSTEP = 0
@@ -63,24 +64,26 @@ def vote(a, b, c) -> VoteResult:
     return VoteResult(None, ALL_DIFFER)
 
 
+# The register block's state: every field and its reset value, in
+# ``snapshot`` order.  The slots, construction (which then sets ``mode``),
+# ``snapshot`` and ``restore`` derive from this table, copying each value
+# with ``copy``.
+ODRG_STATE = {
+    "mode": MODE_LOCKSTEP, "pending_mode": None, "mismatch_count": [0, 0, 0],
+    "resync_state": RESYNC_IDLE, "resync_events": 0, "saved_sp": 0,
+    "error_select": 0, "msip": [0, 0, 0], "resync_streak": 0,
+    "last_done_cycle": -(10 ** 9),
+}
+
+
 class OdrgUnit:
     """Mode/resync/mismatch register block."""
 
-    __slots__ = ("mode", "pending_mode", "mismatch_count", "resync_state",
-                 "resync_events", "saved_sp", "error_select", "msip",
-                 "resync_streak", "last_done_cycle")
+    __slots__ = tuple(ODRG_STATE)
 
     def __init__(self, mode: int = MODE_LOCKSTEP):
+        self.restore(ODRG_STATE.values())
         self.mode = mode
-        self.pending_mode = None
-        self.mismatch_count = [0, 0, 0]
-        self.resync_state = RESYNC_IDLE
-        self.resync_events = 0
-        self.saved_sp = 0
-        self.error_select = 0
-        self.msip = [0, 0, 0]
-        self.resync_streak = 0
-        self.last_done_cycle = -(10 ** 9)
 
     # Reads have no side effects; writes with side effects beyond this
     # register block (reset pulse, msip lines) are routed through soc.
@@ -150,14 +153,8 @@ class OdrgUnit:
         return False
 
     def snapshot(self) -> tuple:
-        return (self.mode, self.pending_mode, list(self.mismatch_count),
-                self.resync_state, self.resync_events, self.saved_sp,
-                self.error_select, list(self.msip), self.resync_streak,
-                self.last_done_cycle)
+        return tuple(copy(getattr(self, name)) for name in ODRG_STATE)
 
-    def restore(self, snap: tuple) -> None:
-        (self.mode, self.pending_mode, mc, self.resync_state,
-         self.resync_events, self.saved_sp, self.error_select, msip,
-         self.resync_streak, self.last_done_cycle) = snap
-        self.mismatch_count = list(mc)
-        self.msip = list(msip)
+    def restore(self, snap) -> None:
+        for name, value in zip(ODRG_STATE, snap):
+            setattr(self, name, copy(value))

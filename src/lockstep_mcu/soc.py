@@ -48,6 +48,7 @@ import hashlib
 import struct
 import weakref
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import memory as mem
 from .asm import Program, assemble, entry_address
@@ -96,13 +97,6 @@ _TRACE_FLUSH = 1 << 16      # bytes of records the reference engine buffers
 # core fault location -> (its bit in a register mask, its CSR tag)
 _LOC_MASKS = {f"x{i}": (1 << i, 0) for i in range(1, 32)}
 _LOC_MASKS.update((loc, (0, tag)) for loc, tag in CORE_LOC_TAGS.items())
-
-
-def _trace_line(now: int, hart: int, pc: int, word: int, mnem: str, rd: int,
-                val: int) -> str:
-    """The ``trace_lines`` text of one retired instruction."""
-    return (f"{now} {hart} {pc:#010x} {word & M32:#010x} {mnem} "
-            f"x{rd}={val:#010x}")
 
 
 def _store_lanes(addr: int, f3: int, val: int) -> tuple[int, int]:
@@ -397,9 +391,7 @@ class _Lanes:
             self.DP.append(dp)
             self.ph.append(p)
             self.xe.append(cy + max(c.exec_left, 1) if p == PH_EX else _NEVER)
-            self.ent.append((None, 1, 0, 0, c.cur_word, c.cur_rd,
-                             soc._mnemonic(c) if soc.trace_lines is not None
-                             else ""))
+            self.ent.append((None, 1, 0, 0, c.cur_word, c.cur_rd))
             self.ie.append(cy + 1 if ip.pending else _NEVER)
             self.fi.append(_fetch_info(c.cur_pc, words, soc.dcache)
                            if ip.pending else
@@ -444,28 +436,36 @@ class _Lanes:
         soc._consume_fetch(self.C[k], ip, self.DP[k], t)
 
 
+# The Soc's own fields and their reset values, in ``snapshot()["flags"]``
+# order.  ``reset`` sets them (then ``lockstep`` from the configured
+# mode), ``snapshot`` and ``restore`` carry them, and ``load_program`` sets
+# ``loaded`` and ``entry`` after its reset.
+_FLAGS = {
+    "running": True, "exited": False, "exit_code": None, "timed_out": False,
+    "unrecoverable": False, "loaded": False, "entry": SRAM_BASE,
+    "checksum_reg": 0, "lockstep": True, "converged": True,
+    "_diverge_check_at": 0,
+}
+_flags = attrgetter(*_FLAGS)
+
+
 class Soc:
-    """One simulation instance; nothing is shared between instances."""
+    """One simulation instance; nothing is shared between instances.
+
+    Its state is the ``_FLAGS`` fields, ``cycle``, ``uart_out``, memory
+    (``banks``, ``rom``), the ``_COMPONENTS`` with their own
+    ``snapshot``/``restore``, the cores and ports, and a carried dormant
+    fault (``dorm_*``).  ``reset`` sets all but memory, building the
+    components anew from the config, so a reloaded ``Soc`` equals a
+    fresh one.
+    """
+
+    _COMPONENTS = ("banks", "scrub", "odrg", "xbar")
 
     def __init__(self, config: SocConfig | None = None):
         self.config = config or SocConfig()
-        self.cycle = 0
         self.banks = mem.BankArray()
         self.rom: list[int] = [0] * (ROM_SIZE // 4)
-        self.odrg = OdrgUnit(self.config.odrg_mode())
-        self.xbar = Crossbar()
-        self.scrub = mem.Scrubber(self.config.scrub_interval,
-                                  self.config.scrub_enabled)
-        self.uart_out = bytearray()
-        self.checksum_reg = 0
-        self.running = False
-        self.exited = False
-        self.exit_code: int | None = None
-        self.timed_out = False
-        self.unrecoverable = False
-        self.entry = SRAM_BASE
-        self.loaded = False
-
         # a proxy, not a reference: cores read the clock through it, and a
         # Soc -> cores -> Soc cycle would keep every finished instance (and
         # its memory image) alive until a full garbage collection
@@ -473,25 +473,12 @@ class Soc:
         self.cores = [Core(i, soc_ref) for i in range(3)]
         self.vports = (Port(VOTED, True), Port(VOTED, False))   # (D, I)
         self.cports = [(Port(i, True), Port(i, False)) for i in range(3)]
-        self.converged = True
-        self.lockstep = self.odrg.mode == MODE_LOCKSTEP
-        self.bus_ports: list[Port] = []
-        self.active: list[tuple[Core, Port, Port]] = []
-
         self.dcache: dict[int, tuple] = {}
-        # retirement records not yet fed to the running trace hash
-        self.tracebuf = bytearray()
-        self._trace_sha = hashlib.sha256()
-        self.trace_lines: list[str] | None = [] if self.config.trace_lines else None
-        self.rec_trace = self.config.record_trace
-        self._diverge_check_at = 0
-        # dormant lockstep fault: the minority's deviating locations are
-        # carried beside the converged fast path until something reads them
-        self._dormant_clear()
         # def/use log of a golden run: one byte per SRAM word, bit 0 read,
         # bit 1 written (None when not recording)
         self._touched: bytearray | None = None
         self._last_irq = -1
+        self.reset()
 
     def record_def_use(self) -> None:
         """Log what the coming run reads, for ``RunResult.defuse``."""
@@ -513,32 +500,36 @@ class Soc:
             raise LoadError(f"entry {entry:#x} outside SRAM")
         self.banks = mem.BankArray()  # a fresh load means fresh memory
         self.banks.load_image(image)
+        self.dcache.clear()
+        self.reset()
         self.rom = rom_words(entry)
         self.entry = entry
         self.loaded = True
-        self.reset()
 
     def reset(self) -> None:
+        """Everything but memory to its power-on state, with the cores at
+        the boot ROM; the components are built anew from the config.  It
+        leaves no program loaded: ``load_program`` calls it, then loads."""
+        for name, value in _FLAGS.items():
+            setattr(self, name, value)
         self.cycle = 0
-        self.running = True
-        self.exited = False
-        self.exit_code = None
-        self.timed_out = False
-        self.unrecoverable = False
         self.uart_out = bytearray()
-        self.checksum_reg = 0
+        self.odrg = OdrgUnit(self.config.odrg_mode())
+        self.xbar = Crossbar()
+        self.scrub = mem.Scrubber(self.config.scrub_interval,
+                                  self.config.scrub_enabled)
+        self.lockstep = self.odrg.mode == MODE_LOCKSTEP
+        self._trace_reset()
+        self._restart(self.config.release_mask())
+
+    def _trace_reset(self) -> None:
+        """Start the trace afresh.  Retirement records are kept while a
+        trace is wanted and wait in ``tracebuf`` for ``_trace_flush``."""
+        cfg = self.config
+        self.rec_trace = cfg.record_trace or cfg.trace_lines
         self.tracebuf = bytearray()
         self._trace_sha = hashlib.sha256()
-        if self.trace_lines is not None:
-            self.trace_lines = []
-        self.odrg = OdrgUnit(self.config.odrg_mode())
-        self.lockstep = self.odrg.mode == MODE_LOCKSTEP
-        self.scrub.next_cycle = self.scrub.interval
-        self.scrub.next_address = 0
-        self.scrub.corrections = 0
-        self.scrub.uncorrectable_seen = 0
-        self._diverge_check_at = 0
-        self._restart(self.config.release_mask())
+        self.trace_lines: list[str] | None = [] if cfg.trace_lines else None
 
     def _restart(self, release: int = 0b111) -> None:
         """Reset the three cores to the boot ROM, holding the ones outside
@@ -893,26 +884,13 @@ class Soc:
 
     def _retire(self, c: Core, now: int) -> None:
         c.minstret += 1
-        rd = c.cur_rd
         if self.rec_trace:
+            rd = c.cur_rd
             tb = self.tracebuf
             tb += _TRACE_REC.pack(
                 now, c.mhartid, c.cur_pc, c.cur_word & M32, rd, c.regs[rd])
             if len(tb) >= _TRACE_FLUSH:
                 self._trace_flush()
-        if self.trace_lines is not None:
-            self.trace_lines.append(_trace_line(
-                now, c.mhartid, c.cur_pc, c.cur_word, self._mnemonic(c), rd,
-                c.regs[rd]))
-
-    def _mnemonic(self, c: Core) -> str:
-        """The trace text of core ``c``'s current instruction: its
-        decode-cache entry's, or a fresh decode's on a miss."""
-        pc, word = c.cur_pc, c.cur_word
-        entry = self.dcache.get(pc)
-        if entry is not None and entry[4] == word:
-            return entry[6]
-        return (decode32 if word & 3 == 3 else decode16)(word, pc)[2]
 
     def _boundary(self, c: Core, ip: Port, now: int, retire: bool) -> None:
         """End an instruction, retiring it when ``retire``: take a pending
@@ -1128,11 +1106,26 @@ class Soc:
         return self.scrub.next_cycle
 
     def _trace_flush(self) -> None:
-        """Feed the buffered retirement records to the trace hash and
-        empty the buffer in place (the bursts hold it as a local)."""
-        if self.tracebuf:
-            self._trace_sha.update(self.tracebuf)
-            self.tracebuf.clear()
+        """Feed the buffered retirement records to the trace hash, format
+        them into ``trace_lines``, and empty the buffer in place (the
+        bursts hold it as a local).  A line's text depends only on pc and
+        word: it is the decode-cache entry's while that entry holds the
+        word, a fresh decode's otherwise."""
+        tb = self.tracebuf
+        if not tb:
+            return
+        if self.config.record_trace:
+            self._trace_sha.update(tb)
+        lines = self.trace_lines
+        if lines is not None:
+            dget = self.dcache.get
+            for now, hart, pc, word, rd, val in _TRACE_REC.iter_unpack(tb):
+                e = dget(pc)
+                mnem = e[6] if e is not None and e[4] == word else \
+                    (decode32 if word & 3 == 3 else decode16)(word, pc)[2]
+                lines.append(f"{now} {hart} {pc:#010x} {word:#010x} {mnem} "
+                             f"x{rd}={val:#010x}")
+        tb.clear()
 
     def _bank_op(self, p: Port, bank: mem.Bank, now: int) -> None:
         touched = self._touched
@@ -1210,6 +1203,7 @@ class Soc:
                 break
             if stop_at is not None and cycle >= stop_at:
                 self.cycle = cycle
+                self._trace_flush()
                 return None
             if fast:
                 if len(self.active) > 1 and not self.lockstep:
@@ -1295,8 +1289,6 @@ class Soc:
         banks = self.banks.banks
         dget = self.dcache.get
         tb = self.tracebuf if self.rec_trace else None
-        lines = self.trace_lines
-        traced = tb is not None or lines is not None
         pack = _TRACE_REC.pack
         scrub = self.scrub
         touched = self._touched
@@ -1449,13 +1441,9 @@ class Soc:
                 hand = 0
                 break
             ret += 1
-            if traced:
+            if tb is not None:
                 rd = t[3]
-                if tb is not None:
-                    tb += pack(cy, hart, pc, t[2], rd, regs[rd])
-                if lines is not None:
-                    lines.append(_trace_line(cy, hart, pc, t[2], t[6][6],
-                                             rd, regs[rd]))
+                tb += pack(cy, hart, pc, t[2], rd, regs[rd])
             pc = c.pc
 
         # the exit: what the core and ports hold at this boundary under
@@ -1578,7 +1566,6 @@ class Soc:
         fcache: dict[int, tuple] = {}   # pc -> _fetch_info
         fget = fcache.get
         rec = self.rec_trace
-        lines = self.trace_lines
         tb = self.tracebuf
         pack = _TRACE_REC.pack
         touched = self._touched
@@ -1779,9 +1766,6 @@ class Soc:
                 rd = e[5]
                 if rec:
                     tb += pack(t, hid[k], f[4], e[4], rd, c.regs[rd])
-                if lines is not None:
-                    lines.append(_trace_line(t, hid[k], f[4], e[4], e[6], rd,
-                                             c.regs[rd]))
                 pc = c.pc
                 f = fget(pc)
                 if f is None and not (pc - sram_lo) >> 2 >> wbits:
@@ -1897,8 +1881,8 @@ class Soc:
             scrub_uncorrectable=self.scrub.uncorrectable_seen,
             latent_uncorrectable=self.banks.latent_uncorrectable(),
             conflict_stalls=self.xbar.conflict_stalls,
-            trace_hash=self._trace_sha.hexdigest() if self.rec_trace
-            else None,
+            trace_hash=self._trace_sha.hexdigest()
+            if self.config.record_trace else None,
             outputs_digest=self.outputs_digest(),
             trace_lines=self.trace_lines,
             defuse=None if self._touched is None else self._def_use(),
@@ -1938,15 +1922,10 @@ class Soc:
         self._mirror()
         return {
             "cycle": self.cycle,
-            "flags": (self.running, self.exited, self.exit_code,
-                      self.timed_out, self.unrecoverable, self.loaded,
-                      self.entry, self.checksum_reg, self.lockstep,
-                      self.converged, self._diverge_check_at),
+            "flags": _flags(self),
             "uart": bytes(self.uart_out),
-            "banks": self.banks.snapshot(),
-            "scrub": self.scrub.snapshot(),
-            "odrg": self.odrg.snapshot(),
-            "xbar": self.xbar.snapshot(),
+            **{name: getattr(self, name).snapshot()
+               for name in self._COMPONENTS},
             "cores": [c.dump_state(self.cycle) for c in self.cores],
             "dormant": (self.dorm_hart, dict(self.dorm_vals)),
             "vports": [p.state_tuple() for p in self.vports],
@@ -1956,15 +1935,11 @@ class Soc:
 
     def restore(self, snap: dict) -> None:
         self.cycle = snap["cycle"]
-        (self.running, self.exited, self.exit_code, self.timed_out,
-         self.unrecoverable, self.loaded, self.entry, self.checksum_reg,
-         self.lockstep, self.converged,
-         self._diverge_check_at) = snap["flags"]
+        for name, value in zip(_FLAGS, snap["flags"]):
+            setattr(self, name, value)
         self.uart_out = bytearray(snap["uart"])
-        self.banks.restore(snap["banks"])
-        self.scrub.restore(snap["scrub"])
-        self.odrg.restore(snap["odrg"])
-        self.xbar.restore(snap["xbar"])
+        for name in self._COMPONENTS:
+            getattr(self, name).restore(snap[name])
         for c, state in zip(self.cores, snap["cores"]):
             c.load_state(state, self.cycle)
         for p, t in zip(self.vports, snap["vports"]):
@@ -1973,9 +1948,6 @@ class Soc:
             for q, t in zip(pair, ts):
                 q.load_state(t)
         self.rom = list(snap["rom"])
-        self.tracebuf = bytearray()
-        self._trace_sha = hashlib.sha256()
-        if self.trace_lines is not None:
-            self.trace_lines = []
+        self._trace_reset()
         self._dormant_set(*snap["dormant"])
         self._wire_ports()

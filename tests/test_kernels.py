@@ -1,5 +1,8 @@
 """Kernel library: guest results against independent host oracles."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from lockstep_mcu import kernels
@@ -114,3 +117,47 @@ class TestOtherKernels:
         assert mode not in kernels.kernel_modes(name)
         with pytest.raises(ValueError, match="does not run in mode"):
             kernels.build_kernel(name, mode)
+
+
+PINS_PATH = Path(__file__).with_name("kernel_pins.json")
+KERNEL_MODES = [(n, m) for n, _ in kernels.list_kernels()
+                for m in kernels.kernel_modes(n)]
+
+
+def pinned_view(name, mode):
+    """The simulated invariants of ``name`` in ``mode``, default config."""
+    soc = Soc(SocConfig(mode=mode))
+    soc.load_program(kernels.build_kernel(name, mode))
+    res = soc.run()
+    return {"cycles": res.cycles, "instret": res.instret,
+            "trace_hash": res.trace_hash,
+            "outputs_digest": res.outputs_digest,
+            "conflict_stalls": res.conflict_stalls,
+            "exit_code": res.exit_code}
+
+
+class TestPinnedReports:
+    """Every built-in kernel x mode against its pinned invariants.
+
+    A change that moves a pin on purpose rewrites them with
+    ``PYTHONPATH=src python tests/test_kernels.py`` and says which moved
+    and why.
+    """
+
+    @pytest.fixture(scope="class")
+    def pins(self):
+        return json.loads(PINS_PATH.read_text())
+
+    def test_every_pair_pinned(self, pins):
+        assert sorted(pins) == sorted(f"{n}/{m}" for n, m in KERNEL_MODES)
+
+    @pytest.mark.parametrize("name,mode", KERNEL_MODES)
+    def test_matches_pin(self, pins, name, mode):
+        assert pinned_view(name, mode) == pins[f"{name}/{mode}"]
+
+
+if __name__ == "__main__":
+    PINS_PATH.write_text(json.dumps(
+        {f"{n}/{m}": pinned_view(n, m) for n, m in KERNEL_MODES},
+        indent=1) + "\n")
+    print(f"wrote {PINS_PATH}")

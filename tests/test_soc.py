@@ -101,15 +101,18 @@ class TestDeterminism:
         _assert_engines_agree(name, mode, scrub)
 
     def test_fast_and_reference_trace_lines_agree_parallel(self):
+        # the lines do not depend on the engine or on the trace hash
         prog = kernels.matmul_kernel(8, "parallel3")
         outs = []
-        for fast in (True, False):
+        for fast, record in ((True, True), (False, True), (True, False)):
             soc = Soc(SocConfig(mode="parallel", fast_loop=fast,
-                                trace_lines=True))
+                                trace_lines=True, record_trace=record))
             soc.load_program(prog)
-            outs.append(soc.run().trace_lines)
+            res = soc.run()
+            assert (res.trace_hash is not None) == record
+            outs.append(res.trace_lines)
         assert len(outs[0]) > 1000
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
 
     def test_snapshot_restore_resumes_identically(self):
         a = fresh(prog=kernels.matmul_kernel(8, "single"))
@@ -532,6 +535,53 @@ class TestLifetime:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestReload:
+    def test_reloaded_soc_equals_fresh(self):
+        # a used Soc that a guest left with another scrub interval, a
+        # moved round robin and counted stalls: a reload resets them all
+        prog = kernels.build_kernel("matmul8", "parallel")
+        p = Program()
+        p.label("_start")
+        p.ins("la", "t0", MEMCTL_BASE)
+        p.ins("li", "t1", 7)
+        p.ins("sw", "t1", 0x84, "t0")
+        p.ins("la", "t6", SIMCTL_BASE)
+        p.ins("sw", "x0", 0, "t6")
+        used = fresh(mode="parallel", prog=prog)
+        used.run()
+        used.load_program(p)
+        assert used.run().exit_code == 0
+        assert used.scrub.interval == 7
+        used.load_program(prog)
+        new = fresh(mode="parallel", prog=prog)
+        assert used.snapshot() == new.snapshot()
+        assert used.run().to_dict() == new.run().to_dict()
+
+    # attributes outside ``_FLAGS`` and the snapshot, each with its own
+    # reset: the config, the port wiring (``_wire_ports``), the decode
+    # cache (cleared by a load), the def/use log (``record_def_use``) and
+    # the trace (``_trace_reset``)
+    UNSNAPSHOTTED = {
+        "config", "bus_ports", "active", "dcache", "_touched", "_last_irq",
+        "rec_trace", "tracebuf", "_trace_sha", "trace_lines",
+    }
+    # snapshot keys that are not attribute names
+    RENAMED = {"uart": {"uart_out"},
+               "dormant": {"dorm_hart", "dorm_regs", "dorm_csrs", "dorm_vals"}}
+
+    @pytest.mark.parametrize("mode", ["lockstep", "single", "parallel"])
+    def test_every_field_reset_or_snapshotted(self, mode):
+        # a new field that is neither reset by ``_FLAGS`` nor snapshotted
+        # lands here: a reload or a restore would keep its old value
+        soc = fresh(mode=mode)
+        snap = soc.snapshot()
+        assert set(Soc._COMPONENTS) <= set(snap)
+        covered = set(soc_mod._FLAGS) | self.UNSNAPSHOTTED
+        for key in snap:
+            covered |= self.RENAMED.get(key, {key})
+        assert set(vars(soc)) - covered == set()
 
 
 class TestTraceBuffer:
