@@ -2,8 +2,10 @@
 
 Decoding produces one closure per instruction instance (keyed by pc in
 the SoC's decode cache), so the per-cycle hot path is a dict hit plus
-one call.  Closures mutate the core and return a small action code the
-scheduler dispatches on:
+one call.  The closures are generated from one source template per
+mnemonic (``SEMANTICS``), which the SoC's fused burst also inlines into
+translated blocks.  Closures mutate the core and return a small action
+code the scheduler dispatches on:
 
     0  retired, single cycle (pc already advanced)
     1  retired after ``ev_extra`` additional cycles (taken branch 1,
@@ -261,8 +263,184 @@ class Core:
 
 # ======================================================== instruction set
 #
-# Factory functions close over decoded fields.  ``ln`` is the encoded
-# length (2 or 4) used to advance pc.
+# ``SEMANTICS`` is the one statement of what each instruction computes:
+# mnemonic -> (kind, template).  A template is Python source in the
+# source register values ``{rs1}`` and ``{rs2}`` and the decoded
+# constant ``{imm}`` (``{uimm}``: the same masked to 32 bits).  Its kind
+# says what the source is and what the instruction does besides:
+#
+#   op      rd's new value; one cycle.  rd x0 drops it (None: no value)
+#   muldiv  rd's new value after MUL_EXTRA (mul*) or DIV_EXTRA more cycles
+#   branch  the condition; taken, pc becomes {imm} one cycle later
+#   jump    the next pc, one cycle later; rd gets the link
+#   load    the address, aligned to the access; the bus word's value is
+#           ``load_lanes`` of it, written to rd
+#   store   the address; {rs2} is the value
+#
+# ``_KINDS`` wraps each template into the closure factory that the
+# decoder calls, and the fused single-core burst in ``soc`` inlines the
+# same templates into translated blocks.  The CSR ops, ``mret``, ``wfi``
+# and the traps stay hand-written closures below; no block takes them.
+
+_EA = "({rs1} + {imm}) & M32"
+SEMANTICS = {
+    "nop": ("op", None),
+    "addi": ("op", "({rs1} + {imm}) & M32"),
+    "slti": ("op", "1 if _sx({rs1}) < {imm} else 0"),
+    "sltiu": ("op", "1 if {rs1} < {uimm} else 0"),
+    "xori": ("op", "{rs1} ^ {uimm}"),
+    "ori": ("op", "{rs1} | {uimm}"),
+    "andi": ("op", "{rs1} & {uimm}"),
+    "slli": ("op", "({rs1} << {imm}) & M32"),
+    "srli": ("op", "{rs1} >> {imm}"),
+    "srai": ("op", "(_sx({rs1}) >> {imm}) & M32"),
+    "add": ("op", "({rs1} + {rs2}) & M32"),
+    "sub": ("op", "({rs1} - {rs2}) & M32"),
+    "sll": ("op", "({rs1} << ({rs2} & 31)) & M32"),
+    "slt": ("op", "1 if _sx({rs1}) < _sx({rs2}) else 0"),
+    "sltu": ("op", "1 if {rs1} < {rs2} else 0"),
+    "xor": ("op", "{rs1} ^ {rs2}"),
+    "srl": ("op", "{rs1} >> ({rs2} & 31)"),
+    "sra": ("op", "(_sx({rs1}) >> ({rs2} & 31)) & M32"),
+    "or": ("op", "{rs1} | {rs2}"),
+    "and": ("op", "{rs1} & {rs2}"),
+    "lui": ("op", "{imm}"),     # lui and auipc: the decoder adds the pc
+    "mul": ("muldiv", "({rs1} * {rs2}) & M32"),
+    "mulh": ("muldiv", "((_sx({rs1}) * _sx({rs2})) >> 32) & M32"),
+    "mulhsu": ("muldiv", "((_sx({rs1}) * {rs2}) >> 32) & M32"),
+    "mulhu": ("muldiv", "(({rs1} * {rs2}) >> 32) & M32"),
+    "div": ("muldiv", "_div({rs1}, {rs2})"),
+    "divu": ("muldiv", "{rs1} // {rs2} if {rs2} else M32"),
+    "rem": ("muldiv", "_rem({rs1}, {rs2})"),
+    "remu": ("muldiv", "{rs1} % {rs2} if {rs2} else {rs1}"),
+    "beq": ("branch", "{rs1} == {rs2}"),
+    "bne": ("branch", "{rs1} != {rs2}"),
+    "blt": ("branch", "_sx({rs1}) < _sx({rs2})"),
+    "bge": ("branch", "_sx({rs1}) >= _sx({rs2})"),
+    "bltu": ("branch", "{rs1} < {rs2}"),
+    "bgeu": ("branch", "{rs1} >= {rs2}"),
+    "jal": ("jump", "{imm}"),
+    "jalr": ("jump", "({rs1} + {imm}) & 0xFFFFFFFE"),
+    **{m: ("load", _EA) for m in _LOADS},
+    **{m: ("store", _EA) for m in _STORES},
+}
+
+# a load's or store's funct3 (its low two bits: log2 of the bytes moved),
+# the cycles a multiply or divide adds
+F3 = _LOADS | _STORES
+EXTRA = {m: MUL_EXTRA if m.startswith("mul") else DIV_EXTRA
+         for m, (kind, _t) in SEMANTICS.items() if kind == "muldiv"}
+
+
+def _div(a: int, b: int) -> int:
+    """RV32M ``div`` of two register values."""
+    if b == 0:
+        return M32
+    sa, sb = _sx(a), _sx(b)
+    if sa == -SIGN and sb == -1:
+        return SIGN
+    q = abs(sa) // abs(sb)
+    return (q if (sa < 0) == (sb < 0) else -q) & M32
+
+
+def _rem(a: int, b: int) -> int:
+    """RV32M ``rem`` of two register values."""
+    if b == 0:
+        return a
+    sa, sb = _sx(a), _sx(b)
+    if sa == -SIGN and sb == -1:
+        return 0
+    rm = abs(sa) % abs(sb)
+    return (-rm if sa < 0 else rm) & M32
+
+
+def load_lanes(word: int, addr: int, f3: int) -> int:
+    """The value a load with funct3 ``f3`` at ``addr`` takes from its bus
+    word."""
+    if f3 == 2:     # lw
+        return word
+    if f3 & 1:      # lh/lhu
+        v = (word >> ((addr & 2) * 8)) & 0xFFFF
+        if f3 == 1 and v & 0x8000:
+            v |= 0xFFFF0000
+    else:           # lb/lbu
+        v = (word >> ((addr & 3) * 8)) & 0xFF
+        if f3 == 0 and v & 0x80:
+            v |= 0xFFFFFF00
+    return v
+
+
+# what the templates may name, in closures and in translated blocks
+TEMPLATE_NS = {"M32": M32, "_sx": _sx, "_div": _div, "_rem": _rem}
+
+# A closure factory for each kind: ``$expr`` is the template, ``$extra``,
+# ``$align`` and ``$f3`` the mnemonic's constants.  Every factory takes
+# (rd, rs1, rs2, imm, ln, pc), ``ln`` the encoded length.
+_KINDS = {
+    "op": """
+    if not rd:
+        return _nop(ln)
+    def ex(c):
+        r = c.regs
+        r[rd] = $expr
+        c.pc = (c.pc + ln) & M32
+        return 0""",
+    "muldiv": """
+    def ex(c):
+        r = c.regs
+        v = $expr
+        if rd:
+            r[rd] = v
+        c.pc = (c.pc + ln) & M32
+        c.ev_extra = $extra
+        return 1""",
+    "branch": """
+    def ex(c):
+        r = c.regs
+        if $expr:
+            c.pc = imm
+            c.ev_extra = 1
+            return 1
+        c.pc = (c.pc + ln) & M32
+        return 0""",
+    "jump": """
+    link = (pc + ln) & M32
+    def ex(c):
+        r = c.regs
+        t = $expr
+        if rd:
+            r[rd] = link
+        c.pc = t
+        c.ev_extra = 1
+        return 1""",
+    "load": """
+    def ex(c):
+        r = c.regs
+        addr = $expr
+        if addr & $align:
+            c.ev_cause = EXC_LADDR_MISALIGNED
+            c.ev_tval = addr
+            return 5
+        c.ev_addr = addr
+        c.ev_rd = rd
+        c.ev_f3 = $f3
+        c.pc = (c.pc + ln) & M32
+        return 2""",
+    "store": """
+    def ex(c):
+        r = c.regs
+        addr = $expr
+        if addr & $align:
+            c.ev_cause = EXC_SADDR_MISALIGNED
+            c.ev_tval = addr
+            return 5
+        c.ev_addr = addr
+        c.ev_val = r[rs2]
+        c.ev_f3 = $f3
+        c.pc = (c.pc + ln) & M32
+        return 3""",
+}
+
 
 def _nop(ln):
     """An instruction whose only effect is to advance pc."""
@@ -272,251 +450,40 @@ def _nop(ln):
     return ex
 
 
-def _alu_imm(mnem, rd, rs1, imm, ln):
-    if rd == 0:
-        return _nop(ln)
-    if mnem == "addi":
-        def ex(c):
-            r = c.regs
-            r[rd] = (r[rs1] + imm) & M32
-            c.pc = (c.pc + ln) & M32
-            return 0
-    elif mnem == "slti":
-        def ex(c):
-            r = c.regs
-            r[rd] = 1 if _sx(r[rs1]) < imm else 0
-            c.pc = (c.pc + ln) & M32
-            return 0
-    elif mnem == "sltiu":
-        uimm = imm & M32
-
-        def ex(c):
-            r = c.regs
-            r[rd] = 1 if r[rs1] < uimm else 0
-            c.pc = (c.pc + ln) & M32
-            return 0
-    elif mnem == "xori":
-        uimm = imm & M32
-
-        def ex(c):
-            r = c.regs
-            r[rd] = r[rs1] ^ uimm
-            c.pc = (c.pc + ln) & M32
-            return 0
-    elif mnem == "ori":
-        uimm = imm & M32
-
-        def ex(c):
-            r = c.regs
-            r[rd] = r[rs1] | uimm
-            c.pc = (c.pc + ln) & M32
-            return 0
-    elif mnem == "andi":
-        uimm = imm & M32
-
-        def ex(c):
-            r = c.regs
-            r[rd] = r[rs1] & uimm
-            c.pc = (c.pc + ln) & M32
-            return 0
-    else:
-        raise AssertionError(mnem)
-    return ex
+def _closure_source(key: str) -> str:
+    """The source of ``f_<key>``, the factory of ``key``'s closures: its
+    kind's wrapper with the template and the mnemonic's constants in
+    place, reading the register operands as ``r[rs1]`` and ``r[rs2]``."""
+    kind, expr = SEMANTICS[key]
+    src = _KINDS[kind]
+    for token, value in (("$expr", expr), ("$extra", EXTRA.get(key)),
+                         ("$align", (1 << (F3.get(key, 0) & 3)) - 1),
+                         ("$f3", F3.get(key)),
+                         ("{rs1}", "r[rs1]"), ("{rs2}", "r[rs2]"),
+                         ("{imm}", "imm"), ("{uimm}", "uimm")):
+        src = src.replace(token, str(value))
+    return (f"def f_{key}(rd, rs1, rs2, imm, ln, pc):\n"
+            f"    uimm = imm & M32{src}\n    return ex\n")
 
 
-def _shift_imm(mnem, rd, rs1, sh, ln):
-    if rd == 0:
-        return _nop(ln)
-    if mnem == "slli":
-        def ex(c):
-            r = c.regs
-            r[rd] = (r[rs1] << sh) & M32
-            c.pc = (c.pc + ln) & M32
-            return 0
-    elif mnem == "srli":
-        def ex(c):
-            r = c.regs
-            r[rd] = r[rs1] >> sh
-            c.pc = (c.pc + ln) & M32
-            return 0
-    else:  # srai
-        def ex(c):
-            r = c.regs
-            r[rd] = (_sx(r[rs1]) >> sh) & M32
-            c.pc = (c.pc + ln) & M32
-            return 0
-    return ex
+class _Factories(dict):
+    """key -> its closure factory, compiled when the key is first decoded
+    (an import compiles none)."""
+
+    _ns = dict(TEMPLATE_NS, _nop=_nop,
+               EXC_LADDR_MISALIGNED=EXC_LADDR_MISALIGNED,
+               EXC_SADDR_MISALIGNED=EXC_SADDR_MISALIGNED)
+
+    def __missing__(self, key: str):
+        exec(_closure_source(key), self._ns)
+        f = self[key] = self._ns["f_" + key]
+        return f
 
 
-def _alu_reg(mnem, rd, rs1, rs2, ln):
-    if rd == 0:
-        return _nop(ln)
-    simple = {
-        "add": lambda a, b: (a + b) & M32,
-        "sub": lambda a, b: (a - b) & M32,
-        "sll": lambda a, b: (a << (b & 31)) & M32,
-        "slt": lambda a, b: 1 if _sx(a) < _sx(b) else 0,
-        "sltu": lambda a, b: 1 if a < b else 0,
-        "xor": lambda a, b: a ^ b,
-        "srl": lambda a, b: a >> (b & 31),
-        "sra": lambda a, b: (_sx(a) >> (b & 31)) & M32,
-        "or": lambda a, b: a | b,
-        "and": lambda a, b: a & b,
-    }
-    fn = simple[mnem]
-
-    def ex(c):
-        r = c.regs
-        r[rd] = fn(r[rs1], r[rs2])
-        c.pc = (c.pc + ln) & M32
-        return 0
-    return ex
-
-
-def _muldiv(mnem, rd, rs1, rs2, ln):
-    extra = MUL_EXTRA if mnem.startswith("mul") else DIV_EXTRA
-
-    def compute(a, b):
-        if mnem == "mul":
-            return (a * b) & M32
-        if mnem == "mulh":
-            return ((_sx(a) * _sx(b)) >> 32) & M32
-        if mnem == "mulhsu":
-            return ((_sx(a) * b) >> 32) & M32
-        if mnem == "mulhu":
-            return ((a * b) >> 32) & M32
-        if mnem == "div":
-            if b == 0:
-                return M32
-            sa, sb = _sx(a), _sx(b)
-            if sa == -(1 << 31) and sb == -1:
-                return SIGN
-            q = abs(sa) // abs(sb)
-            return (q if (sa < 0) == (sb < 0) else -q) & M32
-        if mnem == "divu":
-            return M32 if b == 0 else a // b
-        if mnem == "rem":
-            if b == 0:
-                return a
-            sa, sb = _sx(a), _sx(b)
-            if sa == -(1 << 31) and sb == -1:
-                return 0
-            rm = abs(sa) % abs(sb)
-            return (-rm if sa < 0 else rm) & M32
-        # remu
-        return a if b == 0 else a % b
-
-    def ex(c):
-        r = c.regs
-        v = compute(r[rs1], r[rs2])
-        if rd:
-            r[rd] = v
-        c.pc = (c.pc + ln) & M32
-        c.ev_extra = extra
-        return 1
-    return ex
-
-
-def _lui(rd, imm_u, ln):
-    def ex(c):
-        if rd:
-            c.regs[rd] = imm_u
-        c.pc = (c.pc + ln) & M32
-        return 0
-    return ex
-
-
-def _auipc(rd, imm_u, pc, ln):
-    v = (pc + imm_u) & M32
-
-    def ex(c):
-        if rd:
-            c.regs[rd] = v
-        c.pc = (c.pc + ln) & M32
-        return 0
-    return ex
-
-
-def _jal(rd, target, pc, ln):
-    link = (pc + ln) & M32
-
-    def ex(c):
-        if rd:
-            c.regs[rd] = link
-        c.pc = target
-        c.ev_extra = 1
-        return 1
-    return ex
-
-
-def _jalr(rd, rs1, imm, pc, ln):
-    link = (pc + ln) & M32
-
-    def ex(c):
-        t = (c.regs[rs1] + imm) & M32 & ~1
-        if rd:
-            c.regs[rd] = link
-        c.pc = t
-        c.ev_extra = 1
-        return 1
-    return ex
-
-
-def _branch(mnem, rs1, rs2, target, ln):
-    cmps = {
-        "beq": lambda a, b: a == b,
-        "bne": lambda a, b: a != b,
-        "blt": lambda a, b: _sx(a) < _sx(b),
-        "bge": lambda a, b: _sx(a) >= _sx(b),
-        "bltu": lambda a, b: a < b,
-        "bgeu": lambda a, b: a >= b,
-    }
-    fn = cmps[mnem]
-
-    def ex(c):
-        r = c.regs
-        if fn(r[rs1], r[rs2]):
-            c.pc = target
-            c.ev_extra = 1
-            return 1
-        c.pc = (c.pc + ln) & M32
-        return 0
-    return ex
-
-
-def _load(f3, rd, rs1, imm, ln):
-    align = 3 if f3 == 2 else (1 if f3 in (1, 5) else 0)
-
-    def ex(c):
-        addr = (c.regs[rs1] + imm) & M32
-        if addr & align:
-            c.ev_cause = EXC_LADDR_MISALIGNED
-            c.ev_tval = addr
-            return 5
-        c.ev_addr = addr
-        c.ev_rd = rd
-        c.ev_f3 = f3
-        c.pc = (c.pc + ln) & M32
-        return 2
-    return ex
-
-
-def _store(f3, rs1, rs2, imm, ln):
-    align = 3 if f3 == 2 else (1 if f3 == 1 else 0)
-
-    def ex(c):
-        r = c.regs
-        addr = (r[rs1] + imm) & M32
-        if addr & align:
-            c.ev_cause = EXC_SADDR_MISALIGNED
-            c.ev_tval = addr
-            return 5
-        c.ev_addr = addr
-        c.ev_val = r[rs2]
-        c.ev_f3 = f3
-        c.pc = (c.pc + ln) & M32
-        return 3
-    return ex
+# key -> its closure factory, and the register operands its template reads
+_FACTORY = _Factories()
+_READS = {k: ("{rs1}" in (t or ""), "{rs2}" in (t or "") or kind == "store")
+          for k, (kind, t) in SEMANTICS.items()}
 
 
 def _csr_op(f3, rd, csr, src, writes, word, ln):
@@ -570,16 +537,18 @@ def _wfi(ln):
 #
 # The decoder is the only code that reads operand fields out of an
 # instruction word.  Each result is (closure, rd, text, reads, writes,
-# csr reads, csr writes): ``rd`` is the register the instruction writes
-# (0 for none), the one its trace line shows, and the last four are its
-# state access sets.  The lockstep scheduler keeps a single-bit fault
-# "dormant" while nothing reads it, and a golden run's def/use log
-# unions the read sets.  Register masks are bit-per-x-register, x0
-# dropped; CSR masks use the tag bits below.  Read masks
-# over-approximate (extra bits only cost speed); write masks name only
-# unconditional writes of retired instructions, since a spurious bit
-# would wrongly erase a live fault.  An encoding that traps claims to
-# read every register and CSR and to write nothing.
+# csr reads, csr writes, template): ``rd`` is the register the
+# instruction writes (0 for none), the one its trace line shows, the next
+# four are its state access sets, and ``template`` is (``SEMANTICS``
+# key, rd, rs1, rs2, imm) for a templated instruction, None otherwise.
+# The lockstep scheduler keeps a single-bit fault "dormant" while
+# nothing reads it, and a golden run's def/use log unions the read sets.
+# Register masks are bit-per-x-register, x0 dropped; CSR masks use the
+# tag bits below.  Read masks over-approximate (extra bits only cost
+# speed); write masks name only unconditional writes of retired
+# instructions, since a spurious bit would wrongly erase a live fault.
+# An encoding that traps claims to read every register and CSR and to
+# write nothing.
 
 CT_MSTATUS = 1
 CT_MTVEC = 2
@@ -618,12 +587,22 @@ _CSR_NAMES = {f3: m for m, f3 in _CSROPS.items()}
 
 
 def _decoded(ex, rd, text, *srcs, csr_reads=0, csr_writes=0):
-    """A decode result for closure ``ex`` that reads registers ``srcs``
-    and writes ``rd``."""
+    """A decode result for a hand-written closure ``ex`` that reads
+    registers ``srcs`` and writes ``rd``; no block takes it."""
     reads = 0
     for r in srcs:
         reads |= 1 << r
-    return ex, rd, text, reads & ~1, (1 << rd) & ~1, csr_reads, csr_writes
+    return (ex, rd, text, reads & ~1, (1 << rd) & ~1, csr_reads, csr_writes,
+            None)
+
+
+def _op(key, rd, rs1, rs2, imm, pc, ln, text):
+    """A decode result for template ``key`` (``SEMANTICS``) with these
+    operands; it reads the registers the template names."""
+    r1, r2 = _READS[key]
+    return (_FACTORY[key](rd, rs1, rs2, imm, ln, pc), rd, text,
+            (r1 << rs1 | r2 << rs2) & ~1, (1 << rd) & ~1, 0, 0,
+            (key, rd, rs1, rs2, imm))
 
 
 def _trap(cause, tval, text="illegal"):
@@ -632,7 +611,7 @@ def _trap(cause, tval, text="illegal"):
         c.ev_cause = cause
         c.ev_tval = tval
         return 5
-    return ex, 0, text, _ALL_REGS, 0, _ALL_CSRS, 0
+    return ex, 0, text, _ALL_REGS, 0, _ALL_CSRS, 0, None
 
 
 def decode32(word: int, pc: int):
@@ -655,31 +634,27 @@ def decode32(word: int, pc: int):
                 mnem = "srai"
             else:
                 return _trap(EXC_ILLEGAL, word)
-            return _decoded(_shift_imm(mnem, rd, rs1, sh, 4), rd,
-                            f"{mnem} x{rd}, x{rs1}, {sh}", rs1)
+            return _op(mnem, rd, rs1, 0, sh, pc, 4, f"{mnem} x{rd}, x{rs1}, {sh}")
         mnem = _OPIMM_NAMES[f3]
         imm = _sx12(word >> 20)
-        return _decoded(_alu_imm(mnem, rd, rs1, imm, 4), rd,
-                        f"{mnem} x{rd}, x{rs1}, {imm}", rs1)
+        return _op(mnem, rd, rs1, 0, imm, pc, 4, f"{mnem} x{rd}, x{rs1}, {imm}")
     if op == 0b0110011:
         mnem = _OP_NAMES.get((f3, f7))
         if mnem is None:
             return _trap(EXC_ILLEGAL, word)
-        factory = _muldiv if f7 == 0x01 else _alu_reg
-        return _decoded(factory(mnem, rd, rs1, rs2, 4), rd,
-                        f"{mnem} x{rd}, x{rs1}, x{rs2}", rs1, rs2)
+        return _op(mnem, rd, rs1, rs2, 0, pc, 4, f"{mnem} x{rd}, x{rs1}, x{rs2}")
     if op == 0b0000011:
         if f3 not in _LD_NAMES:
             return _trap(EXC_ILLEGAL, word)
         imm = _sx12(word >> 20)
-        return _decoded(_load(f3, rd, rs1, imm, 4), rd,
-                        f"{_LD_NAMES[f3]} x{rd}, {imm}(x{rs1})", rs1)
+        mnem = _LD_NAMES[f3]
+        return _op(mnem, rd, rs1, 0, imm, pc, 4, f"{mnem} x{rd}, {imm}(x{rs1})")
     if op == 0b0100011:
         if f3 not in _ST_NAMES:
             return _trap(EXC_ILLEGAL, word)
         imm = _sx12(((word >> 25) << 5) | ((word >> 7) & 31))
-        return _decoded(_store(f3, rs1, rs2, imm, 4), 0,
-                        f"{_ST_NAMES[f3]} x{rs2}, {imm}(x{rs1})", rs1, rs2)
+        mnem = _ST_NAMES[f3]
+        return _op(mnem, 0, rs1, rs2, imm, pc, 4, f"{mnem} x{rs2}, {imm}(x{rs1})")
     if op == 0b1100011:
         if f3 not in _BR_NAMES:
             return _trap(EXC_ILLEGAL, word)
@@ -689,27 +664,26 @@ def decode32(word: int, pc: int):
             imm -= 0x2000
         target = (pc + imm) & M32
         mnem = _BR_NAMES[f3]
-        return _decoded(_branch(mnem, rs1, rs2, target, 4), 0,
-                        f"{mnem} x{rs1}, x{rs2}, {target:#x}", rs1, rs2)
+        return _op(mnem, 0, rs1, rs2, target, pc, 4,
+                   f"{mnem} x{rs1}, x{rs2}, {target:#x}")
     if op == 0b0110111:
-        return _decoded(_lui(rd, word & 0xFFFFF000, 4), rd,
-                        f"lui x{rd}, {word >> 12:#x}")
+        return _op("lui", rd, 0, 0, word & 0xFFFFF000, pc, 4,
+                   f"lui x{rd}, {word >> 12:#x}")
     if op == 0b0010111:
-        return _decoded(_auipc(rd, word & 0xFFFFF000, pc, 4), rd,
-                        f"auipc x{rd}, {word >> 12:#x}")
+        return _op("lui", rd, 0, 0, (pc + (word & 0xFFFFF000)) & M32, pc, 4,
+                   f"auipc x{rd}, {word >> 12:#x}")
     if op == 0b1101111:
         imm = (((word >> 31) & 1) << 20) | (((word >> 12) & 0xFF) << 12) | \
             (((word >> 20) & 1) << 11) | (((word >> 21) & 0x3FF) << 1)
         if imm & 0x100000:
             imm -= 0x200000
         target = (pc + imm) & M32
-        return _decoded(_jal(rd, target, pc, 4), rd, f"jal x{rd}, {target:#x}")
+        return _op("jal", rd, 0, 0, target, pc, 4, f"jal x{rd}, {target:#x}")
     if op == 0b1100111 and f3 == 0:
         imm = _sx12(word >> 20)
-        return _decoded(_jalr(rd, rs1, imm, pc, 4), rd,
-                        f"jalr x{rd}, {imm}(x{rs1})", rs1)
+        return _op("jalr", rd, rs1, 0, imm, pc, 4, f"jalr x{rd}, {imm}(x{rs1})")
     if op == 0b0001111:
-        return _decoded(_nop(4), 0, "fence.i" if f3 == 1 else "fence")
+        return _op("nop", 0, 0, 0, 0, pc, 4, "fence.i" if f3 == 1 else "fence")
     if op == 0b1110011:
         if f3 == 0:
             if word == 0x00000073:
@@ -750,18 +724,15 @@ def decode16(half: int, pc: int):
                 (((half >> 6) & 1) << 2) | (((half >> 5) & 1) << 3)
             if imm == 0:
                 return _trap(EXC_ILLEGAL, half)
-            return _decoded(_alu_imm("addi", rdp, 2, imm, 2), rdp,
-                            f"c.addi4spn x{rdp}, {imm}", 2)
+            return _op("addi", rdp, 2, 0, imm, pc, 2, f"c.addi4spn x{rdp}, {imm}")
         if f3 == 2:
             imm = (((half >> 10) & 7) << 3) | (((half >> 6) & 1) << 2) | \
                 (((half >> 5) & 1) << 6)
-            return _decoded(_load(2, rdp, rs1p, imm, 2), rdp,
-                            f"c.lw x{rdp}, {imm}(x{rs1p})", rs1p)
+            return _op("lw", rdp, rs1p, 0, imm, pc, 2, f"c.lw x{rdp}, {imm}(x{rs1p})")
         if f3 == 6:
             imm = (((half >> 10) & 7) << 3) | (((half >> 6) & 1) << 2) | \
                 (((half >> 5) & 1) << 6)
-            return _decoded(_store(2, rs1p, rdp, imm, 2), 0,
-                            f"c.sw x{rdp}, {imm}(x{rs1p})", rs1p, rdp)
+            return _op("sw", 0, rs1p, rdp, imm, pc, 2, f"c.sw x{rdp}, {imm}(x{rs1p})")
         return _trap(EXC_ILLEGAL, half)
     if q == 1:
         if f3 == 0:
@@ -770,9 +741,8 @@ def decode16(half: int, pc: int):
             if imm & 0x20:
                 imm -= 64
             if rd == 0:
-                return _decoded(_nop(2), 0, "c.nop")
-            return _decoded(_alu_imm("addi", rd, rd, imm, 2), rd,
-                            f"c.addi x{rd}, {imm}", rd)
+                return _op("nop", 0, 0, 0, 0, pc, 2, "c.nop")
+            return _op("addi", rd, rd, 0, imm, pc, 2, f"c.addi x{rd}, {imm}")
         if f3 == 1 or f3 == 5:
             u = half
             imm = (((u >> 12) & 1) << 11) | (((u >> 11) & 1) << 4) | \
@@ -784,14 +754,13 @@ def decode16(half: int, pc: int):
             target = (pc + imm) & M32
             rd = 1 if f3 == 1 else 0
             mnem = "c.jal" if f3 == 1 else "c.j"
-            return _decoded(_jal(rd, target, pc, 2), rd, f"{mnem} {target:#x}")
+            return _op("jal", rd, 0, 0, target, pc, 2, f"{mnem} {target:#x}")
         if f3 == 2:
             rd = (half >> 7) & 31
             imm = ((half >> 2) & 31) | (((half >> 12) & 1) << 5)
             if imm & 0x20:
                 imm -= 64
-            return _decoded(_alu_imm("addi", rd, 0, imm, 2), rd,
-                            f"c.li x{rd}, {imm}")
+            return _op("addi", rd, 0, 0, imm, pc, 2, f"c.li x{rd}, {imm}")
         if f3 == 3:
             rd = (half >> 7) & 31
             if rd == 2:
@@ -802,15 +771,14 @@ def decode16(half: int, pc: int):
                     return _trap(EXC_ILLEGAL, half)
                 if imm & 0x200:
                     imm -= 0x400
-                return _decoded(_alu_imm("addi", 2, 2, imm, 2), 2,
-                                f"c.addi16sp {imm}", 2)
+                return _op("addi", 2, 2, 0, imm, pc, 2, f"c.addi16sp {imm}")
             imm = (((half >> 12) & 1) << 17) | (((half >> 2) & 31) << 12)
             if imm == 0:    # c.lui with a zero immediate is reserved
                 return _trap(EXC_ILLEGAL, half)
             if imm & 0x20000:
                 imm -= 0x40000
-            return _decoded(_lui(rd, imm & M32, 2), rd,
-                            f"c.lui x{rd}, {(imm >> 12) & 0x3F:#x}")
+            return _op("lui", rd, 0, 0, imm & M32, pc, 2,
+                       f"c.lui x{rd}, {(imm >> 12) & 0x3F:#x}")
         if f3 == 4:
             sub = (half >> 10) & 3
             rdp = 8 + ((half >> 7) & 7)
@@ -819,20 +787,17 @@ def decode16(half: int, pc: int):
                 if (half >> 12) & 1:    # shamt[5]: reserved on RV32C
                     return _trap(EXC_ILLEGAL, half)
                 mnem = "srli" if sub == 0 else "srai"
-                return _decoded(_shift_imm(mnem, rdp, rdp, sh, 2), rdp,
-                                f"c.{mnem} x{rdp}, {sh}", rdp)
+                return _op(mnem, rdp, rdp, 0, sh, pc, 2, f"c.{mnem} x{rdp}, {sh}")
             if sub == 2:
                 imm = ((half >> 2) & 31) | (((half >> 12) & 1) << 5)
                 if imm & 0x20:
                     imm -= 64
-                return _decoded(_alu_imm("andi", rdp, rdp, imm, 2), rdp,
-                                f"c.andi x{rdp}, {imm}", rdp)
+                return _op("andi", rdp, rdp, 0, imm, pc, 2, f"c.andi x{rdp}, {imm}")
             rs2p = 8 + ((half >> 2) & 7)
             if (half >> 12) & 1:
                 return _trap(EXC_ILLEGAL, half)
             mnem = ("sub", "xor", "or", "and")[(half >> 5) & 3]
-            return _decoded(_alu_reg(mnem, rdp, rdp, rs2p, 2), rdp,
-                            f"c.{mnem} x{rdp}, x{rs2p}", rdp, rs2p)
+            return _op(mnem, rdp, rdp, rs2p, 0, pc, 2, f"c.{mnem} x{rdp}, x{rs2p}")
         # f3 6 or 7
         rs1p = 8 + ((half >> 7) & 7)
         u = half
@@ -843,38 +808,34 @@ def decode16(half: int, pc: int):
             imm -= 0x200
         target = (pc + imm) & M32
         mnem = "c.beqz" if f3 == 6 else "c.bnez"
-        return _decoded(_branch("beq" if f3 == 6 else "bne", rs1p, 0, target, 2),
-                        0, f"{mnem} x{rs1p}, {target:#x}", rs1p)
+        return _op("beq" if f3 == 6 else "bne", 0, rs1p, 0, target, pc, 2,
+                   f"{mnem} x{rs1p}, {target:#x}")
     # q == 2
     rd = (half >> 7) & 31
     rs2 = (half >> 2) & 31
     if f3 == 0:
         if (half >> 12) & 1:    # shamt[5]: reserved on RV32C
             return _trap(EXC_ILLEGAL, half)
-        return _decoded(_shift_imm("slli", rd, rd, rs2, 2), rd,
-                        f"c.slli x{rd}, {rs2}", rd)
+        return _op("slli", rd, rd, 0, rs2, pc, 2, f"c.slli x{rd}, {rs2}")
     if f3 == 2:
         if rd == 0:
             return _trap(EXC_ILLEGAL, half)
         imm = (((half >> 12) & 1) << 5) | (((half >> 4) & 7) << 2) | \
             (((half >> 2) & 3) << 6)
-        return _decoded(_load(2, rd, 2, imm, 2), rd, f"c.lwsp x{rd}, {imm}", 2)
+        return _op("lw", rd, 2, 0, imm, pc, 2, f"c.lwsp x{rd}, {imm}")
     if f3 == 4:
         if (half >> 12) & 1 == 0:
             if rs2 == 0:
                 if rd == 0:
                     return _trap(EXC_ILLEGAL, half)
-                return _decoded(_jalr(0, rd, 0, pc, 2), 0, f"c.jr x{rd}", rd)
-            return _decoded(_alu_reg("add", rd, 0, rs2, 2), rd,
-                            f"c.mv x{rd}, x{rs2}", rs2)
+                return _op("jalr", 0, rd, 0, 0, pc, 2, f"c.jr x{rd}")
+            return _op("add", rd, 0, rs2, 0, pc, 2, f"c.mv x{rd}, x{rs2}")
         if rs2 == 0:
             if rd == 0:
                 return _trap(EXC_BREAKPOINT, pc, "c.ebreak")
-            return _decoded(_jalr(1, rd, 0, pc, 2), 1, f"c.jalr x{rd}", rd)
-        return _decoded(_alu_reg("add", rd, rd, rs2, 2), rd,
-                        f"c.add x{rd}, x{rs2}", rd, rs2)
+            return _op("jalr", 1, rd, 0, 0, pc, 2, f"c.jalr x{rd}")
+        return _op("add", rd, rd, rs2, 0, pc, 2, f"c.add x{rd}, x{rs2}")
     if f3 == 6:
         imm = (((half >> 9) & 0xF) << 2) | (((half >> 7) & 3) << 6)
-        return _decoded(_store(2, 2, rs2, imm, 2), 0, f"c.swsp x{rs2}, {imm}",
-                        2, rs2)
+        return _op("sw", 0, 2, rs2, imm, pc, 2, f"c.swsp x{rs2}, {imm}")
     return _trap(EXC_ILLEGAL, half)

@@ -56,7 +56,7 @@ from .core import (
     Core, M32, PH_F0, PH_F1, PH_EX, PH_LD, PH_DW,
     EXC_IACCESS_FAULT, EXC_LACCESS_FAULT, EXC_SACCESS_FAULT,
     MSTATUS_MIE, MIE_MEIE, MIE_MSIE, CORE_LOC_TAGS,
-    decode16, decode32,
+    decode16, decode32, load_lanes, EXTRA, F3, SEMANTICS, TEMPLATE_NS,
 )
 from .interconnect import (
     Crossbar, Port, R_DEV, R_NONE, R_ROM, R_SRAM,
@@ -108,19 +108,6 @@ def _store_lanes(addr: int, f3: int, val: int) -> tuple[int, int]:
         return 0x3 << sh, (val & 0xFFFF) << (sh * 8)
     b = addr & 3
     return 1 << b, (val & 0xFF) << (b * 8)
-
-
-def _load_lanes(word: int, addr: int, f3: int) -> int:
-    """The value a lb/lbu/lh/lhu at ``addr`` takes from its bus word."""
-    if f3 & 1:  # lh/lhu
-        v = (word >> ((addr & 2) * 8)) & 0xFFFF
-        if f3 == 1 and v & 0x8000:
-            v |= 0xFFFF0000
-    else:       # lb/lbu
-        v = (word >> ((addr & 3) * 8)) & 0xFF
-        if f3 == 0 and v & 0x80:
-            v |= 0xFFFFFF00
-    return v
 
 
 # ------------------------------------------------------------ boot ROM
@@ -348,6 +335,273 @@ def _fetch_info(pc: int, words: list, dcache: dict) -> tuple:
     return w & 7, w >> 3, words[w & 7], e if e[1] == 1 else _MISS, pc
 
 
+# ---------------------------------------------------- translated blocks
+#
+# ``_fast_burst`` runs a straight line of decode-cache entries as one
+# generated function, a translated block, built from the ``SEMANTICS``
+# templates with the registers in locals.  A block ends with a branch or
+# a jump, or before an instruction it does not take (a store, a CSR op,
+# ``mret``, ``wfi``, a trap, a spanning fetch, a pc not yet decoded).  A
+# block whose terminator goes back to its start repeats inside the
+# function.  Its cycles are static offsets: it does nothing while one of
+# its fetch banks is busy, it runs a pass only when the whole pass fits
+# before ``allowed``, and it bails, before anything of the instruction
+# is done, at a load that the burst must handle itself (misaligned,
+# outside SRAM, to a busy bank or a tainted row), so that the burst
+# redoes that instruction.  Scrubber ticks due inside a block run when
+# the burst gets control back, which is exact: only a store grant or a
+# busy bank changes what a tick does, and a block grants no store, while
+# a tick changes only tainted rows, which a block's loads bail on.
+
+_BLOCK_MAX = 64         # instructions in a translated block
+_BLOCK_SLACK = 4096     # cycles a block may run past a due scrubber tick
+_BLOCK_CODE_MAX = 512   # translated blocks kept for the whole process
+_block_code: dict[tuple, object] = {}   # (start pc, words) -> function
+_BLOCK_NS = dict(TEMPLATE_NS, load_lanes=load_lanes)
+_WBITS = (mem.TOTAL_WORDS - 1).bit_length()     # w >> _WBITS: outside SRAM
+
+
+def _pack(n: int) -> str:
+    """The name of the packer of ``n`` trace records in ``_BLOCK_NS``."""
+    _BLOCK_NS.setdefault(f"P{n}", struct.Struct(
+        "<" + _TRACE_REC.format[1:] * n).pack)
+    return f"P{n}"
+
+
+def _block_source(pc0: int, ents: list) -> str:
+    """The source of ``blk(c, B, cy, allowed, dlast, tb, T, hart)``, the
+    block of decode-cache entries ``ents`` from ``pc0`` on, run at cycle
+    ``cy`` on banks ``B`` with trace buffer ``tb`` and def/use log ``T``
+    (None when off).  It returns None when it did nothing, or (cycle, pc
+    of its last instruction, ``dlast``) where it stopped, with ``c.pc``
+    the next pc and the registers, ``minstret``, the ``ev_*`` and exec
+    fields and the trace as the per-instruction loop leaves them."""
+    steps = []      # per instruction: pc, retire offset, trace record, ...
+    pc, off = pc0, 0
+    for i, e in enumerate(ents):
+        key, rd, rs1, rs2, imm = e[11]
+        kind, expr = SEMANTICS[key]
+        cap = rd and any(x[11][1] == rd for x in ents[i + 1:])
+        val = f"v{i}" if cap else f"x{rd}" if rd else "0"
+        src = (expr or "").replace("{rs1}", f"x{rs1}" if rs1 else "0").replace(
+            "{rs2}", f"x{rs2}" if rs2 else "0").replace(
+            "{imm}", repr(imm)).replace("{uimm}", repr(imm & M32))
+        cost = 2 if kind in ("load", "jump") else 1 + EXTRA.get(key, 0)
+        steps.append(dict(pc=pc, o=off, off=off + cost, kind=kind, key=key,
+                          rd=rd, src=src, imm=imm, cap=cap,
+                          rec=f"{e[4] & M32}, {rd}, {val}",
+                          extra=EXTRA.get(key)))
+        off += cost
+        pc += 4 if e[4] & 3 == 3 else 2
+    end = pc
+    taken = term = None
+    if steps[-1]["kind"] in ("branch", "jump"):
+        term = steps.pop()
+        taken = dict(term, off=term["o"] + 2, extra=1)
+    loop = taken is not None and taken["key"] != "jalr" and taken["imm"] == pc0
+    full = steps + [taken] if taken else steps     # a pass, branch taken
+    cycles = full[-1]["off"]
+    live = wrote = 0
+    for e in ents:
+        live |= e[7] | e[8]
+        wrote |= e[8]
+    lines = []
+
+    def emit(ind, *ls):
+        lines.extend("    " * ind + ln for ln in ls)
+
+    def records(hist):
+        return ", ".join(f"cy + {s['off']}, hart, {s['pc']}, {s['rec']}"
+                         for s in hist)
+
+    def leave(ind, hist, nxt, prev):
+        """End after the steps ``hist`` of this pass, going on at ``nxt``;
+        ``prev`` says if a pass came before: "" no, "n" maybe, "1" yes."""
+        emit(ind, *(f"r[{k}] = x{k}" for k in range(1, 32) if wrote >> k & 1),
+             f"c.pc = {nxt}",
+             f"c.minstret += {len(hist)}" + (" + n" if prev else ""))
+        if hist:
+            emit(ind, "if tb is not None:",
+                 f"    tb += {_pack(len(hist))}({records(hist)})")
+        dl = "dlast"
+        for field in ("load", "extra"):
+            def has(s):
+                return s["kind"] == "load" if field == "load" else \
+                    s["extra"] is not None
+            got, cond = [s for s in hist if has(s)], ""
+            if not got and prev:
+                got, cond = [s for s in full if has(s)], prev
+            if not got:
+                continue
+            s = got[-1]
+            if cond == "n":
+                emit(ind, "if n:")
+            sub = ind + (cond == "n")
+            if field == "extra":
+                emit(sub, f"c.ev_extra = {s['extra']}", "c.exec_left = 0",
+                     "c.exec_retire = True")
+                continue
+            k = steps.index(s)
+            emit(sub, f"c.ev_addr = a{k}", f"c.ev_rd = {s['rd']}",
+                 f"c.ev_f3 = {F3[s['key']]}")
+            dl = f"(a{k}, False, 0, 0, m{k}, 0)" + (
+                " if n else dlast" if cond == "n" else "")
+        last = hist[-1] if hist else full[-1]
+        emit(ind, f"return cy + {last['off'] if hist else 0}, {last['pc']}, {dl}")
+
+    banks = sorted({(s["pc"] - SRAM_BASE) >> 2 & 7 for s in full})
+    lines.append("def blk(c, B, cy, allowed, dlast, tb, T, hart):")
+    emit(1, f"if cy + {cycles} > allowed or " + " or ".join(
+        f"B[{b}].busy_until > cy" for b in banks) + ":", "    return None",
+        "r = c.regs", *(f"x{k} = r[{k}]" for k in range(1, 32) if live >> k & 1))
+    ind, prev = 1, ""
+    if loop:
+        emit(1, "n = 0", "while True:")
+        ind, prev = 2, "n"
+    for i, s in enumerate(steps):
+        rd = s["rd"]
+        if s["kind"] == "load":
+            f3 = F3[s["key"]]
+            align = (1 << (f3 & 3)) - 1
+            emit(ind, f"a{i} = {s['src']}", f"w = (a{i} - {SRAM_BASE}) >> 2",
+                 "if " + (f"a{i} & {align} or " if align else "") +
+                 f"w >> {_WBITS} or (b := B[w & 7]).busy_until >= cy + "
+                 f"{s['o'] + 2} or b.tainted and w >> 3 in b.tainted:")
+            if i == 0:
+                emit(ind + 1, "break" if loop else "return None")
+            else:
+                leave(ind + 1, steps[:i], s["pc"], prev)
+            emit(ind, "if T is not None:", "    T[w] |= 1",
+                 f"m{i} = b.cws[w >> 3] & M32")
+            if rd:
+                emit(ind, f"x{rd} = " + (f"m{i}" if f3 == 2 else
+                                          f"load_lanes(m{i}, a{i}, {f3})"))
+        elif rd:
+            emit(ind, f"x{rd} = {s['src']}")
+        if s["cap"]:
+            emit(ind, f"v{i} = x{rd}")
+    if taken is None:
+        leave(ind, steps, end, prev)
+        return "\n".join(lines) + "\n"
+    nxt = taken["imm"]
+    if taken["kind"] == "branch":
+        emit(ind, f"if {taken['src']}:")
+        ind += 1
+    elif taken["key"] == "jalr":
+        emit(ind, f"t = {taken['src']}")
+        nxt = "t"
+    if taken["rd"]:
+        emit(ind, f"x{taken['rd']} = {end}")
+    if loop:
+        emit(ind, "if tb is not None:",
+             f"    tb += {_pack(len(full))}({records(full)})",
+             f"cy += {cycles}", f"n += {len(full)}",
+             f"if cy + {cycles} > allowed:", "    break")
+        if taken["kind"] == "branch":
+            emit(ind, "continue")
+    else:
+        leave(ind, full, nxt, prev)
+    if taken["kind"] == "branch":
+        leave(ind - 1, steps + [term], end, prev)
+    if loop:
+        emit(1, "if not n:", "    return None")
+        leave(1, [], pc0, "1")
+    return "\n".join(lines) + "\n"
+
+
+def _translate(pc0: int, ents: list):
+    """The translated block of ``ents`` from ``pc0``; its code depends only
+    on the start pc and the instruction words, so it is kept for the
+    whole process (dropped all at once when the cache is full)."""
+    key = (pc0, *(e[4] for e in ents))
+    fn = _block_code.get(key)
+    if fn is None:
+        if len(_block_code) >= _BLOCK_CODE_MAX:
+            _block_code.clear()
+        ns: dict = {}
+        exec(_block_source(pc0, ents), _BLOCK_NS, ns)
+        fn = _block_code[key] = ns["blk"]
+    return fn
+
+
+class _Blocks:
+    """The translated blocks of one ``Soc``.
+
+    ``start`` maps a pc to its block as (function, (pc, entry, bank, row)
+    of each instruction, register mask | 1); to 0 once a burst has
+    visited it, and to None where no block starts.  A block is built at
+    a pc's second visit, from the decode-cache entries there are: it
+    never decodes.  ``cover`` maps a word address to the pcs of the
+    blocks that execute from it.
+    """
+
+    __slots__ = ("start", "cover")
+
+    def __init__(self):
+        self.start: dict[int, object] = {}
+        self.cover: dict[int, set] = {}
+
+    def clear(self) -> None:
+        self.start.clear()
+        self.cover.clear()
+
+    def enter(self, pc: int, btab: dict, dcache: dict, banks: list,
+              avoid: int):
+        """The block at ``pc`` that this burst may run, or False.  A burst
+        checks a block once, as its fetch table checks a pc: each word
+        still holds its untainted decode-cache entry, and no instruction
+        reads or writes a register in ``avoid``.  The result goes into
+        the burst's ``btab``, except after a first visit."""
+        rec = self.start.get(pc, -1)
+        if rec == -1:
+            self.start[pc] = 0
+            return False
+        if rec == 0:
+            rec = self.start[pc] = self._build(pc, dcache, banks)
+        btab[pc] = False
+        if not rec or rec[2] & avoid:
+            return False
+        dget = dcache.get
+        for p, e, bank, row in rec[1]:
+            if dget(p) is not e or bank.cws[row] & M32 != e[2] or \
+                    row in bank.tainted:
+                self.start[pc] = 0   # stale: build it anew
+                return False
+        btab[pc] = rec[0]
+        return rec[0]
+
+    def _build(self, pc0: int, dcache: dict, banks: list):
+        ents, checks = [], []
+        pc = pc0
+        mask = 1
+        while len(ents) < _BLOCK_MAX and SRAM_BASE <= pc < SRAM_END:
+            e = dcache.get(pc)
+            if e is None or e[1] != 1 or e[11] is None or \
+                    SEMANTICS[e[11][0]][0] == "store":
+                break
+            w = (pc - SRAM_BASE) >> 2
+            bank, row = banks[w & 7], w >> 3
+            if bank.cws[row] & M32 != e[2] or row in bank.tainted:
+                return 0    # the burst hands this pc back: build it later
+            ents.append(e)
+            checks.append((pc, e, bank, row))
+            mask |= e[7] | e[8]
+            if SEMANTICS[e[11][0]][0] in ("branch", "jump"):
+                break
+            pc += 4 if e[4] & 3 == 3 else 2
+        if len(ents) < 2:
+            return None
+        for p, *_ in checks:
+            self.cover.setdefault(p & ~3, set()).add(pc0)
+        return _translate(pc0, ents), tuple(checks), mask
+
+    def drop(self, a: int, btab: dict) -> None:
+        """A store wrote the word at ``a``: its blocks are built anew."""
+        for p in self.cover.pop(a, ()):
+            self.start[p] = 0
+            btab.pop(p, None)
+
+
 class _Lanes:
     """The awake cores of ``Soc._event_burst``, one list entry each.
 
@@ -474,6 +728,7 @@ class Soc:
         self.vports = (Port(VOTED, True), Port(VOTED, False))   # (D, I)
         self.cports = [(Port(i, True), Port(i, False)) for i in range(3)]
         self.dcache: dict[int, tuple] = {}
+        self.blocks = _Blocks()
         # def/use log of a golden run: one byte per SRAM word, bit 0 read,
         # bit 1 written (None when not recording)
         self._touched: bytearray | None = None
@@ -501,6 +756,7 @@ class Soc:
         self.banks = mem.BankArray()  # a fresh load means fresh memory
         self.banks.load_image(image)
         self.dcache.clear()
+        self.blocks.clear()
         self.reset()
         self.rom = rom_words(entry)
         self.entry = entry
@@ -1002,7 +1258,7 @@ class Soc:
             self._fault(c, dp, EXC_LACCESS_FAULT, c.ev_addr, now)
             return
         if c.ev_f3 != 2:
-            val = _load_lanes(val, c.ev_addr, c.ev_f3)
+            val = load_lanes(val, c.ev_addr, c.ev_f3)
         rd = c.ev_rd
         if rd:
             c.regs[rd] = val
@@ -1272,6 +1528,12 @@ class Soc:
         an instruction (its closure reads them) and at the exit, the
         current-instruction fields at the exit only.
 
+        Where no store waits for its grant and no interrupt is due, a
+        straight line of instructions runs as a translated block (see
+        ``_Blocks``), checked once per burst like a fetch; a granted
+        store drops the blocks that execute from its word as well.  The
+        scrubber ticks a block defers run before the next block or fetch.
+
         It ends at any complication through one exit, which leaves the
         SoC in the reference engine's end-of-cycle state and then hands
         the current instruction to the reference helpers: its fetch is
@@ -1306,33 +1568,56 @@ class Soc:
         dorm = self.dorm_hart >= 0
         mip = c.mip
         irq = mip & c.mie and c.mstatus & MSTATUS_MIE
-        # pc -> (closure, fetch bank, masked word, rd, CSR mask bits, pc,
-        # decode-cache entry) of a fetch checked in this burst
+        # pc -> (closure, fetch bank, masked word, rd, CSR mask bits) of a
+        # fetch checked in this burst
         tab: dict[int, tuple] = {}
+        # start pc -> the translated block checked in this burst, or False;
+        # no block runs a register of a carried fault (any, with ``mip``)
+        btab: dict[int, object] = {}
+        bget = btab.get
+        enter = self.blocks.enter
+        avoid = (-1 if mip else self.dorm_regs) if dorm else 0
         ret = 0         # retired since ``c.minstret`` was last written
         hold_bank = hold_until = -1  # a fetch that lost to a store waits
         pend = None     # (bank index, row, word index, addr, wdata, strobes)
-        fent = None     # the table entry of the last instruction taken here
+        fpc = None      # the pc of the last instruction taken here
         dlast = None    # (addr, is_write, wdata, strobes, resp_val, resp_status)
                         # of the last data access made here
         hand = None     # what the exit hands on (see the docstring)
 
         while True:
-            if pend is not None and sram_lo <= pc < sram_hi and \
-                    ((pc - sram_lo) >> 2) & 7 == pend[0]:
-                # this fetch loses arbitration to the posted store and
-                # waits for its grant (and merge, if sub-word)
-                g = cy + 1
-                nxt = g if pend[5] == 0xF else g + 1
-                if nxt > allowed:
-                    break
-                hold_bank = pend[0]
-                dlast = self._fast_store(pend, g, tab)
-                pend = None
-                self.xbar.conflict_stalls += 1
-                if rr_next >= 0:
-                    self.xbar.rr[hold_bank] = rr_next
-                hold_until = cy = nxt
+            if pend is not None:
+                if sram_lo <= pc < sram_hi and \
+                        ((pc - sram_lo) >> 2) & 7 == pend[0]:
+                    # this fetch loses arbitration to the posted store and
+                    # waits for its grant (and merge, if sub-word)
+                    g = cy + 1
+                    nxt = g if pend[5] == 0xF else g + 1
+                    if nxt > allowed:
+                        break
+                    hold_bank = pend[0]
+                    dlast = self._fast_store(pend, g, tab, btab)
+                    pend = None
+                    self.xbar.conflict_stalls += 1
+                    if rr_next >= 0:
+                        self.xbar.rr[hold_bank] = rr_next
+                    hold_until = cy = nxt
+            elif not irq:
+                # a block defers the ticks due inside it to here, and stops
+                # within _BLOCK_SLACK cycles of the next one
+                if stick <= cy:
+                    stick = self._fast_ticks(stick, cy, hold_bank, hold_until)
+                    guard = min(stick, allowed + 1)
+                blk = bget(pc)
+                if blk is None:
+                    blk = enter(pc, btab, self.dcache, banks, avoid)
+                if blk:
+                    res = blk(c, banks, cy, min(allowed, stick + _BLOCK_SLACK),
+                              dlast, tb, touched, hart)
+                    if res is not None:
+                        cy, fpc, dlast = res
+                        pc = c.pc
+                        continue
             f = cy + 1
             try:
                 t = tab[pc]
@@ -1353,7 +1638,7 @@ class Soc:
                              or mip):
                     break   # the reference helpers split, replay or erase
                 t = tab[pc] = (entry[0], bank, entry[4] & m32, entry[5],
-                               entry[9] | entry[10], pc, entry)
+                               entry[9] | entry[10])
             if t[1].busy_until >= f:
                 break
             # the instruction is taken: grant the store posted with
@@ -1362,15 +1647,15 @@ class Soc:
                 if f > allowed:
                     break
                 if pend is not None:
-                    dlast = self._fast_store(pend, f, tab)
+                    dlast = self._fast_store(pend, f, tab, btab)
                     pend = None
                 stick = self._fast_ticks(stick, f, hold_bank, hold_until)
                 guard = min(stick, allowed + 1)
             elif pend is not None:
-                dlast = self._fast_store(pend, f, tab)
+                dlast = self._fast_store(pend, f, tab, btab)
                 pend = None
             cy = f
-            fent = t
+            fpc = pc
             if t[4]:
                 self.cycle = f
                 c.minstret += ret
@@ -1417,7 +1702,7 @@ class Soc:
                         break
                     cy = d
                     if c.ev_f3 != 2:
-                        data = _load_lanes(data, addr, c.ev_f3)
+                        data = load_lanes(data, addr, c.ev_f3)
                     rd = c.ev_rd
                     if rd:
                         regs[rd] = data
@@ -1460,14 +1745,14 @@ class Soc:
         if pend is not None:
             bidx, row, _widx, addr, wdata, strobes = pend
             dp.want(R_SRAM, bidx, row, addr & ~3, True, wdata, strobes)
-        if fent is not None:
-            fpc = fent[5]
+        if fpc is not None:
+            fe = self.dcache[fpc]
             c.cur_pc = fpc
-            c.cur_word = fent[6][4]
-            c.cur_rd = fent[3]
+            c.cur_word = fe[4]
+            c.cur_rd = fe[5]
             widx = (fpc - SRAM_BASE) >> 2
             ip.load_state((False, R_SRAM, widx & 7, widx >> 3, fpc & ~3,
-                           False, 0, 0, False, fent[6][2], RS_OK))
+                           False, 0, 0, False, fe[2], RS_OK))
         if stick <= cy:
             self._fast_ticks(stick, cy, hold_bank, hold_until)
         self._trace_flush()
@@ -1479,12 +1764,13 @@ class Soc:
             self._consume_load(c, dp, ip, cy)
         else:   # in the phase the reference engine dispatches it from
             c.phase = PH_F0
-            self._apply(c, ip, dp, fent[6], hand, cy)
+            self._apply(c, ip, dp, fe, hand, cy)
 
-    def _fast_store(self, pend: tuple, g: int, tab: dict) -> tuple:
+    def _fast_store(self, pend: tuple, g: int, tab: dict, btab: dict) -> tuple:
         """Grant a fast-burst store at cycle ``g``, dropping the pcs of
-        the word it writes from the burst's fetch table ``tab``; returns
-        the access as ``_fast_burst``'s ``dlast``."""
+        the word it writes from the burst's fetch table ``tab`` and the
+        blocks that execute from it; returns the access as
+        ``_fast_burst``'s ``dlast``."""
         bidx, row, widx, addr, wdata, strobes = pend
         bank = self.banks.banks[bidx]
         bank.write(row, wdata, strobes)
@@ -1495,6 +1781,7 @@ class Soc:
         a = addr & ~3
         tab.pop(a, None)
         tab.pop(a + 2, None)
+        self.blocks.drop(a, btab)
         return a, True, wdata, strobes, 0, RS_OK
 
     def _fast_ticks(self, s: int, upto: int, hold_bank: int,
@@ -1574,7 +1861,7 @@ class Soc:
         stick = max(scrub.next_cycle, cy + 1) if scrub.enabled else big
         allowed = limit if stop_at is None else min(limit, stop_at)
         sram_lo = SRAM_BASE
-        wbits = (mem.TOTAL_WORDS - 1).bit_length()  # w >> wbits: outside SRAM
+        wbits = _WBITS
         m32 = M32
 
         # the claim rule above: ``cl[b] == t1`` once a request has claimed
@@ -1708,7 +1995,7 @@ class Soc:
                             continue
                     drv[k] = v
                     if c.ev_f3 != 2:
-                        v = _load_lanes(v, c.ev_addr, c.ev_f3)
+                        v = load_lanes(v, c.ev_addr, c.ev_f3)
                     rd = c.ev_rd
                     if rd:
                         c.regs[rd] = v

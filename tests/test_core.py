@@ -520,7 +520,7 @@ def _encode(*ins) -> int:
 
 def _access_sets(word: int) -> tuple:
     """(reg reads, reg writes, csr reads, csr writes) of one encoding."""
-    return (decode32 if word & 3 == 3 else decode16)(word, SRAM_BASE)[3:]
+    return (decode32 if word & 3 == 3 else decode16)(word, SRAM_BASE)[3:7]
 
 
 _TRAP_TEXTS = ("illegal", "ecall", "ebreak", "c.ebreak")
@@ -563,7 +563,7 @@ def _legal_encodings():
             w = w & 0x01FFFFFF | rng.choice((0, 1, 0x20)) << 25
         words.append(w)
     for w in words:
-        ex, _rd, text, *sets = (decode32 if w & 3 == 3 else decode16)(w, SRAM_BASE)
+        ex, _rd, text, *sets, _tpl = (decode32 if w & 3 == 3 else decode16)(w, SRAM_BASE)
         if text not in _TRAP_TEXTS:
             yield w, text, ex, sets
 

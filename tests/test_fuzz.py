@@ -2,11 +2,14 @@
 
 Generated programs give each hart its own bounded loop of ALU, mul/div,
 compressed ALU (``c.addi`` and the CA/CB ops ``c.srli`` ... ``c.and``),
-word and sub-word load and store operations on one small shared buffer,
-so stores and loads of different harts keep meeting on the same banks,
-and of CSR operations: reads of the cycle and retired instruction
-counters (which the fused single-core burst writes back only before
-such an instruction and at its exit) and set/clear of ``mscratch``.
+``lui`` and ``auipc``, word and sub-word load and store operations on
+one small shared buffer, so stores and loads of different harts keep
+meeting on the same banks, forward branches of all six compares and a
+``jal`` that skip one ALU op (so the single-core burst's translated
+blocks end at every kind of terminator, taken and not), and of CSR
+operations: reads of the cycle and retired instruction counters (which
+the fused single-core burst writes back only before such an
+instruction and at its exit) and set/clear of ``mscratch``.
 Every value read or written ends up in the exit code.  With
 ``fast_loop`` on and off, a run must give the same report (trace hash
 included) and the same full state at a pause and at the end.  The same
@@ -38,11 +41,13 @@ ALU = ["add", "sub", "xor", "or", "and", "sll", "srl", "sra", "slt", "sltu",
 LOADS = {"lw": 4, "lh": 2, "lhu": 2, "lb": 1, "lbu": 1}
 STORES = {"sw": 4, "sh": 2, "sb": 1}
 COUNTERS = ["mcycle", "minstret", "mcycleh"]
+BRANCHES = ["beq", "bne", "blt", "bge", "bltu", "bgeu"]
 BUF_BYTES = 64      # two words per bank
 
 _reg = st.sampled_from(REGS)
+_alu = st.tuples(st.sampled_from(ALU), _reg, _reg, _reg)
 _op = st.one_of(
-    st.tuples(st.sampled_from(ALU), _reg, _reg, _reg),
+    _alu,
     st.tuples(st.just("addi"), _reg, _reg, st.integers(-2048, 2047)),
     st.tuples(st.just("c.addi"), _reg, st.integers(1, 31)),
     st.tuples(st.sampled_from(["c.srli", "c.srai"]), _reg, st.integers(0, 31)),
@@ -57,6 +62,12 @@ _op = st.one_of(
         st.tuples(st.just("csrr"), _reg, st.sampled_from(COUNTERS)),
         st.tuples(st.sampled_from(["csrs", "csrc"]), st.just("mscratch"),
                   _reg)),
+    # over the ALU op in last place
+    st.one_of(
+        st.tuples(st.sampled_from(BRANCHES), _reg, _reg, _alu),
+        st.tuples(st.just("jal"), _reg, _alu)),
+    st.tuples(st.sampled_from(["lui", "auipc"]), _reg,
+              st.integers(0, 2**20 - 1)),
 )
 _hart = st.fixed_dictionaries({
     "ops": st.lists(_op, min_size=1, max_size=12),
@@ -83,9 +94,13 @@ def build(harts, wait: bool = True) -> Program:
             p.ins("li", r, v)
         p.ins("li", "s1", h["loops"])
         p.label(f"loop{k}")
-        for op in h["ops"]:
+        for j, op in enumerate(h["ops"]):
             if op[0] in LOADS or op[0] in STORES:
                 p.ins(op[0], op[1], op[2], "s0")
+            elif op[0] in BRANCHES or op[0] == "jal":
+                p.ins(*op[:-1], f"skip{k}_{j}")
+                p.ins(*op[-1])
+                p.label(f"skip{k}_{j}")
             else:
                 p.ins(*op)
         p.ins("addi", "s1", "s1", -1)

@@ -218,12 +218,14 @@ def _store_fetch_conflict_loop(op, offset):
     return p
 
 
-def _self_modifying_loop(op, n):
+def _self_modifying_loop(op, n, lead=False):
     """A loop that executes the instruction at ``patch`` and, on every
     other iteration, rewrites it (``sw`` of the word, ``sh`` of the upper
     half of a 32-bit ``addi``, or ``sh`` of a ``c.addi`` in the upper
     half of its word) so the next fetch of it must see the new word.
-    The two encodings add ``incs`` to a0; a0 is the result register."""
+    The two encodings add ``incs`` to a0; a0 is the result register.
+    With ``lead``, an ``addi`` starts the loop, so that ``patch`` sits in
+    the middle of the loop's straight line."""
     p = Program()
     p.label("_start")
     p.ins("la", "s0", "patch")
@@ -251,6 +253,8 @@ def _self_modifying_loop(op, n):
         p.ins("c.addi", "a0", 1)
     else:
         p.label("loop")
+        if lead:
+            p.ins("addi", "a1", "a1", 3)
         p.label("patch")
         p.ins("addi", "a0", "a0", 1)
     p.ins("andi", "t1", "s1", 1)
@@ -275,8 +279,19 @@ class TestSelfModifyingCode:
         # the fused burst checks a pc's fetch once and keeps the result;
         # a store to the instruction's word must drop it, or the burst
         # runs the old instruction again
+        self.check(op, mode, False)
+
+    @pytest.mark.parametrize("mode", ["lockstep", "single"])
+    @pytest.mark.parametrize("op", ["sw", "sh"])
+    def test_rewritten_mid_block_instruction_refetched(self, op, mode):
+        # the loop's straight line runs as one translated block; the
+        # store to its second instruction must drop the whole block
+        self.check(op, mode, True)
+
+    @staticmethod
+    def check(op, mode, lead):
         n = 40
-        prog, incs = _self_modifying_loop(op, n)
+        prog, incs = _self_modifying_loop(op, n, lead)
         want, cur = 0, 0
         for i in range(n, 0, -1):
             want += incs[cur]
@@ -424,6 +439,29 @@ def _retire_hand_back(seen):
     return lambda _soc, c, _ip, _t, _retire: None if c.phase == PH_EX else seen(c)
 
 
+class TestDormantFaultOnHart0:
+    # a register fault carried for hart 0 is one the converged burst and
+    # its translated blocks must hand to the reference helpers at its
+    # first read, exactly as one carried for hart 1
+    REGS = ("x10", "x11", "x12", "x19", "x28", "x29", "x30", "x31")
+
+    @pytest.mark.parametrize("at", [1500, 3000, 4500])
+    def test_engines_agree(self, at):
+        # each run decodes the kernel on its way to ``at``, so the burst
+        # after the injection runs the blocks and checked fetches that
+        # would read the fault
+        prog = kernels.build_kernel("matmul8", "lockstep")
+        for hart in (0, 1):
+            for loc in self.REGS:
+                got = []
+                for fast in (True, False):
+                    soc = fresh(prog=prog, fast_loop=fast)
+                    soc.run(stop_at=at)
+                    soc.inject_core_fault(hart, loc, 4)
+                    got.append((soc.run().to_dict(), soc.snapshot()))
+                assert got[0] == got[1], (hart, loc)
+
+
 class TestEventBurstHandBacks:
     """Parallel programs that make ``_event_burst`` hand a core back to
     the reference helpers; both engines must end identically."""
@@ -561,11 +599,11 @@ class TestReload:
 
     # attributes outside ``_FLAGS`` and the snapshot, each with its own
     # reset: the config, the port wiring (``_wire_ports``), the decode
-    # cache (cleared by a load), the def/use log (``record_def_use``) and
-    # the trace (``_trace_reset``)
+    # cache and the translated blocks (cleared by a load), the def/use
+    # log (``record_def_use``) and the trace (``_trace_reset``)
     UNSNAPSHOTTED = {
-        "config", "bus_ports", "active", "dcache", "_touched", "_last_irq",
-        "rec_trace", "tracebuf", "_trace_sha", "trace_lines",
+        "config", "bus_ports", "active", "dcache", "blocks", "_touched",
+        "_last_irq", "rec_trace", "tracebuf", "_trace_sha", "trace_lines",
     }
     # snapshot keys that are not attribute names
     RENAMED = {"uart": {"uart_out"},
