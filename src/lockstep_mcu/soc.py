@@ -21,12 +21,13 @@ whose request bundles are majority-voted into the real ports each
 cycle, until the resynchronization flow (or plain overwriting of the
 flipped bit) makes the cores bit-identical again.
 
-With ``fast_loop`` on, two fused loops stand in for this engine where
-they can: ``_fast_burst`` for one active core and ``_event_burst`` for
-several cores in performance mode.  Both stop at cycle boundaries and
-give exactly the reference engine's results.  Neither decides anything
-about a dormant fault: an instruction that touches one is handed back
-to the reference helpers, which alone split, replay or erase it.
+With ``fast_loop`` on, one fused loop, ``_event_burst``, stands in for
+this engine where it can: for one active core (entered through
+``_fast_burst``) and for several cores in performance mode.  It stops
+at cycle boundaries and gives exactly the reference engine's results.
+It decides nothing about a dormant fault: an instruction that touches
+one is handed to the reference helpers, which alone split, replay or
+erase it.
 ``snapshot()`` records a carried fault without splitting the group, and
 ``restore()`` reinstates exactly the snapshot's (none, for a fault-free
 one).
@@ -92,7 +93,8 @@ FATAL_EXIT_BASE = 0xDEAD0000  # unhandled trap: exit code 0xDEAD0000 | cause
 CONVERGENCE_CHECK_PERIOD = 64
 
 _TRACE_REC = struct.Struct("<QBIIBI")
-_TRACE_FLUSH = 1 << 16      # bytes of records the reference engine buffers
+_TRACE_FLUSH = 1 << 16      # bytes of records that make the engines flush
+_FLUSH_EVERY = 512          # cycles between the fused burst's buffer checks
 
 # core fault location -> (its bit in a register mask, its CSR tag)
 _LOC_MASKS = {f"x{i}": (1 << i, 0) for i in range(1, 32)}
@@ -324,7 +326,6 @@ class LoadError(Exception):
 
 _NEVER = 1 << 62    # the cycle of an event that is not scheduled
 _MISS = (None, 0, -1)   # stands in for a decode-cache entry: matches no word
-_LOAD_RESP = -1     # ``_fast_burst`` hands a load response to ``_consume_load``
 
 
 def _fetch_info(pc: int, words: list, dcache: dict) -> tuple:
@@ -337,24 +338,25 @@ def _fetch_info(pc: int, words: list, dcache: dict) -> tuple:
 
 # ---------------------------------------------------- translated blocks
 #
-# ``_fast_burst`` runs a straight line of decode-cache entries as one
-# generated function, a translated block, built from the ``SEMANTICS``
-# templates with the registers in locals.  A block ends with a branch or
-# a jump, or before an instruction it does not take (a store, a CSR op,
-# ``mret``, ``wfi``, a trap, a spanning fetch, a pc not yet decoded).  A
-# block whose terminator goes back to its start repeats inside the
-# function.  Its cycles are static offsets: it does nothing while one of
-# its fetch banks is busy, it runs a pass only when the whole pass fits
-# before ``allowed``, and it bails, before anything of the instruction
-# is done, at a load that the burst must handle itself (misaligned,
-# outside SRAM, to a busy bank or a tainted row), so that the burst
-# redoes that instruction.  Scrubber ticks due inside a block run when
-# the burst gets control back, which is exact: only a store grant or a
-# busy bank changes what a tick does, and a block grants no store, while
-# a tick changes only tainted rows, which a block's loads bail on.
+# With one awake core, ``_event_burst`` runs a straight line of
+# decode-cache entries as one generated function, a translated block,
+# built from the ``SEMANTICS`` templates with the registers in locals.
+# A block ends with a branch or a jump, or before an instruction it
+# does not take (a store, a CSR op, ``mret``, ``wfi``, a trap, a
+# spanning fetch, a pc not yet decoded).  A block whose terminator goes
+# back to its start repeats inside the function.  Its cycles are static
+# offsets: it does nothing while one of its fetch banks is busy, it
+# runs a pass only when the whole pass fits before ``allowed``, and it
+# bails, before anything of the instruction is done, at a load that the
+# burst must handle itself (misaligned, outside SRAM, to a busy bank or
+# a tainted row), so that the burst redoes that instruction.  Scrubber
+# ticks due inside a block run when the burst gets control back, which
+# is exact: only a store grant or a busy bank changes what a tick does,
+# and a block grants no store, while a tick changes only tainted rows,
+# which a block's loads bail on.
 
 _BLOCK_MAX = 64         # instructions in a translated block
-_BLOCK_SLACK = 4096     # cycles a block may run past a due scrubber tick
+_BLOCK_SPAN = 1024      # cycles one block call may run
 _BLOCK_CODE_MAX = 512   # translated blocks kept for the whole process
 _block_code: dict[tuple, object] = {}   # (start pc, words) -> function
 _BLOCK_NS = dict(TEMPLATE_NS, load_lanes=load_lanes)
@@ -375,7 +377,9 @@ def _block_source(pc0: int, ents: list) -> str:
     (None when off).  It returns None when it did nothing, or (cycle, pc
     of its last instruction, ``dlast``) where it stopped, with ``c.pc``
     the next pc and the registers, ``minstret``, the ``ev_*`` and exec
-    fields and the trace as the per-instruction loop leaves them."""
+    fields and the trace as the per-instruction loop leaves them;
+    ``dlast`` is (address, word read) of its last load, or as given when
+    it made none."""
     steps = []      # per instruction: pc, retire offset, trace record, ...
     pc, off = pc0, 0
     for i, e in enumerate(ents):
@@ -444,7 +448,7 @@ def _block_source(pc0: int, ents: list) -> str:
             k = steps.index(s)
             emit(sub, f"c.ev_addr = a{k}", f"c.ev_rd = {s['rd']}",
                  f"c.ev_f3 = {F3[s['key']]}")
-            dl = f"(a{k}, False, 0, 0, m{k}, 0)" + (
+            dl = f"(a{k}, m{k})" + (
                 " if n else dlast" if cond == "n" else "")
         last = hist[-1] if hist else full[-1]
         emit(ind, f"return cy + {last['off'] if hist else 0}, {last['pc']}, {dl}")
@@ -548,10 +552,10 @@ class _Blocks:
     def enter(self, pc: int, btab: dict, dcache: dict, banks: list,
               avoid: int):
         """The block at ``pc`` that this burst may run, or False.  A burst
-        checks a block once, as its fetch table checks a pc: each word
-        still holds its untainted decode-cache entry, and no instruction
-        reads or writes a register in ``avoid``.  The result goes into
-        the burst's ``btab``, except after a first visit."""
+        checks a block once: each word still holds its untainted
+        decode-cache entry, and no instruction reads or writes a register
+        in ``avoid``.  The result goes into the burst's ``btab``, except
+        after a first visit."""
         rec = self.start.get(pc, -1)
         if rec == -1:
             self.start[pc] = 0
@@ -612,11 +616,11 @@ class _Lanes:
     posted) and ``fi``, the ``_fetch_info`` of its pc; a data request an
     eligible cycle ``de``, bank, row and ``dreq`` = (addr, is_write,
     wdata, strobes), with ``drv`` the last response the burst gave the
-    data port.
+    data port.  ``words`` holds the banks' codeword lists.
     """
 
     __slots__ = ("C", "IP", "DP", "ph", "xe", "ent", "ie", "fi",
-                 "de", "db", "dr", "dreq", "drv")
+                 "de", "db", "dr", "dreq", "drv", "words")
 
     @classmethod
     def collect(cls, soc: "Soc", cy: int) -> "_Lanes | None":
@@ -626,7 +630,7 @@ class _Lanes:
         self = cls()
         for name in cls.__slots__:
             setattr(self, name, [])
-        words = [b.cws for b in soc.banks.banks]
+        self.words = words = [b.cws for b in soc.banks.banks]
         for c, ip, dp in soc.active:
             if c.sleeping:
                 if c.wake_pulse or c.mip & c.mie or ip.pending or dp.pending:
@@ -1351,20 +1355,14 @@ class Soc:
                     if p.pending and p.region == R_SRAM and p.bank == target:
                         blocked = True
                         break
-            self._scrub_tick(now, blocked)
-
-    def _scrub_tick(self, s: int, blocked: bool) -> int:
-        """Run the scrubber tick due at cycle ``s``; returns the next."""
-        w = self.scrub.tick(self.banks, s, blocked)
-        if w >= 0 and self._touched is not None:
-            self._touched[w] |= 1
-        self._trace_flush()
-        return self.scrub.next_cycle
+            w = s.tick(self.banks, now, blocked)
+            if w >= 0 and self._touched is not None:
+                self._touched[w] |= 1
 
     def _trace_flush(self) -> None:
         """Feed the buffered retirement records to the trace hash, format
         them into ``trace_lines``, and empty the buffer in place (the
-        bursts hold it as a local).  A line's text depends only on pc and
+        burst holds it as a local).  A line's text depends only on pc and
         word: it is the decode-cache entry's while that entry holds the
         word, a fresh decode's otherwise."""
         tb = self.tracebuf
@@ -1465,6 +1463,10 @@ class Soc:
                 if len(self.active) > 1 and not self.lockstep:
                     self._event_burst(stop_at, limit)
                 elif len(self.active) == 1:
+                    # a lone core enters at a fetch with its data port
+                    # idle: a load or an operation the reference engine
+                    # started (one handed back with a carried dormant
+                    # fault among them) is finished by that engine
                     c, ip, dp = self.active[0]
                     if (c.phase == PH_F0 and ip.pending and not ip.has_resp
                             and not dp.pending and not c.sleeping):
@@ -1504,302 +1506,13 @@ class Soc:
         return self._finalize()
 
     def _fast_burst(self, stop_at: int | None, limit: int) -> None:
-        """Fused single-core execution between scheduler events.
-
-        Exact shortcut of the general H1/H2 loop for the common case
-        (one active core in fetch phase, idle data port): whole
-        instructions are processed with local state.  Scrubber ticks run
-        inline under ``_bus_cycle``'s rule.  A store is granted one
-        cycle after it retires, with the next fetch, and stays a local
-        pending write until that fetch is taken, so a return before it
-        leaves the store posted on the data port.  A burst never
-        crosses ``stop_at`` or the cycle limit.
-
-        Each pc's fetch is checked once per burst (an SRAM pc, an
-        untainted row whose word matches a one-word decode-cache entry,
-        no carried dormant fault read or written) and the result kept in
-        a local table.  Only a granted store changes a codeword or
-        taints a row, so it drops the two pcs of the word it writes;
-        loads and scrubber steps only correct rows the table never
-        holds.  The busy-bank test stays per fetch.  The carried fault,
-        ``mip`` and hence the interrupt test change only outside a
-        burst or, for the interrupt enables, at an instruction with CSR
-        mask bits; ``cycle`` and ``minstret`` are written before such
-        an instruction (its closure reads them) and at the exit, the
-        current-instruction fields at the exit only.
-
-        Where no store waits for its grant and no interrupt is due, a
-        straight line of instructions runs as a translated block (see
-        ``_Blocks``), checked once per burst like a fetch; a granted
-        store drops the blocks that execute from its word as well.  The
-        scrubber ticks a block defers run before the next block or fetch.
-
-        It ends at any complication through one exit, which leaves the
-        SoC in the reference engine's end-of-cycle state and then hands
-        the current instruction to the reference helpers: its fetch is
-        reposted when the burst cannot take it (a ROM or unmapped pc, a
-        decode miss or spanning fetch, a busy or tainted fetch bank, or
-        an instruction that reads or writes a carried dormant fault);
-        once executed, its action code goes to ``_apply`` (a multi-cycle
-        op or load past the limit, a ROM, device or unmapped load, a
-        store the general engine must grant, ``wfi``, a trap, an
-        interrupt after it), and a load answered uncorrectable goes to
-        ``_consume_load``.  Only those helpers split, replay or erase a
-        dormant fault.
-        """
-        c, ip, dp = self.active[0]
-        banks = self.banks.banks
-        dget = self.dcache.get
-        tb = self.tracebuf if self.rec_trace else None
-        pack = _TRACE_REC.pack
-        scrub = self.scrub
-        touched = self._touched
-        big = 1 << 62
-        allowed = limit if stop_at is None else min(limit, stop_at)
-        cy = self.cycle
-        stick = max(scrub.next_cycle, cy + 1) if scrub.enabled else big
-        guard = min(stick, allowed + 1)     # the next tick or the end
-        pc = c.pc
-        regs = c.regs
-        m32 = M32
-        sram_lo, sram_hi = SRAM_BASE, SRAM_END
-        hart = c.mhartid
-        rr_next = -1 if ip.core_idx == VOTED else (ip.core_idx + 1) % 3
-        dorm = self.dorm_hart >= 0
-        mip = c.mip
-        irq = mip & c.mie and c.mstatus & MSTATUS_MIE
-        # pc -> (closure, fetch bank, masked word, rd, CSR mask bits) of a
-        # fetch checked in this burst
-        tab: dict[int, tuple] = {}
-        # start pc -> the translated block checked in this burst, or False;
-        # no block runs a register of a carried fault (any, with ``mip``)
-        btab: dict[int, object] = {}
-        bget = btab.get
-        enter = self.blocks.enter
-        avoid = (-1 if mip else self.dorm_regs) if dorm else 0
-        ret = 0         # retired since ``c.minstret`` was last written
-        hold_bank = hold_until = -1  # a fetch that lost to a store waits
-        pend = None     # (bank index, row, word index, addr, wdata, strobes)
-        fpc = None      # the pc of the last instruction taken here
-        dlast = None    # (addr, is_write, wdata, strobes, resp_val, resp_status)
-                        # of the last data access made here
-        hand = None     # what the exit hands on (see the docstring)
-
-        while True:
-            if pend is not None:
-                if sram_lo <= pc < sram_hi and \
-                        ((pc - sram_lo) >> 2) & 7 == pend[0]:
-                    # this fetch loses arbitration to the posted store and
-                    # waits for its grant (and merge, if sub-word)
-                    g = cy + 1
-                    nxt = g if pend[5] == 0xF else g + 1
-                    if nxt > allowed:
-                        break
-                    hold_bank = pend[0]
-                    dlast = self._fast_store(pend, g, tab, btab)
-                    pend = None
-                    self.xbar.conflict_stalls += 1
-                    if rr_next >= 0:
-                        self.xbar.rr[hold_bank] = rr_next
-                    hold_until = cy = nxt
-            elif not irq:
-                # a block defers the ticks due inside it to here, and stops
-                # within _BLOCK_SLACK cycles of the next one
-                if stick <= cy:
-                    stick = self._fast_ticks(stick, cy, hold_bank, hold_until)
-                    guard = min(stick, allowed + 1)
-                blk = bget(pc)
-                if blk is None:
-                    blk = enter(pc, btab, self.dcache, banks, avoid)
-                if blk:
-                    res = blk(c, banks, cy, min(allowed, stick + _BLOCK_SLACK),
-                              dlast, tb, touched, hart)
-                    if res is not None:
-                        cy, fpc, dlast = res
-                        pc = c.pc
-                        continue
-            f = cy + 1
-            try:
-                t = tab[pc]
-            except KeyError:
-                if not sram_lo <= pc < sram_hi:
-                    break
-                widx = (pc - sram_lo) >> 2
-                bank = banks[widx & 7]
-                row = widx >> 3
-                if bank.tainted and row in bank.tainted:
-                    break
-                entry = dget(pc)
-                if entry is None or entry[2] != bank.cws[row] & m32 or \
-                        entry[1] == 2:
-                    break
-                if dorm and ((entry[7] | entry[8]) & self.dorm_regs
-                             or (entry[9] | entry[10]) & self.dorm_csrs
-                             or mip):
-                    break   # the reference helpers split, replay or erase
-                t = tab[pc] = (entry[0], bank, entry[4] & m32, entry[5],
-                               entry[9] | entry[10])
-            if t[1].busy_until >= f:
-                break
-            # the instruction is taken: grant the store posted with
-            # its fetch, then run the ticks due up to its fetch
-            if f >= guard:
-                if f > allowed:
-                    break
-                if pend is not None:
-                    dlast = self._fast_store(pend, f, tab, btab)
-                    pend = None
-                stick = self._fast_ticks(stick, f, hold_bank, hold_until)
-                guard = min(stick, allowed + 1)
-            elif pend is not None:
-                dlast = self._fast_store(pend, f, tab, btab)
-                pend = None
-            cy = f
-            fpc = pc
-            if t[4]:
-                self.cycle = f
-                c.minstret += ret
-                ret = 0
-                code = t[0](c)
-                irq = mip & c.mie and c.mstatus & MSTATUS_MIE
-            else:
-                code = t[0](c)
-
-            if code:
-                if code == 1:
-                    extra = c.ev_extra
-                    if cy + extra > allowed:
-                        hand = 1
-                        break
-                    cy += extra
-                    c.exec_left = 0
-                    c.exec_retire = True
-                elif code == 2:  # load
-                    addr = c.ev_addr
-                    d = cy + 1
-                    if sram_lo <= addr < sram_hi:
-                        widx = (addr - sram_lo) >> 2
-                        bank = banks[widx & 7]
-                        while bank.busy_until >= d:
-                            d += 1
-                    else:
-                        d = big     # a ROM, device or unmapped target
-                    if d > allowed:
-                        hand = 2
-                        break
-                    row = widx >> 3
-                    if touched is not None:
-                        touched[widx] |= 1
-                    status = RS_OK
-                    if bank.tainted and row in bank.tainted:
-                        data, status = bank.read(row)
-                    else:
-                        data = bank.cws[row] & m32
-                    dlast = (addr, False, 0, 0, data, status)
-                    if status == RS_UNCORRECTABLE:
-                        cy = d
-                        hand = _LOAD_RESP
-                        break
-                    cy = d
-                    if c.ev_f3 != 2:
-                        data = load_lanes(data, addr, c.ev_f3)
-                    rd = c.ev_rd
-                    if rd:
-                        regs[rd] = data
-                elif code == 3:  # store: granted with the next fetch
-                    addr = c.ev_addr
-                    widx = (addr - sram_lo) >> 2
-                    if not sram_lo <= addr < sram_hi or \
-                            banks[widx & 7].busy_until > cy:
-                        # a ROM, device or unmapped target, or a bank
-                        # still busy: the general engine takes it
-                        hand = 3
-                        break
-                    strobes, wdata = _store_lanes(addr, c.ev_f3, c.ev_val)
-                    pend = (widx & 7, widx >> 3, widx, addr, wdata, strobes)
-                else:   # wfi or a synchronous trap
-                    hand = code
-                    break
-
-            # retire at cy, then take an interrupt or go on
-            if irq:
-                hand = 0
-                break
-            ret += 1
-            if tb is not None:
-                rd = t[3]
-                tb += pack(cy, hart, pc, t[2], rd, regs[rd])
-            pc = c.pc
-
-        # the exit: what the core and ports hold at this boundary under
-        # the reference engine (the last instruction, data access and
-        # fetch made here, a store not yet granted), the ticks due by
-        # then, then the hand-on
-        self.cycle = cy
-        c.minstret += ret
-        if dlast is not None:
-            addr, w, wdata, strobes, v, st = dlast
-            widx = (addr - SRAM_BASE) >> 2
-            dp.load_state((False, R_SRAM, widx & 7, widx >> 3, addr, w, wdata,
-                           strobes, False, v, st))
-        if pend is not None:
-            bidx, row, _widx, addr, wdata, strobes = pend
-            dp.want(R_SRAM, bidx, row, addr & ~3, True, wdata, strobes)
-        if fpc is not None:
-            fe = self.dcache[fpc]
-            c.cur_pc = fpc
-            c.cur_word = fe[4]
-            c.cur_rd = fe[5]
-            widx = (fpc - SRAM_BASE) >> 2
-            ip.load_state((False, R_SRAM, widx & 7, widx >> 3, fpc & ~3,
-                           False, 0, 0, False, fe[2], RS_OK))
-        if stick <= cy:
-            self._fast_ticks(stick, cy, hold_bank, hold_until)
-        self._trace_flush()
-        if hand is None:
-            self._post_fetch(c, ip)
-        elif hand == _LOAD_RESP:
-            c.phase = PH_LD
-            dp.has_resp = True
-            self._consume_load(c, dp, ip, cy)
-        else:   # in the phase the reference engine dispatches it from
-            c.phase = PH_F0
-            self._apply(c, ip, dp, fe, hand, cy)
-
-    def _fast_store(self, pend: tuple, g: int, tab: dict, btab: dict) -> tuple:
-        """Grant a fast-burst store at cycle ``g``, dropping the pcs of
-        the word it writes from the burst's fetch table ``tab`` and the
-        blocks that execute from it; returns the access as
-        ``_fast_burst``'s ``dlast``."""
-        bidx, row, widx, addr, wdata, strobes = pend
-        bank = self.banks.banks[bidx]
-        bank.write(row, wdata, strobes)
-        if self._touched is not None:
-            self._touched[widx] |= 2
-        if strobes != 0xF:
-            bank.busy_until = g + 1
-        a = addr & ~3
-        tab.pop(a, None)
-        tab.pop(a + 2, None)
-        self.blocks.drop(a, btab)
-        return a, True, wdata, strobes, 0, RS_OK
-
-    def _fast_ticks(self, s: int, upto: int, hold_bank: int,
-                    hold_until: int) -> int:
-        """Run the scrubber ticks of a fast burst from cycle ``s`` up to
-        ``upto``.  A tick is blocked by a busy bank or by a fetch that
-        lost a store-fetch conflict (on ``hold_bank`` through
-        ``hold_until``).  Returns the cycle of the next tick."""
-        banks = self.banks.banks
-        while s <= upto:
-            target = self.scrub.next_address & 7
-            blocked = banks[target].busy_until >= s or \
-                (target == hold_bank and s <= hold_until)
-            s = self._scrub_tick(s, blocked)
-        return s
+        """The fused burst of one active core (converged lockstep, or a
+        lone core in ``single`` or performance mode): ``_event_burst``,
+        entered under this name so that it can be measured apart."""
+        self._event_burst(stop_at, limit)
 
     def _event_burst(self, stop_at: int | None, limit: int) -> None:
-        """Event-driven execution of several cores in performance mode.
+        """Event-driven execution of the awake cores.
 
         Starts at the cycle boundary ``self.cycle`` and visits only the
         cycles in which an awake core has an event: a bank request
@@ -1807,19 +1520,32 @@ class Soc:
         operation.  Each core's requests live in its ``_Lanes`` entry.  A
         cycle's grants come first, with the crossbar's round robin on a
         shared bank and busy banks delaying their requests, then the
-        cores step in ``self.active`` order, then a due scrubber tick
-        runs under ``_bus_cycle``'s rule.  A cycle goes through the full
-        arbitration only when two requests claim one bank for it (a
+        cores step in ``self.active`` order.  A cycle goes through the
+        full arbitration only when two requests claim one bank for it (a
         request claims its bank's next cycle when it is posted and again
         each time it loses), when a sub-word store made a bank busy for
         it, or when it is the burst's first cycle; in any other cycle
-        every due request is granted at once.  What the local state cannot
-        express (device and ROM accesses, decode misses, spanning
-        fetches, bad responses, traps, ``wfi``, interrupts) is written
-        back and handed to the reference helpers, and the burst ends
-        with that cycle; it also ends at ``stop_at`` and the cycle
-        limit.  Every return leaves the ports and core FSM fields as
-        the reference engine holds them at that cycle boundary.
+        every due request is granted at once.
+
+        With one awake core and no store posted, a retire goes straight
+        on into the translated blocks (``_Blocks``) from the next pc, each
+        checked once per burst; a granted store drops the blocks that
+        execute from its word.  The scrubber ticks due before an event
+        cycle run in one loop under ``_bus_cycle``'s rule just before it:
+        since the last event cycle nothing has changed what blocks them
+        (a busy bank or a request still waiting), and a block changes
+        neither.  The trace buffer is flushed once it holds
+        ``_TRACE_FLUSH`` bytes, looked at every ``_FLUSH_EVERY`` cycles.
+
+        What the local state cannot express (device and ROM accesses,
+        decode misses, spanning fetches, bad responses, traps, ``wfi``,
+        interrupts, an instruction that reads or writes a carried dormant
+        fault, or any instruction while ``mip`` is raised with one
+        carried) is written back and handed to the reference helpers,
+        which alone decide about a dormant fault, and the burst ends with
+        that cycle; it also ends at ``stop_at`` and the cycle limit.
+        Every return leaves the ports and core FSM fields as the
+        reference engine holds them at that cycle boundary.
         """
         cy = self.cycle
         if self.odrg.pending_mode is not None:
@@ -1839,21 +1565,20 @@ class Soc:
             c.exec_left = 0     # its value after an operation ends; sync
                                 # restores it for a core still in one
         hand = [False] * n  # handed to a helper: its ports are current
-        irq = [bool(c.mip) for c in C]  # mip only changes on device writes
-        hid = [c.mhartid for c in C]
         na = list(map(min, ie, de, xe))
         kr = range(n)
 
-        banks = self.banks.banks
-        cws = [b.cws for b in banks]
+        sbanks = self.banks
+        banks = sbanks.banks
+        cws = lanes.words
         tnt = [b.tainted for b in banks]
         clean = not any(tnt)    # no tainted row: reads need no decode
-        busy = [b.busy_until for b in banks]
         dcache = self.dcache
         fcache: dict[int, tuple] = {}   # pc -> _fetch_info
         fget = fcache.get
         rec = self.rec_trace
         tb = self.tracebuf
+        btb = tb if rec else None
         pack = _TRACE_REC.pack
         touched = self._touched
         xbar = self.xbar
@@ -1863,30 +1588,59 @@ class Soc:
         sram_lo = SRAM_BASE
         wbits = _WBITS
         m32 = M32
+        # one lane runs translated blocks: start pc -> the block checked
+        # in this burst, or False.  A carried dormant fault (lockstep, so
+        # one lane) hands on at the fetch every instruction that touches
+        # it, any while ``mip`` is raised, and no block runs its register
+        one = n == 1
+        btab: dict[int, object] = {}
+        bget = btab.get
+        enter = self.blocks.enter
+        drop = self.blocks.drop
+        dorm = self.dorm_hart >= 0
+        dregs, dcsrs = self.dorm_regs, self.dorm_csrs
+        avoid = (-1 if C[0].mip else dregs) if dorm else 0
 
         # the claim rule above: ``cl[b] == t1`` once a request has claimed
         # bank ``b`` for cycle ``t1``; ``clash`` is the next cycle that
         # goes through the full arbitration
-        cl = [-1] * len(busy)
+        cl = [-1] * len(banks)
         clash = cy + 1
+        slow = False
 
-        stop = False
-        guard = min(stick, allowed + 1)
+        fl = cy + _FLUSH_EVERY      # the next look at the trace buffer
+        guard = min(stick, allowed, fl)
         while True:
             t = min(na)
-            tick_now = False
-            if t >= guard:
+            if t > guard:
                 if stick < t:
-                    if stick > allowed:
-                        t = allowed
-                        break
-                    stick = self._lane_tick(stick, lanes)
-                    guard = min(stick, allowed + 1)
-                    continue
+                    # the ticks due before t, blocked by a busy bank or a
+                    # request eligible by then and still waiting for it;
+                    # only one that lost in the last cycle can wait, and
+                    # only a slow cycle has losers
+                    up = min(t - 1, allowed)
+                    wait = []
+                    if slow and lose:
+                        wait = [(e, f[0]) for e, f in zip(ie, fi) if e <= up]
+                        wait += [(e, b) for e, b in zip(de, db) if e <= up]
+                    while stick <= up:
+                        b = scrub.next_address & 7
+                        blocked = banks[b].busy_until >= stick
+                        if wait and not blocked:
+                            blocked = any(e <= stick and w == b
+                                          for e, w in wait)
+                        w = scrub.tick(sbanks, stick, blocked)
+                        if touched is not None and w >= 0:
+                            touched[w] |= 1
+                        stick = scrub.next_cycle
                 if t > allowed:
                     t = allowed
                     break
-                tick_now = t == stick
+                if t > fl:
+                    if len(tb) >= _TRACE_FLUSH:
+                        self._trace_flush()
+                    fl = t + _FLUSH_EVERY
+                guard = min(stick, allowed, fl)
             self.cycle = t
             t1 = t + 1
             # H1 on such a cycle: which requests wait (bit 2k: the fetch
@@ -1904,7 +1658,7 @@ class Soc:
                             want.setdefault(fi[k][0], []).append(
                                 (IP[k], 1 << 2 * k))
                 for b, g in want.items():
-                    if busy[b] >= t:
+                    if banks[b].busy_until >= t:
                         win = None
                     elif len(g) > 1:
                         win = xbar.arbitrate([p for p, _bit in g], b)
@@ -1929,12 +1683,13 @@ class Soc:
                         rq = dreq[k]
                         row = dr[k]
                         banks[b].write(row, rq[2], rq[3])
+                        drop(rq[0], btab)
                         if tnt[b]:
                             clean = False
                         if touched is not None:
                             touched[row << 3 | b] |= 2
                         if rq[3] != 0xF:
-                            busy[b] = banks[b].busy_until = clash = t1
+                            banks[b].busy_until = clash = t1
                         drv[k] = 0
                         de[k] = big
                     if p == PH_F0 and ie[k] > t:
@@ -1943,20 +1698,21 @@ class Soc:
                 if p == PH_F0:
                     if slow and lose >> 2 * k & 1:
                         continue
-                    f = fi[k]
-                    b = f[0]
-                    row = f[1]
+                    b, row, words, e, _pc = f = fi[k]
                     if touched is not None:
                         touched[row << 3 | b] |= 1
                     if clean or row not in tnt[b]:
-                        v, st = f[2][row] & m32, RS_OK
+                        v, st = words[row] & m32, RS_OK
                     else:
                         v, st = banks[b].read(row)
-                    e = f[3]
-                    if e[2] != v or st:
-                        # a miss, a spanning or stale entry, a bad row
+                    if e[2] != v or st or dorm and (
+                            (e[7] | e[8]) & dregs or (e[9] | e[10]) & dcsrs
+                            or c.mip):
+                        # a miss, a spanning or stale entry, a bad row, or
+                        # an instruction the dormant-fault helpers decide
                         lanes.to_fetch(self, k, t, v, st)
-                        hand[k] = stop = True
+                        hand[k] = True
+                        allowed = guard = t
                         continue
                     ent[k] = e
                     code = e[0](c)
@@ -1968,7 +1724,8 @@ class Soc:
                     if not c.exec_retire:   # the bubble after a trap
                         sync(k, t)
                         self._boundary(c, IP[k], t, False)
-                        hand[k] = stop = True
+                        hand[k] = True
+                        allowed = guard = t
                         continue
                     ph[k] = PH_F0
                     e, f = ent[k], fi[k]
@@ -1991,7 +1748,8 @@ class Soc:
                             dp = DP[k]
                             dp.has_resp, dp.resp_status = True, st
                             self._consume_load(c, dp, IP[k], t)
-                            hand[k] = stop = True
+                            hand[k] = True
+                            allowed = guard = t
                             continue
                     drv[k] = v
                     if c.ev_f3 != 2:
@@ -2022,7 +1780,8 @@ class Soc:
                         # wfi, a trap, or a ROM, device or unmapped target
                         sync(k, t)
                         self._apply(c, IP[k], DP[k], ent[k], code, t)
-                        hand[k] = stop = True
+                        hand[k] = True
+                        allowed = guard = t
                         continue
                     if de[k] != big:    # issued once the posted store drains
                         ph[k] = PH_DW
@@ -2050,19 +1809,46 @@ class Soc:
                 # fetch when this interrupt test fails (``mip`` does not
                 # change inside a burst)
                 c.minstret += 1
-                rd = e[5]
                 if rec:
-                    tb += pack(t, hid[k], f[4], e[4], rd, c.regs[rd])
+                    rd = e[5]
+                    tb += pack(t, c.mhartid, f[4], e[4], rd, c.regs[rd])
                 pc = c.pc
-                f = fget(pc)
-                if f is None and not (pc - sram_lo) >> 2 >> wbits:
-                    f = fcache[pc] = _fetch_info(pc, cws, dcache)
-                if f is None or \
-                        irq[k] and c.mip & c.mie and c.mstatus & MSTATUS_MIE:
+                if c.mip and c.mip & c.mie and c.mstatus & MSTATUS_MIE:
+                    f = None
+                else:
+                    if one and de[k] == big:
+                        # straight on through the blocks from pc, each
+                        # call at most _BLOCK_SPAN cycles long
+                        lpc = dl = None
+                        while t <= fl:
+                            blk = bget(pc)
+                            if blk is None:
+                                blk = enter(pc, btab, dcache, banks, avoid)
+                            if not blk:
+                                break
+                            res = blk(c, banks, t, min(allowed, t + _BLOCK_SPAN),
+                                      dl, btb, touched, c.mhartid)
+                            if res is None:
+                                break
+                            t, lpc, dl = res
+                            pc = c.pc
+                        if lpc is not None:
+                            t1 = na[k] = t + 1
+                            ent[k] = dcache[lpc]
+                            if dl is not None:  # the data port of its last load
+                                a, drv[k] = dl
+                                w = (a - sram_lo) >> 2
+                                db[k], dr[k] = w & 7, w >> 3
+                                dreq[k] = (a, False, 0, 0)
+                    f = fget(pc)
+                    if f is None and not (pc - sram_lo) >> 2 >> wbits:
+                        f = fcache[pc] = _fetch_info(pc, cws, dcache)
+                if f is None:
                     ie[k] = big
                     sync(k, t)
                     self._boundary(c, IP[k], t, False)
-                    hand[k] = stop = True
+                    hand[k] = True
+                    allowed = guard = t
                     continue
                 b = f[0]
                 if cl[b] == t1:
@@ -2071,28 +1857,10 @@ class Soc:
                 ie[k] = t1
                 fi[k] = f
 
-            if tick_now:
-                stick = self._lane_tick(t, lanes)
-                guard = min(stick, allowed + 1)
-            if stop:
-                break
-
         self.cycle = t
         for k in kr:
             if not hand[k]:
                 sync(k, t)
-        self._trace_flush()
-
-    def _lane_tick(self, s: int, lanes: "_Lanes") -> int:
-        """Run the scrubber tick due at ``s`` in an event-driven burst,
-        after the grants of ``s``: blocked by a busy bank or by a request
-        eligible by ``s`` still waiting for it.  Returns the next tick."""
-        target = self.scrub.next_address & 7
-        blocked = self.banks.banks[target].busy_until >= s or any(
-            e <= s and b == target
-            for e, b in zip(lanes.ie + lanes.de,
-                            [f[0] for f in lanes.fi] + lanes.db))
-        return self._scrub_tick(s, blocked)
 
     def _maybe_switch_mode(self) -> None:
         """Apply a pending mode change at the sleep barrier."""

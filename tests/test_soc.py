@@ -12,7 +12,7 @@ import pytest
 import lockstep_mcu
 from lockstep_mcu import kernels
 from lockstep_mcu import soc as soc_mod
-from lockstep_mcu.asm import Program, label_map
+from lockstep_mcu.asm import Program, assemble, label_map
 from lockstep_mcu.core import MSTATUS_MIE, PH_EX, PH_LD
 from lockstep_mcu.interconnect import RS_CORRECTED, R_SRAM
 from lockstep_mcu.memory import TOTAL_BYTES, TOTAL_WORDS
@@ -433,6 +433,60 @@ def _burst_spy(monkeypatch, cls, name, seen):
     return hits
 
 
+def _calls_then_jalr(target):
+    """Five calls of ``func``, a straight line ending in ``jr ra``; the
+    last returns to ``target`` instead of to its caller."""
+    p = Program()
+    p.label("_start")
+    p.ins("li", "s1", 5)
+    p.ins("li", "a0", 0)
+    p.label("loop")
+    p.ins("la", "ra", "back")
+    p.ins("addi", "t0", "s1", -1)
+    p.ins("bnez", "t0", "call")
+    p.ins("li", "ra", target)
+    p.label("call")
+    p.ins("j", "func")
+    p.label("back")
+    p.ins("addi", "s1", "s1", -1)
+    p.ins("j", "loop")
+    p.label("func")
+    p.ins("addi", "a0", "a0", 1)
+    p.ins("add", "a1", "a1", "a0")
+    p.ins("jr", "ra")
+    return p
+
+
+def _line_at_sram_end():
+    """Six passes of a straight line in the last four SRAM words: the
+    fetch past the end of SRAM traps into a handler that counts the
+    passes and runs the line again, then exits with a0 as the result."""
+    def build(pad):
+        p = Program()
+        p.label("_start")
+        p.ins("la", "t0", "handler")
+        p.ins("csrw", "mtvec", "t0")
+        p.ins("li", "s1", 6)
+        p.ins("j", "line")
+        p.align(4)
+        p.label("handler")
+        p.ins("addi", "s1", "s1", -1)
+        p.ins("bnez", "s1", "again")
+        p.ins("la", "t6", SIMCTL_BASE)
+        p.ins("sw", "a0", 4, "t6")
+        p.ins("sw", "x0", 0, "t6")
+        p.label("again")
+        p.ins("j", "line")
+        p.space(pad)
+        p.label("line")
+        p.ins("addi", "a0", "a0", 1)
+        p.ins("add", "a0", "a0", "s1")
+        p.ins("slli", "a1", "a0", 1)
+        p.ins("xor", "a0", "a0", "a1")
+        return p
+    return build(TOTAL_BYTES - len(assemble(build(0), SRAM_BASE)))
+
+
 def _retire_hand_back(seen):
     """A ``seen`` for ``Soc._boundary`` that skips the trap bubble: the
     core's phase is ``PH_EX`` there and ``PH_F0`` after a retire."""
@@ -462,9 +516,55 @@ class TestDormantFaultOnHart0:
                 assert got[0] == got[1], (hart, loc)
 
 
+def _store_then_load_loop():
+    """A loop whose ``sw`` hits the bank of the next fetch, a ``lw`` that
+    writes a2 without reading it, then a read of a2; exits with a0."""
+    p = Program()
+    p.label("_start")
+    p.ins("la", "s0", "buf")
+    p.ins("li", "s1", 20)
+    p.ins("li", "a1", 0x5A)
+    p.ins("j", "pad")
+    p.align(32)
+    p.label("pad")
+    for _ in range(6):
+        p.ins("nop")
+    p.label("loop")
+    p.ins("sw", "a1", 28, "s0")     # word 6 of its block: next fetch in bank 7
+    p.ins("lw", "a2", 0, "s0")
+    p.ins("add", "a0", "a0", "a2")
+    p.ins("addi", "s1", "s1", -1)
+    p.ins("bnez", "s1", "loop")
+    p.ins("la", "t6", SIMCTL_BASE)
+    p.ins("sw", "a0", 4, "t6")
+    p.ins("sw", "x0", 0, "t6")
+    p.align(32)
+    p.label("buf")                  # buf + 28 is in bank 7
+    p.space(32)
+    return p
+
+
+class TestDormantLoadTarget:
+    # a load that writes the register of a carried dormant fault is handed
+    # back at its fetch and finished by the reference engine, which erases
+    # the fault; a burst that finished it would carry the fault on and
+    # split the group at the next read of a2
+    def test_engines_agree(self):
+        prog = _store_then_load_loop()
+        for at in range(20, 200, 2):    # the run exits at cycle 203
+            got = []
+            for fast in (True, False):
+                soc = fresh(prog=prog, fast_loop=fast, dormant_opt=True)
+                assert soc.run(stop_at=at) is None
+                soc.inject_core_fault(1, "x12", 4)
+                got.append((soc.run().to_dict(), soc.snapshot()))
+            assert got[0] == got[1], at
+            assert got[1][0]["mismatch_count"] == [0, 0, 0], at
+
+
 class TestEventBurstHandBacks:
-    """Parallel programs that make ``_event_burst`` hand a core back to
-    the reference helpers; both engines must end identically."""
+    """Programs that make ``_event_burst`` hand a core back to the
+    reference helpers; both engines must end identically."""
 
     def test_tainted_fetch_row(self, monkeypatch):
         prog = _two_harts(_count_loop("l0", "s1", 300),
@@ -498,6 +598,48 @@ class TestEventBurstHandBacks:
         assert len(hits) > 100 and set(hits) == {halt}
         assert fast == ref
         assert ref[0]["checksum"] == 300 * 301 // 2
+
+    # one awake core (``single``, or converged ``lockstep``): a retire goes
+    # on into translated blocks, and the burst must leave cleanly after a
+    # block whose next pc is outside SRAM
+
+    @pytest.mark.parametrize("mode", ["single", "lockstep"])
+    def test_block_jalr_into_rom(self, monkeypatch, mode):
+        halt = label_map(build_boot_rom(SRAM_BASE), ROM_BASE)["_halt"]
+        prog = _calls_then_jalr(halt)
+        hits = _burst_spy(monkeypatch, Soc, "_boundary", _retire_hand_back(
+            lambda c: c.pc if c.pc == halt else None))
+        # the burst hands the core back at the jr into _halt
+        self.check_one_core(prog, "func", mode, [150], max_cycles=3000)
+        assert hits and set(hits) == {halt}
+
+    @pytest.mark.parametrize("mode", ["single", "lockstep"])
+    def test_block_ends_at_last_sram_word(self, monkeypatch, mode):
+        prog = _line_at_sram_end()
+        hits = _burst_spy(monkeypatch, Soc, "_boundary", _retire_hand_back(
+            lambda c: c.pc if c.pc == SRAM_BASE + TOTAL_BYTES else None))
+        ref = self.check_one_core(prog, "line", mode, [40, 70])
+        assert ref[0]["exit_code"] == 0 and ref[0]["checksum"] != 0
+        assert len(hits) >= 5     # the block runs from the second pass
+
+    @staticmethod
+    def check_one_core(prog, block, mode, stops, **cfg):
+        """Report, snapshots and trace lines agree with ``fast_loop`` on and
+        off, and the fast run built a block at label ``block``."""
+        got = []
+        for fast in (True, False):
+            soc = fresh(mode, prog, fast_loop=fast, trace_lines=True, **cfg)
+            snaps = []
+            for stop in stops:
+                assert soc.run(stop_at=stop) is None
+                snaps.append((soc.cycle, soc.snapshot(), list(soc.trace_lines)))
+            res = soc.run()
+            got.append((res.to_dict(), snaps, soc.snapshot(), res.trace_lines))
+            if fast:
+                pc = label_map(prog, SRAM_BASE)[block]
+                assert soc.blocks.start.get(pc), "no block was built"
+        assert got[0] == got[1]
+        return got[1]
 
     def test_interrupt_after_retire(self, monkeypatch):
         def send_msip(p):
@@ -623,15 +765,33 @@ class TestReload:
 
 
 class TestTraceBuffer:
-    def test_reference_engine_buffer_stays_bounded(self):
-        # with the scrubber off, no tick flushes the reference engine's
-        # retirement records: the buffer must still stay bounded, and the
-        # trace hash must not move
-        prog = kernels.build_kernel("matmul24", "lockstep")
-        soc = fresh(prog=prog, fast_loop=False, scrub_enabled=False)
+    # with the scrubber off, nothing but the buffer's own size makes an
+    # engine flush its retirement records: the largest buffer
+    # ``_trace_flush`` is given must still stay bounded (and reach the
+    # flush size, or the test shows nothing), and the trace hash must
+    # not move
+
+    def test_reference_engine_buffer_stays_bounded(self, monkeypatch):
+        self.check(monkeypatch, "lockstep", False)
+
+    @pytest.mark.parametrize("mode", ["lockstep", "parallel"])
+    def test_fused_burst_buffer_stays_bounded(self, monkeypatch, mode):
+        self.check(monkeypatch, mode, True)
+
+    @staticmethod
+    def check(monkeypatch, mode, fast):
+        prog = kernels.build_kernel("matmul24", mode)
+        whole = fresh(mode, prog, scrub_enabled=False).run()
+        peak = []
+        flush = Soc._trace_flush
+
+        def spy(soc):
+            peak.append(len(soc.tracebuf))
+            flush(soc)
+        monkeypatch.setattr(Soc, "_trace_flush", spy)
+        soc = fresh(mode, prog, fast_loop=fast, scrub_enabled=False)
         soc.run(stop_at=30_000)
-        assert len(soc.tracebuf) < 1 << 17
-        whole = fresh(prog=prog, scrub_enabled=False).run()
+        assert soc_mod._TRACE_FLUSH <= max(peak) < 1 << 17
         assert soc.run().trace_hash == whole.trace_hash
 
 
