@@ -25,13 +25,13 @@ import json
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import kernels as kern
 from .core import CORE_LOC_TAGS
 from .ecc import WORD_BITS
 from .memory import NUM_BANKS, ROWS_PER_BANK
-from .soc import FATAL_EXIT_BASE, DefUse, LoadError, Soc, SocConfig, RunResult
+from .soc import FATAL_EXIT_BASE, LoadError, Soc, SocConfig, RunResult
 
 OUTCOME_CLASSES = (
     "masked_voter", "corrected_ecc", "resynced", "detected_uncorrectable",
@@ -294,24 +294,75 @@ def classify(res: RunResult, golden: RunResult) -> str:
     return "silent_data_corruption"
 
 
-def unobservable(ev: FaultEvent, du: DefUse, golden_cycles: int) -> bool:
-    """True if the golden run proves ``ev`` cannot change its run.
+def derived_record(index: int, ev: FaultEvent,
+                   golden: RunResult) -> dict | None:
+    """Run ``index``'s record derived from the golden run, or None when
+    the run must be simulated.  It calls neither ``FaultEvent.apply`` nor
+    ``Soc.run``.
 
-    Two cases qualify: a memory flip on a word no core and no scrubber
-    ever touched, and a core fault (never on ``pc``) in a location no
-    executed instruction reads, injected after the golden run's last
-    trap or interrupt.  Such a run retraces the golden trajectory cycle
-    for cycle, and its single flipped bit is invisible in the ECC-decoded
-    outputs, so its record is the golden record.
+    Three kinds of run are derived.  A memory flip on a word no core and
+    no scrubber ever touched, and a core fault (never on ``pc``) in a
+    location no executed instruction reads, injected after the golden
+    run's last trap or interrupt, retrace the golden trajectory cycle
+    for cycle, and a single flipped bit is invisible in the ECC-decoded
+    outputs, so their record is the golden record.  A write mask never
+    changes data, timing or control flow either, since every read heals
+    the one bit it leaves wrong; it only adds the corrections that
+    ``_write_mask_corrections`` counts from the golden run's stores.
+    That count needs every read of a stored word, which the log lacks
+    for a word that was also executed, and a guest that can see the ECC
+    counters (or set ``write_disable``) might act on them: those runs
+    are simulated, and so are all write masks of a golden run too long
+    to keep its stores.
     """
+    du = golden.defuse
+    at = min(ev.at_cycle, golden.cycles)
+    if ev.kind == "write_mask":
+        if du.stores is None or du.code_written or du.ecc_regs:
+            return None
+        counts = list(golden.ecc_correctable)
+        counts[ev.bank] += _write_mask_corrections(du.stores, ev.bank,
+                                                   ev.bit, at)
+        return _record(index, ev, replace(golden, ecc_correctable=counts),
+                       golden)
     if ev.kind == "memory":
-        return not du.sram_words[ev.row * NUM_BANKS + ev.bank]
-    if ev.kind != "core" or ev.loc == "pc" or \
-            min(ev.at_cycle, golden_cycles) <= du.last_irq_cycle:
-        return False
-    if ev.loc.startswith("x"):
-        return not du.reg_reads >> int(ev.loc[1:]) & 1
-    return not du.csr_reads & CORE_LOC_TAGS[ev.loc]
+        seen = du.sram_words[ev.row * NUM_BANKS + ev.bank]
+    elif ev.loc == "pc" or at <= du.last_irq_cycle:
+        seen = True
+    elif ev.loc.startswith("x"):
+        seen = du.reg_reads >> int(ev.loc[1:]) & 1
+    else:
+        seen = du.csr_reads & CORE_LOC_TAGS[ev.loc]
+    return None if seen else _record(index, ev, golden, golden)
+
+
+def _write_mask_corrections(stores: tuple, bank: int, bit: int,
+                            at: int) -> int:
+    """The ECC corrections that freezing codeword bit ``bit`` of ``bank``
+    after cycle ``at`` adds to the golden run with the store log
+    ``stores`` (``DefUse.stores``).
+
+    Per word, ``s`` is the faulty run's stored bit.  A store leaves it
+    as it was, so it is wrong wherever golden's new codeword has the
+    other value.  A sub-word store reads the word to merge it, so it
+    first corrects (and heals) a wrong bit, and so does the first read
+    after a store; later reads find the bit right.
+    """
+    n = 0
+    stored: dict[int, int] = {}     # word -> faulty stored bit
+    for t, w, before, after, strobes, read in stores:
+        if t <= at or w & 7 != bank:
+            continue
+        old = before >> bit & 1
+        s = stored.get(w, old)
+        if strobes != 0xF and s != old:
+            n += 1
+            s = old
+        if read and s != after >> bit & 1:
+            n += 1
+            s ^= 1
+        stored[w] = s
+    return n
 
 
 def _record(index: int, ev: FaultEvent, res: RunResult,
@@ -368,10 +419,9 @@ def run_golden(spec: CampaignSpec, record_trace: bool = True) -> RunResult:
 def run_campaign(spec: CampaignSpec, jobs: int = 1) -> dict:
     """Golden run, then ``spec.runs`` injected runs; returns the report.
 
-    Runs whose fault the golden run proves unobservable are not
-    simulated: their record is built from golden (see ``unobservable``).
-    The choice is made here, before sharding, so ``jobs`` cannot change
-    a byte of the report.
+    Runs whose record the golden run decides are not simulated (see
+    ``derived_record``).  The choice is made here, before sharding, so
+    ``jobs`` cannot change a byte of the report.
     """
     spec.validate()
     golden = run_golden(spec)
@@ -382,11 +432,11 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> dict:
     records = []
     todo = []
     for i in range(spec.runs):
-        ev = generate_event(spec, i, golden.cycles)
-        if unobservable(ev, golden.defuse, golden.cycles):
-            records.append(_record(i, ev, golden, golden))
-        else:
+        rec = derived_record(i, generate_event(spec, i, golden.cycles), golden)
+        if rec is None:
             todo.append(i)
+        else:
+            records.append(rec)
     jobs = max(1, min(jobs, os.cpu_count() or 1, len(todo)))
     if jobs == 1:
         if todo:

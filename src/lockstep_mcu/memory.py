@@ -245,6 +245,14 @@ class Scrubber:
         self.next_cycle = now + self.interval
         return idx
 
+    def idle_ticks(self, up: int) -> None:
+        """The ticks due up to cycle ``up`` (one is due) when no bank is
+        busy, no request waits and no row is tainted, so that each only
+        moves on to the next word."""
+        k = (up - self.next_cycle) // self.interval + 1
+        self.next_address = (self.next_address + k) % self.sweep_length
+        self.next_cycle += k * self.interval
+
     def step(self, banks: BankArray) -> None:
         """One scrub read (caller already checked for bank contention)."""
         idx = self.next_address

@@ -64,7 +64,7 @@ from .interconnect import (
     RS_FAULT, RS_OK, RS_UNCORRECTABLE, VOTED,
 )
 from .odrg import (
-    ALL_DIFFER, MODE_LOCKSTEP, MODE_PERFORMANCE, OdrgUnit,
+    ALL_DIFFER, MODE_LOCKSTEP, MODE_PERFORMANCE, OdrgUnit, REG_ERROR_OUTPUT,
     RESYNC_DONE, RESYNC_HEALTHY_GAP, RESYNC_IDLE, RESYNC_IN_PROGRESS,
     RESYNC_REQUESTED, RESYNC_STREAK_LIMIT, vote,
 )
@@ -93,6 +93,9 @@ FATAL_EXIT_BASE = 0xDEAD0000  # unhandled trap: exit code 0xDEAD0000 | cause
 CONVERGENCE_CHECK_PERIOD = 64
 
 _TRACE_REC = struct.Struct("<QBIIBI")
+_busy_until = attrgetter("busy_until")
+_READ_WRITE = bytes(i & 3 for i in range(256))  # def/use log byte -> bits 0-1
+_STORE_LOG_MAX = 1 << 16    # stores a def/use log keeps, or it keeps none
 _TRACE_FLUSH = 1 << 16      # bytes of records that make the engines flush
 _FLUSH_EVERY = 512          # cycles between the fused burst's buffer checks
 
@@ -259,17 +262,32 @@ class DefUse:
     """What a fault-free run observed, for pruning campaign runs.
 
     ``sram_words`` holds one byte per SRAM word (linear word index),
-    nonzero if a core or the scrubber read or wrote the word.
-    ``reg_reads`` and ``csr_reads`` are the unions of the register and
-    CSR read masks of every decoded instruction; both are all ones if
-    the run stored to a word it also executed from.  ``last_irq_cycle``
-    is the last cycle that took a trap, changed an interrupt line or
-    switched the lockstep mode (the final cycle if a line stays raised).
+    bit 0 set if a core or the scrubber read the word, bit 1 if one
+    wrote it.  ``reg_reads`` and ``csr_reads`` are the unions of the
+    register and CSR read masks of every decoded instruction; both are
+    all ones if the run stored to a word it also executed from
+    (``code_written``).  ``last_irq_cycle`` is the last cycle that took
+    a trap, changed an interrupt line or switched the lockstep mode (the
+    final cycle if a line stays raised).
+
+    ``stores`` logs every SRAM write in order as (cycle, word index,
+    codeword before, codeword after, strobes, read), where ``read`` says
+    whether a core or the scrubber read the word after this write and
+    before the next one or the end of the run, or None if the run made
+    more than ``_STORE_LOG_MAX`` stores.  The fetches inside translated
+    blocks are missing from it, which matters only for a word that was
+    also written, so only when ``code_written``.
+    ``ecc_regs`` is set if the run accessed the memory-control page or
+    read the lockstep wrapper's error output, either of which can see
+    the ECC counters (or change ``write_disable``).
     """
     sram_words: bytes
     reg_reads: int
     csr_reads: int
     last_irq_cycle: int
+    stores: tuple | None
+    code_written: bool
+    ecc_regs: bool
 
 
 @dataclass
@@ -475,7 +493,7 @@ def _block_source(pc0: int, ents: list) -> str:
                 emit(ind + 1, "break" if loop else "return None")
             else:
                 leave(ind + 1, steps[:i], s["pc"], prev)
-            emit(ind, "if T is not None:", "    T[w] |= 1",
+            emit(ind, "if T is not None:", "    T[w] |= 5",
                  f"m{i} = b.cws[w >> 3] & M32")
             if rd:
                 emit(ind, f"x{rd} = " + (f"m{i}" if f3 == 2 else
@@ -734,14 +752,21 @@ class Soc:
         self.dcache: dict[int, tuple] = {}
         self.blocks = _Blocks()
         # def/use log of a golden run: one byte per SRAM word, bit 0 read,
-        # bit 1 written (None when not recording)
+        # bit 1 written, bit 2 read since its last write (None when not
+        # recording); its stores as ``_logged_write`` appends them (None
+        # past ``_STORE_LOG_MAX``); and whether the guest could see the
+        # ECC counters
         self._touched: bytearray | None = None
+        self._stores: list[tuple] | None = []
+        self._ecc_regs = False
         self._last_irq = -1
         self.reset()
 
     def record_def_use(self) -> None:
         """Log what the coming run reads, for ``RunResult.defuse``."""
         self._touched = bytearray(mem.TOTAL_WORDS)
+        self._stores = []
+        self._ecc_regs = False
         self._last_irq = -1
 
     # ---------------------------------------------------------- loading
@@ -850,6 +875,8 @@ class Soc:
         page = addr & DEV_PAGE
         off = addr & 0xFFFFF
         if page == ODRG_BASE:
+            if off == REG_ERROR_OUTPUT:
+                self._ecc_regs = True   # may be a sum of ECC counters
             return self.odrg.read(off, self)
         if page == MEMCTL_BASE:
             return self._memctl_read(off)
@@ -883,6 +910,7 @@ class Soc:
                 self.checksum_reg = value
 
     def _memctl_read(self, off: int) -> int | None:
+        self._ecc_regs = True
         banks = self.banks.banks
         if off < 0x40:
             bank, hi = divmod(off, 8)
@@ -906,6 +934,7 @@ class Soc:
         return None
 
     def _memctl_write(self, off: int, value: int) -> None:
+        self._ecc_regs = True
         banks = self.banks.banks
         if off < 0x40:
             bank, hi = divmod(off, 8)
@@ -1357,7 +1386,7 @@ class Soc:
                         break
             w = s.tick(self.banks, now, blocked)
             if w >= 0 and self._touched is not None:
-                self._touched[w] |= 1
+                self._touched[w] |= 5
 
     def _trace_flush(self) -> None:
         """Feed the buffered retirement records to the trace hash, format
@@ -1383,10 +1412,12 @@ class Soc:
 
     def _bank_op(self, p: Port, bank: mem.Bank, now: int) -> None:
         touched = self._touched
-        if touched is not None:
-            touched[p.row << 3 | p.bank] |= 2 if p.is_write else 1
         if p.is_write:
-            bank.write(p.row, p.wdata, p.strobes)
+            if touched is None:
+                bank.write(p.row, p.wdata, p.strobes)
+            else:
+                self._logged_write(bank, p.row << 3 | p.bank, p.wdata,
+                                   p.strobes, now)
             if p.strobes != 0xF:
                 bank.busy_until = now + 1
             p.pending = False
@@ -1394,8 +1425,29 @@ class Soc:
             p.resp_val = 0
             p.resp_status = RS_OK
         else:
+            if touched is not None:
+                touched[p.row << 3 | p.bank] |= 5
             data, status = bank.read(p.row)
             p.respond(data, status)
+
+    def _logged_write(self, bank: mem.Bank, w: int, data: int, strobes: int,
+                      now: int) -> None:
+        """``bank.write`` of SRAM word ``w`` at cycle ``now`` in a run that
+        records its def/use log: the store goes into ``_stores`` with
+        whether the word was read since its last write (bit 2, which
+        every read mark sets and this clears)."""
+        touched = self._touched
+        row = w >> 3
+        before = bank.cws[row]
+        bank.write(row, data, strobes)
+        stores = self._stores
+        if stores is not None:
+            if len(stores) < _STORE_LOG_MAX:
+                stores.append((now, w, before, bank.cws[row], strobes,
+                               touched[w] & 4))
+            else:   # a log this long is not worth its memory
+                self._stores = None
+        touched[w] = touched[w] & 3 | 2
 
     def _vote_cycle(self, now: int) -> None:
         """Majority-vote the shadow request bundles into the real ports."""
@@ -1534,8 +1586,11 @@ class Soc:
         cycle run in one loop under ``_bus_cycle``'s rule just before it:
         since the last event cycle nothing has changed what blocks them
         (a busy bank or a request still waiting), and a block changes
-        neither.  The trace buffer is flushed once it holds
-        ``_TRACE_FLUSH`` bytes, looked at every ``_FLUSH_EVERY`` cycles.
+        neither.  When none can be blocked and no row is tainted, so
+        that each only moves the scrubber on, and no def/use log is kept,
+        they run all at once (``Scrubber.idle_ticks``).  The trace buffer
+        is flushed once it holds ``_TRACE_FLUSH`` bytes, looked at every
+        ``_FLUSH_EVERY`` cycles.
 
         What the local state cannot express (device and ROM accesses,
         decode misses, spanning fetches, bad responses, traps, ``wfi``,
@@ -1623,6 +1678,12 @@ class Soc:
                     if slow and lose:
                         wait = [(e, f[0]) for e, f in zip(ie, fi) if e <= up]
                         wait += [(e, b) for e, b in zip(de, db) if e <= up]
+                    elif clean and touched is None and stick <= up and \
+                            max(map(_busy_until, banks)) < stick:
+                        # nothing blocks them and no row is tainted: they
+                        # only move the scrubber on, all at once
+                        scrub.idle_ticks(up)
+                        stick = scrub.next_cycle
                     while stick <= up:
                         b = scrub.next_address & 7
                         blocked = banks[b].busy_until >= stick
@@ -1631,7 +1692,7 @@ class Soc:
                                           for e, w in wait)
                         w = scrub.tick(sbanks, stick, blocked)
                         if touched is not None and w >= 0:
-                            touched[w] |= 1
+                            touched[w] |= 5
                         stick = scrub.next_cycle
                 if t > allowed:
                     t = allowed
@@ -1682,12 +1743,14 @@ class Soc:
                         b = db[k]
                         rq = dreq[k]
                         row = dr[k]
-                        banks[b].write(row, rq[2], rq[3])
+                        if touched is None:
+                            banks[b].write(row, rq[2], rq[3])
+                        else:
+                            self._logged_write(banks[b], row << 3 | b, rq[2],
+                                               rq[3], t)
                         drop(rq[0], btab)
                         if tnt[b]:
                             clean = False
-                        if touched is not None:
-                            touched[row << 3 | b] |= 2
                         if rq[3] != 0xF:
                             banks[b].busy_until = clash = t1
                         drv[k] = 0
@@ -1700,7 +1763,7 @@ class Soc:
                         continue
                     b, row, words, e, _pc = f = fi[k]
                     if touched is not None:
-                        touched[row << 3 | b] |= 1
+                        touched[row << 3 | b] |= 5
                     if clean or row not in tnt[b]:
                         v, st = words[row] & m32, RS_OK
                     else:
@@ -1736,7 +1799,7 @@ class Soc:
                     b = db[k]
                     row = dr[k]
                     if touched is not None:
-                        touched[row << 3 | b] |= 1
+                        touched[row << 3 | b] |= 5
                     de[k] = big
                     if clean or row not in tnt[b]:
                         v = cws[b][row] & m32
@@ -1946,11 +2009,24 @@ class Soc:
     def _def_use(self) -> DefUse:
         """Fold the decode cache into the golden run's def/use log.
 
-        Fetches on the fused burst are not logged as they happen: every
+        Fetches in translated blocks are not logged as they happen: every
         executed pc is a decode-cache key, whose word (two words for an
         instruction spanning a word boundary) is marked here instead.
+        A store's read flag is the bit 2 that the word's next store
+        logged, or the word's own at the end.
         """
-        touched = bytearray(self._touched)
+        touched = self._touched
+        stores = None
+        if self._stores is not None:
+            read: dict[int, int] = {}   # word -> read after its later store
+            stores = []
+            for t, w, before, after, strobes, was_read in \
+                    reversed(self._stores):
+                stores.append((t, w, before, after, strobes,
+                               bool(read.get(w, touched[w] & 4))))
+                read[w] = was_read
+            stores = tuple(reversed(stores))
+        touched = bytearray(touched.translate(_READ_WRITE))
         reg_reads = csr_reads = 0
         code_written = False
         for pc, entry in self.dcache.items():
@@ -1967,7 +2043,8 @@ class Soc:
         last_irq = self._last_irq
         if any(c.mip for c in self.cores):
             last_irq = self.cycle
-        return DefUse(bytes(touched), reg_reads, csr_reads, last_irq)
+        return DefUse(bytes(touched), reg_reads, csr_reads, last_irq,
+                      stores, bool(code_written), self._ecc_regs)
 
     # ------------------------------------------------- snapshot/restore
 

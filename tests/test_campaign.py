@@ -1,15 +1,22 @@
 """Campaign engine: classification, reproducibility, independence."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from lockstep_mcu import campaign, kernels
+from lockstep_mcu import soc as soc_mod
+from lockstep_mcu.asm import Program, assemble, label_map
 from lockstep_mcu.campaign import (
     TARGET_KINDS, CampaignError, CampaignSpec, FaultEvent, classify,
-    execute_runs, generate_event, run_campaign, run_golden, unobservable,
+    derived_record, execute_runs, generate_event, run_campaign, run_golden,
 )
-from lockstep_mcu.soc import Soc, SocConfig
+from lockstep_mcu.ecc import encode
+from lockstep_mcu.odrg import REG_ERROR_OUTPUT, REG_ERROR_SELECT
+from lockstep_mcu.soc import (
+    MEMCTL_BASE, ODRG_BASE, SIMCTL_BASE, SRAM_BASE, Soc, SocConfig,
+)
 
 
 def small_spec(**kw):
@@ -318,9 +325,10 @@ class TestPruning:
         spec = small_spec(runs=len(events), explicit_events=events)
         executed = self.spy_executed(monkeypatch)
         report = run_campaign(spec)
-        assert executed == [2, 3, 4]     # pc, a read register, write_mask
+        assert executed == [2, 3]     # pc, a read register
         golden = run_golden(spec, record_trace=False)
         assert report["runs"][:2] == execute_runs(spec, [0, 1], golden)
+        assert report["runs"][4:] == execute_runs(spec, [4], golden)
 
     def test_fault_before_mode_switch_not_pruned(self):
         # modeswitch unlocks the group at a wfi barrier early in the run
@@ -332,8 +340,8 @@ class TestPruning:
         assert not du.reg_reads >> 16 & 1
         early = FaultEvent(kind="core", at_cycle=switch, hart=2, loc="x16")
         late = FaultEvent(kind="core", at_cycle=switch + 1, hart=2, loc="x16")
-        assert not unobservable(early, du, golden.cycles)
-        assert unobservable(late, du, golden.cycles)
+        assert derived_record(0, early, golden) is None
+        assert derived_record(0, late, golden) is not None
         spec = CampaignSpec(kernel="modeswitch", runs=1,
                             explicit_events=[late])
         assert run_campaign(spec)["runs"] == execute_runs(spec, [0], golden)
@@ -372,6 +380,171 @@ class TestPruning:
         soc = Soc(SocConfig())
         soc.load_program(kernels.build_kernel("exit0"))
         assert soc.run().defuse is None
+
+
+def by_index(records: list[dict]) -> list[dict]:
+    return sorted(records, key=lambda r: r["index"])
+
+
+class TestWriteMaskDerivation:
+    """A write-mask run's record comes from the golden run's store log
+    (``derived_record``) unless the guest can see the ECC counters or
+    stores to its own code; ``execute_runs`` is the oracle."""
+
+    @pytest.mark.parametrize("kernel,mode,scrub,runs", [
+        *(("matmul8", mode, scrub, 16) for mode in kernels.MODES
+          for scrub in (1, 3, 64)),
+        ("matmul3", "parallel", 1, 16), ("modeswitch", "lockstep", 3, 6)])
+    def test_derived_records_equal_simulated(self, kernel, mode, scrub, runs):
+        spec = CampaignSpec(kernel=kernel, mode=mode, runs=runs, seed=scrub,
+                            targets=("write_mask",), scrub_interval=scrub)
+        golden = run_golden(spec, record_trace=False)
+        derived = [derived_record(i, generate_event(spec, i, golden.cycles),
+                                  golden) for i in range(spec.runs)]
+        assert None not in derived
+        simulated = execute_runs(spec, list(range(spec.runs)), golden)
+        assert derived == by_index(simulated)
+        assert any(r["ecc_correctable"] for r in derived)
+
+    def test_derived_runs_simulate_nothing(self, monkeypatch):
+        spec = small_spec(runs=8, seed=4, targets=("write_mask",))
+        golden = run_golden(spec)
+        want = by_index(execute_runs(spec, list(range(spec.runs)), golden))
+
+        def fail(*_a, **_kw):
+            raise AssertionError("a derived run was simulated")
+        monkeypatch.setattr(campaign, "run_golden", lambda *_a, **_kw: golden)
+        monkeypatch.setattr(Soc, "run", fail)
+        monkeypatch.setattr(FaultEvent, "apply", fail)
+        assert run_campaign(spec)["runs"] == want
+
+    @staticmethod
+    def campaign_of(prog: Program, tmp_path, events) -> CampaignSpec:
+        image = tmp_path / "prog.bin"
+        image.write_bytes(assemble(prog, SRAM_BASE))
+        return CampaignSpec(binary=str(image), runs=len(events),
+                            explicit_events=events)
+
+    @pytest.mark.parametrize("reader", ["memctl", "odrg"])
+    def test_guest_reading_the_counters_is_simulated(self, tmp_path, reader):
+        # a store to word 1 (bank 1) the fault leaves one bit wrong, a load
+        # that corrects it, then the bank's correctable count (or the sum
+        # of all) into the result register
+        value, bank = 0x12345678, 1
+        p = Program()
+        p.label("_start")
+        p.ins("j", "main")
+        p.label("buf")
+        p.words([0])
+        p.label("main")
+        p.ins("la", "s0", "buf")
+        p.ins("li", "t0", value)
+        p.ins("sw", "t0", 0, "s0")
+        p.ins("lw", "t1", 0, "s0")
+        if reader == "memctl":
+            p.ins("la", "t2", MEMCTL_BASE + 0x40 + 4 * bank)
+            p.ins("lw", "t3", 0, "t2")
+        else:   # select the sum of the correctable counts, then read it
+            p.ins("la", "t2", ODRG_BASE)
+            p.ins("li", "t4", 4)
+            p.ins("sw", "t4", REG_ERROR_SELECT, "t2")
+            p.ins("lw", "t3", REG_ERROR_OUTPUT, "t2")
+        p.ins("la", "t6", SIMCTL_BASE)
+        p.ins("sw", "t3", 4, "t6")
+        p.ins("sw", "x0", 0, "t6")
+        assert label_map(p, SRAM_BASE)["buf"] == SRAM_BASE + 4 * bank
+        cw = encode(value)
+        ev = FaultEvent(kind="write_mask", at_cycle=1, bank=bank,
+                        bit=(cw & -cw).bit_length() - 1)
+        spec = self.campaign_of(p, tmp_path, [ev])
+        golden = run_golden(spec, record_trace=False)
+        assert golden.defuse.ecc_regs
+        assert derived_record(0, ev, golden) is None
+        simulated = execute_runs(spec, [0], golden)
+        assert run_campaign(spec)["runs"] == simulated
+        # the count the guest saw changed its result: the store log alone
+        # gives the right count but not the right outcome
+        naive = derived_record(0, ev, replace(
+            golden, defuse=replace(golden.defuse, ecc_regs=False)))
+        assert naive["ecc_correctable"] == simulated[0]["ecc_correctable"] == 1
+        assert naive != simulated[0]
+
+    def test_every_bit_of_a_store_sequence(self, tmp_path):
+        # word 1 (bank 1) is read, stored twice with no read between (the
+        # second store puts the masked bit back), stored again, merged by a
+        # sub-word store and read: each bit of the mask, from cycle 1
+        p = Program()
+        p.label("_start")
+        p.ins("j", "main")
+        p.label("buf")
+        p.words([0])
+        p.label("main")
+        p.ins("la", "s0", "buf")
+        p.ins("lw", "a0", 0, "s0")
+        p.ins("li", "t0", 0x12345678)
+        p.ins("sw", "t0", 0, "s0")
+        p.ins("sw", "x0", 0, "s0")
+        p.ins("sw", "t0", 0, "s0")
+        p.ins("li", "t1", 0x9ABC)
+        p.ins("sh", "t1", 2, "s0")
+        p.ins("lw", "a1", 0, "s0")
+        p.ins("la", "t6", SIMCTL_BASE)
+        p.ins("sw", "a1", 4, "t6")
+        p.ins("sw", "x0", 0, "t6")
+        assert label_map(p, SRAM_BASE)["buf"] == SRAM_BASE + 4
+        events = [FaultEvent(kind="write_mask", at_cycle=1, bank=1, bit=b)
+                  for b in range(39)]
+        spec = self.campaign_of(p, tmp_path, events)
+        golden = run_golden(spec, record_trace=False)
+        derived = [derived_record(i, ev, golden)
+                   for i, ev in enumerate(events)]
+        assert derived == by_index(
+            execute_runs(spec, list(range(len(events))), golden))
+        # a bit set by the first store is corrected by the merge, and one
+        # that the merge changes is corrected by the last read
+        assert {r["ecc_correctable"] for r in derived} == {0, 1, 2}
+
+    def test_too_many_stores_are_not_logged(self, monkeypatch):
+        # matmul8 makes 64 stores: with room for 16, the golden run keeps
+        # none and every write mask is simulated
+        monkeypatch.setattr(soc_mod, "_STORE_LOG_MAX", 16)
+        spec = small_spec(runs=6, seed=4, targets=("write_mask",))
+        golden = run_golden(spec, record_trace=False)
+        assert golden.defuse.stores is None
+        assert all(derived_record(i, generate_event(spec, i, golden.cycles),
+                                  golden) is None for i in range(spec.runs))
+        assert run_campaign(spec)["runs"] == by_index(
+            execute_runs(spec, list(range(spec.runs)), golden))
+
+    def test_self_modifying_program_is_simulated(self, tmp_path):
+        # rewrite ``addi a0, a0, 1`` into ``addi a0, a0, 2`` before a loop
+        # runs it four times
+        new = Program()
+        new.ins("addi", "a0", "a0", 2)
+        p = Program()
+        p.label("_start")
+        p.ins("la", "s0", "patch")
+        p.ins("li", "t0", int.from_bytes(assemble(new, SRAM_BASE), "little"))
+        p.ins("sw", "t0", 0, "s0")
+        p.ins("li", "s1", 4)
+        p.ins("li", "a0", 0)
+        p.label("patch")
+        p.ins("addi", "a0", "a0", 1)
+        p.ins("addi", "s1", "s1", -1)
+        p.ins("bnez", "s1", "patch")
+        p.ins("la", "t6", SIMCTL_BASE)
+        p.ins("sw", "a0", 4, "t6")
+        p.ins("sw", "x0", 0, "t6")
+        bank = (label_map(p, SRAM_BASE)["patch"] - SRAM_BASE) >> 2 & 7
+        events = [FaultEvent(kind="write_mask", at_cycle=1, bank=bank,
+                             bit=b) for b in range(0, 39, 3)]
+        spec = self.campaign_of(p, tmp_path, events)
+        golden = run_golden(spec, record_trace=False)
+        assert golden.checksum == 8 and golden.defuse.code_written
+        assert all(derived_record(i, ev, golden) is None
+                   for i, ev in enumerate(events))
+        assert run_campaign(spec)["runs"] == by_index(
+            execute_runs(spec, list(range(len(events))), golden))
 
 
 class _InlinePool:

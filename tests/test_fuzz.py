@@ -19,17 +19,28 @@ the shortcut itself may change nothing but the trace hash, since each
 core of a split group records its own retirements.  Finally, pausing any
 of these runs at a random cycle to take a ``snapshot()`` must not change
 it, and a fresh ``Soc`` that restores the snapshot must retire the rest
-of the run with the same trace lines.  The example counts
+of the run with the same trace lines.  A campaign of write-mask faults
+on a generated program, which every run stores to the buffer, must give
+the same records whether ``run_campaign`` derives them from the golden
+run's store log or ``execute_runs`` simulates them.  The example counts
 come from the Hypothesis profiles in ``conftest.py``: Tier-1 replays a
 fixed set, and
 ``pytest --hypothesis-profile fuzz-long tests/test_fuzz.py`` searches
 afresh with many more.
 """
 
+import os
+import tempfile
+from dataclasses import replace
+
 import pytest
 
-from lockstep_mcu.asm import Program
-from lockstep_mcu.soc import SIMCTL_BASE, Soc, SocConfig
+from lockstep_mcu.asm import Program, assemble, label_map
+from lockstep_mcu.campaign import (
+    CampaignSpec, FaultEvent, derived_record, execute_runs, run_campaign,
+    run_golden,
+)
+from lockstep_mcu.soc import SIMCTL_BASE, SRAM_BASE, Soc, SocConfig
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given  # noqa: E402
@@ -45,6 +56,17 @@ BRANCHES = ["beq", "bne", "blt", "bge", "bltu", "bgeu"]
 BUF_BYTES = 64      # two words per bank
 
 _reg = st.sampled_from(REGS)
+
+
+def _mem(sizes: dict):
+    """A load or store of ``sizes`` at an aligned offset in the buffer."""
+    return st.sampled_from(sorted(sizes)).flatmap(
+        lambda m: st.tuples(
+            st.just(m), _reg,
+            st.integers(0, BUF_BYTES // sizes[m] - 1).map(
+                lambda i, m=m: i * sizes[m])))
+
+
 _alu = st.tuples(st.sampled_from(ALU), _reg, _reg, _reg)
 _op = st.one_of(
     _alu,
@@ -53,11 +75,7 @@ _op = st.one_of(
     st.tuples(st.sampled_from(["c.srli", "c.srai"]), _reg, st.integers(0, 31)),
     st.tuples(st.just("c.andi"), _reg, st.integers(-32, 31)),
     st.tuples(st.sampled_from(["c.sub", "c.xor", "c.or", "c.and"]), _reg, _reg),
-    st.sampled_from(sorted(LOADS | STORES)).flatmap(
-        lambda m: st.tuples(
-            st.just(m), _reg,
-            st.integers(0, BUF_BYTES // (LOADS | STORES)[m] - 1).map(
-                lambda i, m=m: i * (LOADS | STORES)[m]))),
+    _mem(LOADS | STORES),
     st.one_of(
         st.tuples(st.just("csrr"), _reg, st.sampled_from(COUNTERS)),
         st.tuples(st.sampled_from(["csrs", "csrc"]), st.just("mscratch"),
@@ -76,9 +94,10 @@ _hart = st.fixed_dictionaries({
 })
 
 
-def build(harts, wait: bool = True) -> Program:
+def build(harts, wait: bool = True, readback: bool = False) -> Program:
     """One block per hart; hart 0 waits for the others' done flags (when
-    ``wait``), then exits with the xor of its registers and ``mscratch``."""
+    ``wait``), then exits with the xor of its registers and ``mscratch``
+    (and, with ``readback``, of every buffer word)."""
     p = Program()
     p.label("_start")
     p.ins("csrr", "t0", "mhartid")
@@ -119,6 +138,9 @@ def build(harts, wait: bool = True) -> Program:
                 p.ins("beqz", "t1", f"wait{j}")
         for r in REGS[1:]:
             p.ins("xor", "a0", "a0", r)
+        for off in range(0, BUF_BYTES, 4) if readback else ():
+            p.ins("lw", "t1", off, "s0")
+            p.ins("xor", "a0", "a0", "t1")
         p.ins("csrr", "t1", "mscratch")
         p.ins("xor", "a0", "a0", "t1")
         p.ins("la", "t6", SIMCTL_BASE)
@@ -244,3 +266,44 @@ def test_snapshot_restore_matches_uninterrupted(run, pause):
     restored = make_soc(prog, mode, trace_lines=True)
     restored.restore(snap)
     assert restored.run().trace_lines == whole.trace_lines[done:]
+
+
+_mask = st.tuples(st.integers(0, 999), st.integers(0, 63), st.integers(0, 38))
+
+
+@given(harts=st.tuples(_hart, _hart, _hart),
+       stores=st.lists(_mem(STORES), min_size=1, max_size=3),
+       mode=st.sampled_from(["lockstep", "single", "parallel"]),
+       masks=st.lists(_mask, min_size=1, max_size=4),
+       scrub=st.sampled_from([1, 3, 7, 64]))
+def test_write_mask_records_derived_exactly(harts, stores, mode, masks,
+                                            scrub):
+    """Every hart's loop starts with ``stores``; each write mask is (cycle
+    in thousandths of the golden run, store, bit), on the bank of the
+    program's store op picked by ``store``.  Lockstep and single run the
+    first hart's ops alone.  Hart 0 reads the whole buffer back before
+    it exits."""
+    harts = [dict(h, ops=stores + h["ops"]) for h in harts]
+    if mode != "parallel":
+        harts = [harts[0]] * 3
+    prog = build(harts, wait=mode == "parallel", readback=True)
+    buf = (label_map(prog, SRAM_BASE)["buf"] - SRAM_BASE) >> 2
+    banks = [(buf + op[2] // 4) & 7 for h in harts for op in h["ops"]
+             if op[0] in STORES]
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "prog.bin")
+        with open(path, "wb") as f:
+            f.write(assemble(prog, SRAM_BASE))
+        spec = CampaignSpec(binary=path, mode=mode, runs=0,
+                            max_cycles=30_000, scrub_interval=scrub)
+        golden = run_golden(spec, record_trace=False)
+        events = [FaultEvent(kind="write_mask",
+                             at_cycle=1 + at * golden.cycles // 1000,
+                             bank=banks[k % len(banks)], bit=m)
+                  for at, k, m in masks]
+        spec = replace(spec, runs=len(events), explicit_events=events)
+        report = run_campaign(spec)
+        simulated = execute_runs(spec, list(range(len(events))), golden)
+    assert all(derived_record(i, ev, golden) is not None
+               for i, ev in enumerate(events))
+    assert report["runs"] == sorted(simulated, key=lambda r: r["index"])

@@ -745,7 +745,8 @@ class TestReload:
     # log (``record_def_use``) and the trace (``_trace_reset``)
     UNSNAPSHOTTED = {
         "config", "bus_ports", "active", "dcache", "blocks", "_touched",
-        "_last_irq", "rec_trace", "tracebuf", "_trace_sha", "trace_lines",
+        "_stores", "_ecc_regs", "_last_irq", "rec_trace", "tracebuf",
+        "_trace_sha", "trace_lines",
     }
     # snapshot keys that are not attribute names
     RENAMED = {"uart": {"uart_out"},
