@@ -31,7 +31,9 @@ from . import kernels as kern
 from .core import CORE_LOC_TAGS
 from .ecc import WORD_BITS
 from .memory import NUM_BANKS, ROWS_PER_BANK
-from .soc import FATAL_EXIT_BASE, LoadError, Soc, SocConfig, RunResult
+from .soc import (
+    FATAL_EXIT_BASE, DefUse, LoadError, RunResult, Soc, SocConfig,
+)
 
 OUTCOME_CLASSES = (
     "masked_voter", "corrected_ecc", "resynced", "detected_uncorrectable",
@@ -300,69 +302,84 @@ def derived_record(index: int, ev: FaultEvent,
     the run must be simulated.  It calls neither ``FaultEvent.apply`` nor
     ``Soc.run``.
 
-    Three kinds of run are derived.  A memory flip on a word no core and
-    no scrubber ever touched, and a core fault (never on ``pc``) in a
+    Two kinds of run are derived.  A core fault (never on ``pc``) in a
     location no executed instruction reads, injected after the golden
-    run's last trap or interrupt, retrace the golden trajectory cycle
-    for cycle, and a single flipped bit is invisible in the ECC-decoded
-    outputs, so their record is the golden record.  A write mask never
-    changes data, timing or control flow either, since every read heals
-    the one bit it leaves wrong; it only adds the corrections that
-    ``_write_mask_corrections`` counts from the golden run's stores.
-    That count needs every read of a stored word, which the log lacks
-    for a word that was also executed, and a guest that can see the ECC
-    counters (or set ``write_disable``) might act on them: those runs
-    are simulated, and so are all write masks of a golden run too long
-    to keep its stores.
+    run's last trap or interrupt, retraces the golden trajectory cycle
+    for cycle, so its record is the golden record.  A memory flip or a
+    write mask leaves one codeword bit wrong, which never changes data,
+    timing or control flow, since every read heals it; the run only adds
+    the corrections that ``_corrections`` counts from the golden run's
+    def/use log.
     """
     du = golden.defuse
     at = min(ev.at_cycle, golden.cycles)
-    if ev.kind == "write_mask":
-        if du.stores is None or du.code_written or du.ecc_regs:
+    if ev.kind != "core":
+        n = _corrections(du, ev, at)
+        if n is None:
             return None
         counts = list(golden.ecc_correctable)
-        counts[ev.bank] += _write_mask_corrections(du.stores, ev.bank,
-                                                   ev.bit, at)
+        counts[ev.bank] += n
         return _record(index, ev, replace(golden, ecc_correctable=counts),
                        golden)
-    if ev.kind == "memory":
-        seen = du.sram_words[ev.row * NUM_BANKS + ev.bank]
-    elif ev.loc == "pc" or at <= du.last_irq_cycle:
-        seen = True
-    elif ev.loc.startswith("x"):
+    if ev.loc == "pc" or at <= du.last_irq_cycle:
+        return None
+    if ev.loc.startswith("x"):
         seen = du.reg_reads >> int(ev.loc[1:]) & 1
     else:
         seen = du.csr_reads & CORE_LOC_TAGS[ev.loc]
     return None if seen else _record(index, ev, golden, golden)
 
 
-def _write_mask_corrections(stores: tuple, bank: int, bit: int,
-                            at: int) -> int:
-    """The ECC corrections that freezing codeword bit ``bit`` of ``bank``
-    after cycle ``at`` adds to the golden run with the store log
-    ``stores`` (``DefUse.stores``).
+def _corrections(du: DefUse, ev: FaultEvent, at: int) -> int | None:
+    """The ECC corrections that ``ev``, a memory flip or a write mask
+    applied after cycle ``at``, adds to the golden run with the def/use
+    log ``du``; None when the log cannot tell.
 
-    Per word, ``s`` is the faulty run's stored bit.  A store leaves it
-    as it was, so it is wrong wherever golden's new codeword has the
-    other value.  A sub-word store reads the word to merge it, so it
-    first corrects (and heals) a wrong bit, and so does the first read
-    after a store; later reads find the bit right.
+    Per word, the walk keeps whether the stored bit ``ev.bit`` is wrong.
+    A read corrects and heals it if it falls at or after the word's last
+    store, or after ``at`` when no store came since; so does the merge of
+    a sub-word store.  A store replaces a flipped bit.  A frozen bit keeps
+    its value at a store, so it is wrong exactly where golden's new
+    codeword has the other value.
+
+    The log lacks the fetches inside translated blocks, so a flip on an
+    executed word, and every write mask of a run that stored to one, is
+    left to simulation.  So is one the guest might see: a run that
+    reached the ECC counters (or ``write_disable``, which keeps a bit
+    across a store) simulates its write masks and every flip on a word
+    it accessed after ``at``.  Past ``_STORE_LOG_MAX`` stores only a flip
+    on a word that no store reached after ``at`` is derived.
     """
+    if ev.kind == "memory":
+        w = ev.row * NUM_BANKS + ev.bank
+        late = du.writes.get(w, -1) > at     # a store after the flip
+        if w in du.executed or (du.ecc_regs and (late or du.reads[w] > at)):
+            return None
+        words = {w: (1, at + 1)}    # word -> (bit wrong, first read counted)
+        stores = du.stores if late else ()
+    elif du.code_written or du.ecc_regs:
+        return None
+    else:
+        words = {}
+        stores = du.stores
+    if stores is None:
+        return None
+    frozen = ev.kind == "write_mask"
     n = 0
-    stored: dict[int, int] = {}     # word -> faulty stored bit
     for t, w, before, after, strobes, read in stores:
-        if t <= at or w & 7 != bank:
+        if t <= at or w & 7 != ev.bank or (not frozen and w not in words):
             continue
-        old = before >> bit & 1
-        s = stored.get(w, old)
-        if strobes != 0xF and s != old:
-            n += 1
-            s = old
-        if read and s != after >> bit & 1:
-            n += 1
-            s ^= 1
-        stored[w] = s
-    return n
+        wrong, lo = words.get(w, (0, at + 1))
+        if wrong and (read >= lo or strobes != 0xF):
+            n += 1      # a read since ``lo``, or the merge, corrects it
+            wrong = 0
+        # the store replaces a flipped bit; a frozen bit keeps its value,
+        # so it is wrong where golden's new codeword has the other value
+        wrong = wrong ^ ((before ^ after) >> ev.bit & 1) if frozen else 0
+        words[w] = (wrong, t)
+    # the word's last read closes the walk
+    return n + sum(1 for w, (wrong, lo) in words.items()
+                   if wrong and du.reads[w] >= lo)
 
 
 def _record(index: int, ev: FaultEvent, res: RunResult,

@@ -94,7 +94,6 @@ CONVERGENCE_CHECK_PERIOD = 64
 
 _TRACE_REC = struct.Struct("<QBIIBI")
 _busy_until = attrgetter("busy_until")
-_READ_WRITE = bytes(i & 3 for i in range(256))  # def/use log byte -> bits 0-1
 _STORE_LOG_MAX = 1 << 16    # stores a def/use log keeps, or it keeps none
 _TRACE_FLUSH = 1 << 16      # bytes of records that make the engines flush
 _FLUSH_EVERY = 512          # cycles between the fused burst's buffer checks
@@ -261,27 +260,29 @@ class SocConfig:
 class DefUse:
     """What a fault-free run observed, for pruning campaign runs.
 
-    ``sram_words`` holds one byte per SRAM word (linear word index),
-    bit 0 set if a core or the scrubber read the word, bit 1 if one
-    wrote it.  ``reg_reads`` and ``csr_reads`` are the unions of the
-    register and CSR read masks of every decoded instruction; both are
-    all ones if the run stored to a word it also executed from
-    (``code_written``).  ``last_irq_cycle`` is the last cycle that took
-    a trap, changed an interrupt line or switched the lockstep mode (the
-    final cycle if a line stays raised).
+    ``reads`` holds, per SRAM word (linear word index), the last cycle a
+    core or the scrubber read it in, or -1; ``writes`` maps each written
+    word to the last cycle it was written in.  The fetches inside
+    translated blocks are not among the reads: ``executed`` is the set of
+    words any instruction was fetched from, and ``code_written`` says
+    whether one of them was also written.  ``reg_reads`` and
+    ``csr_reads`` are the unions of the register and CSR read masks of
+    every decoded instruction; both are all ones when ``code_written``.
+    ``last_irq_cycle`` is the last cycle that took a trap, changed an
+    interrupt line or switched the lockstep mode (the final cycle if a
+    line stays raised).
 
     ``stores`` logs every SRAM write in order as (cycle, word index,
-    codeword before, codeword after, strobes, read), where ``read`` says
-    whether a core or the scrubber read the word after this write and
-    before the next one or the end of the run, or None if the run made
-    more than ``_STORE_LOG_MAX`` stores.  The fetches inside translated
-    blocks are missing from it, which matters only for a word that was
-    also written, so only when ``code_written``.
-    ``ecc_regs`` is set if the run accessed the memory-control page or
-    read the lockstep wrapper's error output, either of which can see
-    the ECC counters (or change ``write_disable``).
+    codeword before, codeword after, strobes, last read), where the last
+    read is the word's ``reads`` entry just before the write; it is None
+    if the run made more than ``_STORE_LOG_MAX`` stores.  ``ecc_regs``
+    is set if the run accessed the memory-control page or read the
+    lockstep wrapper's error output, either of which can see the ECC
+    counters (or change ``write_disable``).
     """
-    sram_words: bytes
+    reads: list[int]
+    writes: dict[int, int]
+    executed: frozenset[int]
     reg_reads: int
     csr_reads: int
     last_irq_cycle: int
@@ -493,7 +494,7 @@ def _block_source(pc0: int, ents: list) -> str:
                 emit(ind + 1, "break" if loop else "return None")
             else:
                 leave(ind + 1, steps[:i], s["pc"], prev)
-            emit(ind, "if T is not None:", "    T[w] |= 5",
+            emit(ind, "if T is not None:", f"    T[w] = cy + {s['off']}",
                  f"m{i} = b.cws[w >> 3] & M32")
             if rd:
                 emit(ind, f"x{rd} = " + (f"m{i}" if f3 == 2 else
@@ -751,12 +752,13 @@ class Soc:
         self.cports = [(Port(i, True), Port(i, False)) for i in range(3)]
         self.dcache: dict[int, tuple] = {}
         self.blocks = _Blocks()
-        # def/use log of a golden run: one byte per SRAM word, bit 0 read,
-        # bit 1 written, bit 2 read since its last write (None when not
-        # recording); its stores as ``_logged_write`` appends them (None
-        # past ``_STORE_LOG_MAX``); and whether the guest could see the
-        # ECC counters
-        self._touched: bytearray | None = None
+        # def/use log of a golden run: the last cycle each SRAM word was
+        # read in (-1 never; None when not recording), the last cycle each
+        # written word was written in, its stores as ``_logged_write``
+        # appends them (None past ``_STORE_LOG_MAX``), and whether the
+        # guest could see the ECC counters
+        self._reads: list[int] | None = None
+        self._writes: dict[int, int] = {}
         self._stores: list[tuple] | None = []
         self._ecc_regs = False
         self._last_irq = -1
@@ -764,7 +766,8 @@ class Soc:
 
     def record_def_use(self) -> None:
         """Log what the coming run reads, for ``RunResult.defuse``."""
-        self._touched = bytearray(mem.TOTAL_WORDS)
+        self._reads = [-1] * mem.TOTAL_WORDS
+        self._writes = {}
         self._stores = []
         self._ecc_regs = False
         self._last_irq = -1
@@ -1385,8 +1388,8 @@ class Soc:
                         blocked = True
                         break
             w = s.tick(self.banks, now, blocked)
-            if w >= 0 and self._touched is not None:
-                self._touched[w] |= 5
+            if w >= 0 and self._reads is not None:
+                self._reads[w] = now
 
     def _trace_flush(self) -> None:
         """Feed the buffered retirement records to the trace hash, format
@@ -1411,9 +1414,9 @@ class Soc:
         tb.clear()
 
     def _bank_op(self, p: Port, bank: mem.Bank, now: int) -> None:
-        touched = self._touched
+        reads = self._reads
         if p.is_write:
-            if touched is None:
+            if reads is None:
                 bank.write(p.row, p.wdata, p.strobes)
             else:
                 self._logged_write(bank, p.row << 3 | p.bank, p.wdata,
@@ -1425,18 +1428,17 @@ class Soc:
             p.resp_val = 0
             p.resp_status = RS_OK
         else:
-            if touched is not None:
-                touched[p.row << 3 | p.bank] |= 5
+            if reads is not None:
+                reads[p.row << 3 | p.bank] = now
             data, status = bank.read(p.row)
             p.respond(data, status)
 
     def _logged_write(self, bank: mem.Bank, w: int, data: int, strobes: int,
                       now: int) -> None:
         """``bank.write`` of SRAM word ``w`` at cycle ``now`` in a run that
-        records its def/use log: the store goes into ``_stores`` with
-        whether the word was read since its last write (bit 2, which
-        every read mark sets and this clears)."""
-        touched = self._touched
+        records its def/use log: the store goes into ``_stores`` with the
+        last cycle the word was read in before it, and ``now`` becomes the
+        word's last write."""
         row = w >> 3
         before = bank.cws[row]
         bank.write(row, data, strobes)
@@ -1444,10 +1446,10 @@ class Soc:
         if stores is not None:
             if len(stores) < _STORE_LOG_MAX:
                 stores.append((now, w, before, bank.cws[row], strobes,
-                               touched[w] & 4))
+                               self._reads[w]))
             else:   # a log this long is not worth its memory
                 self._stores = None
-        touched[w] = touched[w] & 3 | 2
+        self._writes[w] = now
 
     def _vote_cycle(self, now: int) -> None:
         """Majority-vote the shadow request bundles into the real ports."""
@@ -1635,7 +1637,7 @@ class Soc:
         tb = self.tracebuf
         btb = tb if rec else None
         pack = _TRACE_REC.pack
-        touched = self._touched
+        reads = self._reads
         xbar = self.xbar
         scrub = self.scrub
         stick = max(scrub.next_cycle, cy + 1) if scrub.enabled else big
@@ -1678,7 +1680,7 @@ class Soc:
                     if slow and lose:
                         wait = [(e, f[0]) for e, f in zip(ie, fi) if e <= up]
                         wait += [(e, b) for e, b in zip(de, db) if e <= up]
-                    elif clean and touched is None and stick <= up and \
+                    elif clean and reads is None and stick <= up and \
                             max(map(_busy_until, banks)) < stick:
                         # nothing blocks them and no row is tainted: they
                         # only move the scrubber on, all at once
@@ -1691,8 +1693,9 @@ class Soc:
                             blocked = any(e <= stick and w == b
                                           for e, w in wait)
                         w = scrub.tick(sbanks, stick, blocked)
-                        if touched is not None and w >= 0:
-                            touched[w] |= 5
+                        # a block may have marked a later read already
+                        if reads is not None and w >= 0 and reads[w] < stick:
+                            reads[w] = stick
                         stick = scrub.next_cycle
                 if t > allowed:
                     t = allowed
@@ -1743,7 +1746,7 @@ class Soc:
                         b = db[k]
                         rq = dreq[k]
                         row = dr[k]
-                        if touched is None:
+                        if reads is None:
                             banks[b].write(row, rq[2], rq[3])
                         else:
                             self._logged_write(banks[b], row << 3 | b, rq[2],
@@ -1762,8 +1765,8 @@ class Soc:
                     if slow and lose >> 2 * k & 1:
                         continue
                     b, row, words, e, _pc = f = fi[k]
-                    if touched is not None:
-                        touched[row << 3 | b] |= 5
+                    if reads is not None:
+                        reads[row << 3 | b] = t
                     if clean or row not in tnt[b]:
                         v, st = words[row] & m32, RS_OK
                     else:
@@ -1798,8 +1801,8 @@ class Soc:
                         continue
                     b = db[k]
                     row = dr[k]
-                    if touched is not None:
-                        touched[row << 3 | b] |= 5
+                    if reads is not None:
+                        reads[row << 3 | b] = t
                     de[k] = big
                     if clean or row not in tnt[b]:
                         v = cws[b][row] & m32
@@ -1890,7 +1893,7 @@ class Soc:
                             if not blk:
                                 break
                             res = blk(c, banks, t, min(allowed, t + _BLOCK_SPAN),
-                                      dl, btb, touched, c.mhartid)
+                                      dl, btb, reads, c.mhartid)
                             if res is None:
                                 break
                             t, lpc, dl = res
@@ -2003,7 +2006,7 @@ class Soc:
             if self.config.record_trace else None,
             outputs_digest=self.outputs_digest(),
             trace_lines=self.trace_lines,
-            defuse=None if self._touched is None else self._def_use(),
+            defuse=None if self._reads is None else self._def_use(),
         )
 
     def _def_use(self) -> DefUse:
@@ -2011,40 +2014,29 @@ class Soc:
 
         Fetches in translated blocks are not logged as they happen: every
         executed pc is a decode-cache key, whose word (two words for an
-        instruction spanning a word boundary) is marked here instead.
-        A store's read flag is the bit 2 that the word's next store
-        logged, or the word's own at the end.
+        instruction spanning a word boundary) goes into ``executed`` here
+        instead.
         """
-        touched = self._touched
-        stores = None
-        if self._stores is not None:
-            read: dict[int, int] = {}   # word -> read after its later store
-            stores = []
-            for t, w, before, after, strobes, was_read in \
-                    reversed(self._stores):
-                stores.append((t, w, before, after, strobes,
-                               bool(read.get(w, touched[w] & 4))))
-                read[w] = was_read
-            stores = tuple(reversed(stores))
-        touched = bytearray(touched.translate(_READ_WRITE))
         reg_reads = csr_reads = 0
-        code_written = False
+        executed = set()
         for pc, entry in self.dcache.items():
             reg_reads |= entry[7]
             csr_reads |= entry[9]
             if SRAM_BASE <= pc < SRAM_END:
                 w = (pc - SRAM_BASE) >> 2
-                for idx in range(w, min(w + entry[1], mem.TOTAL_WORDS)):
-                    code_written = code_written or touched[idx] & 2
-                    touched[idx] |= 1
+                executed.update(range(w, min(w + entry[1], mem.TOTAL_WORDS)))
+        code_written = not executed.isdisjoint(self._writes)
         if code_written:
             # a decoded entry may have been replaced: assume every read
             reg_reads = csr_reads = -1
         last_irq = self._last_irq
         if any(c.mip for c in self.cores):
             last_irq = self.cycle
-        return DefUse(bytes(touched), reg_reads, csr_reads, last_irq,
-                      stores, bool(code_written), self._ecc_regs)
+        return DefUse(list(self._reads), dict(self._writes),
+                      frozenset(executed),
+                      reg_reads, csr_reads, last_irq,
+                      None if self._stores is None else tuple(self._stores),
+                      code_written, self._ecc_regs)
 
     # ------------------------------------------------- snapshot/restore
 

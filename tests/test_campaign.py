@@ -387,9 +387,115 @@ def by_index(records: list[dict]) -> list[dict]:
 
 
 class TestWriteMaskDerivation:
-    """A write-mask run's record comes from the golden run's store log
-    (``derived_record``) unless the guest can see the ECC counters or
-    stores to its own code; ``execute_runs`` is the oracle."""
+    """A write-mask or memory-flip run's record comes from the golden
+    run's def/use log (``derived_record``) unless the guest can see the
+    ECC counters or the log misses a fetch of the word (a flip on an
+    executed word, a write mask of a run that stores to its own code);
+    ``execute_runs`` is the oracle."""
+
+    @staticmethod
+    def assert_derived_exactly(spec, golden, events) -> list[dict]:
+        spec = replace(spec, runs=len(events), explicit_events=events)
+        derived = [derived_record(i, ev, golden)
+                   for i, ev in enumerate(events)]
+        assert None not in derived
+        assert derived == by_index(
+            execute_runs(spec, list(range(len(events))), golden))
+        return derived
+
+    @pytest.mark.parametrize("kernel,mode,scrub", [
+        ("matmul8", "lockstep", 1), ("matmul8", "parallel", 3),
+        ("matmul3", "single", 64), ("matmul3", "parallel", 3)])
+    def test_flips_around_accesses_equal_simulated(self, kernel, mode,
+                                                   scrub):
+        # each stored word, flipped just before, at and after a store and
+        # the last read before it, with a write mask on its bank at the
+        # same cycles: words read or stored both before and after ``at``
+        spec = CampaignSpec(kernel=kernel, mode=mode, runs=0,
+                            scrub_interval=scrub)
+        golden = run_golden(spec, record_trace=False)
+        du = golden.defuse
+        events = []
+        for k, (t, w, _b, _a, _s, read) in enumerate(du.stores[::3][:10]):
+            for at in (t - 1, t, t + 1, read, read + 1):
+                bank, row, bit = w & 7, w >> 3, (k * 7 + at) % 39
+                events.append(FaultEvent(kind="memory", at_cycle=at,
+                                         bank=bank, row=row, bit=bit))
+                events.append(FaultEvent(kind="write_mask", at_cycle=at,
+                                         bank=bank, bit=bit))
+        assert all(w not in du.executed for _t, w, *_ in du.stores)
+        derived = self.assert_derived_exactly(spec, golden, events)
+        flips = [r["ecc_correctable"] for r in derived
+                 if r["event"]["kind"] == "memory"]
+        assert len(set(flips)) == 2     # with and without a correction
+
+    def test_flips_at_a_block_load(self):
+        # with the scrubber off, matmul8's input matrices A and B are read
+        # only by loads inside translated blocks; a flip in the cycle
+        # before a word's last load is corrected by it, one in its cycle
+        # or after is not
+        spec = small_spec(runs=0, scrub_enabled=False)
+        golden = run_golden(spec, record_trace=False)
+        du = golden.defuse
+        labels = label_map(kernels.build_kernel("matmul8", "lockstep"),
+                           SRAM_BASE)
+        first, end = ((labels[k] - SRAM_BASE) >> 2 for k in ("A", "C"))
+        events = [FaultEvent(kind="memory", at_cycle=du.reads[w] + d,
+                             bank=w & 7, row=w >> 3, bit=(w + d) % 39)
+                  for w in range(first, end, 11) for d in (-1, 0, 1)]
+        derived = self.assert_derived_exactly(spec, golden, events)
+        base = sum(golden.ecc_correctable)
+        assert [r["ecc_correctable"] - base for r in derived] == \
+            [1, 0, 0] * (len(events) // 3)
+
+    def test_store_and_scrub_in_one_cycle(self, tmp_path):
+        # a loop stores two values by turns to ``buf``, which the
+        # scrubber (one word a cycle) reads in the cycle of a full-word
+        # store, and nothing reads it later; the faults come just
+        # before, at and after that store
+        p = Program()
+        p.label("_start")
+        p.ins("j", "main")
+        p.words([0] * 38)
+        p.label("buf")
+        p.words([0])
+        p.label("main")
+        p.ins("la", "s0", "buf")
+        p.ins("li", "t0", 0x12345678)
+        p.ins("li", "t1", 0x0F0F0F0F)
+        p.ins("li", "s1", 8)
+        p.label("loop")
+        for _ in range(4):
+            p.ins("sw", "t0", 0, "s0")
+            p.ins("sw", "t1", 0, "s0")
+        p.ins("addi", "s1", "s1", -1)
+        p.ins("bnez", "s1", "loop")
+        p.ins("la", "t6", SIMCTL_BASE)
+        p.ins("sw", "x0", 0, "t6")
+        w = (label_map(p, SRAM_BASE)["buf"] - SRAM_BASE) >> 2
+        spec = replace(self.campaign_of(p, tmp_path, []), scrub_interval=1)
+        golden = run_golden(spec, record_trace=False)
+        du = golden.defuse
+        mine = [s for s in du.stores if s[1] == w]
+        # the scrubber's read in the cycle of store 3 is the last before
+        # store 4
+        t, _w, before, after, strobes, _read = mine[3]
+        assert strobes == 0xF and mine[4][5] == t
+        assert before != after
+        # a write mask on a bit the store changes is corrected by the
+        # scrubber's read if it came before the store; a flip before or
+        # at the store is erased by it or by the next one
+        events = [FaultEvent(kind="write_mask", at_cycle=at, bank=w & 7,
+                             bit=b) for b in range(39)
+                  if (before ^ after) >> b & 1 for at in (t - 1, t)]
+        events += [FaultEvent(kind="memory", at_cycle=at, bank=w & 7,
+                              row=w >> 3, bit=b)
+                   for at in (t - 1, t, t + 1) for b in (0, 17, 38)]
+        derived = self.assert_derived_exactly(spec, golden, events)
+        base = sum(golden.ecc_correctable)
+        masks = len(events) - 9
+        assert [r["ecc_correctable"] - base for r in derived] == \
+            [1, 0] * (masks // 2) + [0] * 9
 
     @pytest.mark.parametrize("kernel,mode,scrub,runs", [
         *(("matmul8", mode, scrub, 16) for mode in kernels.MODES
@@ -506,15 +612,32 @@ class TestWriteMaskDerivation:
 
     def test_too_many_stores_are_not_logged(self, monkeypatch):
         # matmul8 makes 64 stores: with room for 16, the golden run keeps
-        # none and every write mask is simulated
-        monkeypatch.setattr(soc_mod, "_STORE_LOG_MAX", 16)
+        # none and every write mask is simulated, but the rest of the log
+        # stays exact, and a flip with no store to its word after it is
+        # still derived
         spec = small_spec(runs=6, seed=4, targets=("write_mask",))
+        full = run_golden(spec, record_trace=False).defuse
+        monkeypatch.setattr(soc_mod, "_STORE_LOG_MAX", 16)
         golden = run_golden(spec, record_trace=False)
-        assert golden.defuse.stores is None
+        du = golden.defuse
+        assert du.stores is None
+        assert replace(du, stores=full.stores) == full
         assert all(derived_record(i, generate_event(spec, i, golden.cycles),
                                   golden) is None for i in range(spec.runs))
         assert run_campaign(spec)["runs"] == by_index(
             execute_runs(spec, list(range(spec.runs)), golden))
+        w = max(du.writes, key=du.writes.get)      # the last word stored
+        late = FaultEvent(kind="memory", bank=w & 7, row=w >> 3, bit=5,
+                          at_cycle=max(du.reads[w], du.writes[w]))
+        early = replace(late, at_cycle=du.writes[w] - 1)
+        r = next(v for v, cycle in enumerate(du.reads) if cycle > 0
+                 and v not in du.executed and v not in du.writes)
+        read = FaultEvent(kind="memory", at_cycle=du.reads[r] - 1,
+                          bank=r & 7, row=r >> 3, bit=9)
+        assert derived_record(0, early, golden) is None
+        derived = self.assert_derived_exactly(spec, golden, [late, read])
+        assert [r["ecc_correctable"] for r in derived] == [
+            sum(golden.ecc_correctable), sum(golden.ecc_correctable) + 1]
 
     def test_self_modifying_program_is_simulated(self, tmp_path):
         # rewrite ``addi a0, a0, 1`` into ``addi a0, a0, 2`` before a loop

@@ -20,9 +20,10 @@ core of a split group records its own retirements.  Finally, pausing any
 of these runs at a random cycle to take a ``snapshot()`` must not change
 it, and a fresh ``Soc`` that restores the snapshot must retire the rest
 of the run with the same trace lines.  A campaign of write-mask faults
-on a generated program, which every run stores to the buffer, must give
-the same records whether ``run_campaign`` derives them from the golden
-run's store log or ``execute_runs`` simulates them.  The example counts
+and of memory flips in the buffer on a generated program, which every
+run stores to, must give the same records whether ``run_campaign``
+derives them from the golden run's def/use log or ``execute_runs``
+simulates them.  The example counts
 come from the Hypothesis profiles in ``conftest.py``: Tier-1 replays a
 fixed set, and
 ``pytest --hypothesis-profile fuzz-long tests/test_fuzz.py`` searches
@@ -269,20 +270,24 @@ def test_snapshot_restore_matches_uninterrupted(run, pause):
 
 
 _mask = st.tuples(st.integers(0, 999), st.integers(0, 63), st.integers(0, 38))
+_flip = st.tuples(st.integers(0, 999), st.integers(0, BUF_BYTES // 4 - 1),
+                  st.integers(0, 38))
 
 
 @given(harts=st.tuples(_hart, _hart, _hart),
        stores=st.lists(_mem(STORES), min_size=1, max_size=3),
        mode=st.sampled_from(["lockstep", "single", "parallel"]),
        masks=st.lists(_mask, min_size=1, max_size=4),
+       flips=st.lists(_flip, max_size=3),
        scrub=st.sampled_from([1, 3, 7, 64]))
 def test_write_mask_records_derived_exactly(harts, stores, mode, masks,
-                                            scrub):
+                                            flips, scrub):
     """Every hart's loop starts with ``stores``; each write mask is (cycle
     in thousandths of the golden run, store, bit), on the bank of the
-    program's store op picked by ``store``.  Lockstep and single run the
-    first hart's ops alone.  Hart 0 reads the whole buffer back before
-    it exits."""
+    program's store op picked by ``store``, and each memory flip is
+    (cycle in thousandths, buffer word, bit).  Lockstep and single run
+    the first hart's ops alone.  Hart 0 reads the whole buffer back
+    before it exits."""
     harts = [dict(h, ops=stores + h["ops"]) for h in harts]
     if mode != "parallel":
         harts = [harts[0]] * 3
@@ -301,6 +306,10 @@ def test_write_mask_records_derived_exactly(harts, stores, mode, masks,
                              at_cycle=1 + at * golden.cycles // 1000,
                              bank=banks[k % len(banks)], bit=m)
                   for at, k, m in masks]
+        events += [FaultEvent(kind="memory",
+                              at_cycle=1 + at * golden.cycles // 1000,
+                              bank=(buf + k) & 7, row=(buf + k) >> 3, bit=m)
+                   for at, k, m in flips]
         spec = replace(spec, runs=len(events), explicit_events=events)
         report = run_campaign(spec)
         simulated = execute_runs(spec, list(range(len(events))), golden)
