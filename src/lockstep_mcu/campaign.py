@@ -303,13 +303,14 @@ def derived_record(index: int, ev: FaultEvent,
     ``Soc.run``.
 
     Two kinds of run are derived.  A core fault (never on ``pc``) in a
-    location no executed instruction reads, injected after the golden
-    run's last trap or interrupt, retraces the golden trajectory cycle
-    for cycle, so its record is the golden record.  A memory flip or a
-    write mask leaves one codeword bit wrong, which never changes data,
-    timing or control flow, since every read heals it; the run only adds
-    the corrections that ``_corrections`` counts from the golden run's
-    def/use log.
+    location that no instruction the golden run decoded reads, injected
+    after its last trap or interrupt, retraces the golden trajectory
+    cycle for cycle, so its record is the golden record.  A memory flip
+    or a write mask leaves one codeword bit wrong, which never changes
+    data, timing or control flow, since every read heals it; the run
+    only adds the corrections that ``_corrections`` counts from the
+    golden run's def/use log, which holds every SRAM read, fetches
+    included.
     """
     du = golden.defuse
     at = min(ev.at_cycle, golden.cycles)
@@ -342,9 +343,8 @@ def _corrections(du: DefUse, ev: FaultEvent, at: int) -> int | None:
     its value at a store, so it is wrong exactly where golden's new
     codeword has the other value.
 
-    The log lacks the fetches inside translated blocks, so a flip on an
-    executed word, and every write mask of a run that stored to one, is
-    left to simulation.  So is one the guest might see: a run that
+    The log holds every SRAM read, instruction fetches included, so
+    only a fault the guest might see is left to simulation: a run that
     reached the ECC counters (or ``write_disable``, which keeps a bit
     across a store) simulates its write masks and every flip on a word
     it accessed after ``at``.  Past ``_STORE_LOG_MAX`` stores only a flip
@@ -353,11 +353,11 @@ def _corrections(du: DefUse, ev: FaultEvent, at: int) -> int | None:
     if ev.kind == "memory":
         w = ev.row * NUM_BANKS + ev.bank
         late = du.writes.get(w, -1) > at     # a store after the flip
-        if w in du.executed or (du.ecc_regs and (late or du.reads[w] > at)):
+        if du.ecc_regs and (late or du.reads[w] > at):
             return None
         words = {w: (1, at + 1)}    # word -> (bit wrong, first read counted)
         stores = du.stores if late else ()
-    elif du.code_written or du.ecc_regs:
+    elif du.ecc_regs:
         return None
     else:
         words = {}

@@ -262,12 +262,10 @@ class DefUse:
 
     ``reads`` holds, per SRAM word (linear word index), the last cycle a
     core or the scrubber read it in, or -1; ``writes`` maps each written
-    word to the last cycle it was written in.  The fetches inside
-    translated blocks are not among the reads: ``executed`` is the set of
-    words any instruction was fetched from, and ``code_written`` says
-    whether one of them was also written.  ``reg_reads`` and
-    ``csr_reads`` are the unions of the register and CSR read masks of
-    every decoded instruction; both are all ones when ``code_written``.
+    word to the last cycle it was written in; instruction fetches are
+    reads like any other.  ``reg_reads`` and ``csr_reads`` are the
+    unions of the register and CSR read masks of every instruction the
+    decode cache has held since the program was loaded.
     ``last_irq_cycle`` is the last cycle that took a trap, changed an
     interrupt line or switched the lockstep mode (the final cycle if a
     line stays raised).
@@ -282,12 +280,10 @@ class DefUse:
     """
     reads: list[int]
     writes: dict[int, int]
-    executed: frozenset[int]
     reg_reads: int
     csr_reads: int
     last_irq_cycle: int
     stores: tuple | None
-    code_written: bool
     ecc_regs: bool
 
 
@@ -398,7 +394,9 @@ def _block_source(pc0: int, ents: list) -> str:
     the next pc and the registers, ``minstret``, the ``ev_*`` and exec
     fields and the trace as the per-instruction loop leaves them;
     ``dlast`` is (address, word read) of its last load, or as given when
-    it made none."""
+    it made none.  ``T`` gets each load's cycle as it reads and, at each
+    exit, the last fetch cycle of every word the block ran: the log
+    misses no SRAM read."""
     steps = []      # per instruction: pc, retire offset, trace record, ...
     pc, off = pc0, 0
     for i, e in enumerate(ents):
@@ -429,6 +427,8 @@ def _block_source(pc0: int, ents: list) -> str:
         live |= e[7] | e[8]
         wrote |= e[8]
     lines = []
+    mark = "T[{w}] = " + ("max(T[{w}], cy + {t})" if any(
+        s["kind"] == "load" for s in steps) else "cy + {t}")
 
     def emit(ind, *ls):
         lines.extend("    " * ind + ln for ln in ls)
@@ -436,6 +436,21 @@ def _block_source(pc0: int, ents: list) -> str:
     def records(hist):
         return ", ".join(f"cy + {s['off']}, hart, {s['pc']}, {s['rec']}"
                          for s in hist)
+
+    def fetched(ind, hist, prev):
+        """Mark in ``T`` the fetch of each step of ``hist``, run in this
+        pass, and if a pass came before, of each later step of the last
+        pass, run ``cycles`` earlier.  Later marks of a word are later
+        fetches; a load may have read a word after its last fetch, and
+        then the mark keeps the load's cycle."""
+        def marks(group, base):
+            return [mark.format(w=(s["pc"] - SRAM_BASE) >> 2,
+                                t=base + s["o"] + 1) for s in group]
+        last = marks(full[len(hist):], -cycles) if prev else []
+        if prev == "n" and last:
+            last = ["if n:", *("    " + m for m in last)]
+        emit(ind, "if T is not None:",
+             *("    " + m for m in last + marks(hist, 0)))
 
     def leave(ind, hist, nxt, prev):
         """End after the steps ``hist`` of this pass, going on at ``nxt``;
@@ -446,6 +461,7 @@ def _block_source(pc0: int, ents: list) -> str:
         if hist:
             emit(ind, "if tb is not None:",
                  f"    tb += {_pack(len(hist))}({records(hist)})")
+        fetched(ind, hist, prev)
         dl = "dlast"
         for field in ("load", "extra"):
             def has(s):
@@ -751,6 +767,9 @@ class Soc:
         self.vports = (Port(VOTED, True), Port(VOTED, False))   # (D, I)
         self.cports = [(Port(i, True), Port(i, False)) for i in range(3)]
         self.dcache: dict[int, tuple] = {}
+        # the unions of the register and CSR read masks of every entry
+        # the decode cache has held, for ``DefUse``
+        self._reg_reads = self._csr_reads = 0
         self.blocks = _Blocks()
         # def/use log of a golden run: the last cycle each SRAM word was
         # read in (-1 never; None when not recording), the last cycle each
@@ -788,6 +807,7 @@ class Soc:
         self.banks = mem.BankArray()  # a fresh load means fresh memory
         self.banks.load_image(image)
         self.dcache.clear()
+        self._reg_reads = self._csr_reads = 0
         self.blocks.clear()
         self.reset()
         self.rom = rom_words(entry)
@@ -1252,6 +1272,8 @@ class Soc:
         op, *rest = (decode32 if word & 3 == 3 else decode16)(word, pc)
         entry = (op, nwords, w0, w1, word, *rest)
         self.dcache[pc] = entry
+        self._reg_reads |= entry[7]
+        self._csr_reads |= entry[9]
         return entry
 
     def _consume_fetch(self, c: Core, ip: Port, dp: Port, now: int) -> None:
@@ -2010,33 +2032,13 @@ class Soc:
         )
 
     def _def_use(self) -> DefUse:
-        """Fold the decode cache into the golden run's def/use log.
-
-        Fetches in translated blocks are not logged as they happen: every
-        executed pc is a decode-cache key, whose word (two words for an
-        instruction spanning a word boundary) goes into ``executed`` here
-        instead.
-        """
-        reg_reads = csr_reads = 0
-        executed = set()
-        for pc, entry in self.dcache.items():
-            reg_reads |= entry[7]
-            csr_reads |= entry[9]
-            if SRAM_BASE <= pc < SRAM_END:
-                w = (pc - SRAM_BASE) >> 2
-                executed.update(range(w, min(w + entry[1], mem.TOTAL_WORDS)))
-        code_written = not executed.isdisjoint(self._writes)
-        if code_written:
-            # a decoded entry may have been replaced: assume every read
-            reg_reads = csr_reads = -1
         last_irq = self._last_irq
         if any(c.mip for c in self.cores):
             last_irq = self.cycle
         return DefUse(list(self._reads), dict(self._writes),
-                      frozenset(executed),
-                      reg_reads, csr_reads, last_irq,
+                      self._reg_reads, self._csr_reads, last_irq,
                       None if self._stores is None else tuple(self._stores),
-                      code_written, self._ecc_regs)
+                      self._ecc_regs)
 
     # ------------------------------------------------- snapshot/restore
 

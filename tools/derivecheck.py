@@ -45,7 +45,7 @@ MIXED = 10      # campaign-mixed seeds 1..MIXED
 def generated_events(golden, rng: random.Random) -> list:
     du = golden.defuse
     touched = [w for w in range(TOTAL_WORDS) if du.reads[w] >= 0
-               or w in du.writes or w in du.executed]
+               or w in du.writes]
     events = []
     for _ in range(RUNS):
         events.append(FaultEvent(
