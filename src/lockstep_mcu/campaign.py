@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import kernels as kern
-from .core import CORE_LOC_TAGS
+from .core import LOC_BITS
 from .ecc import WORD_BITS
 from .memory import NUM_BANKS, ROWS_PER_BANK
 from .soc import (
@@ -324,10 +324,7 @@ def derived_record(index: int, ev: FaultEvent,
                        golden)
     if ev.loc == "pc" or at <= du.last_irq_cycle:
         return None
-    if ev.loc.startswith("x"):
-        seen = du.reg_reads >> int(ev.loc[1:]) & 1
-    else:
-        seen = du.csr_reads & CORE_LOC_TAGS[ev.loc]
+    seen = du.loc_reads & LOC_BITS[ev.loc]
     return None if seen else _record(index, ev, golden, golden)
 
 

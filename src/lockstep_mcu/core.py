@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .asm import _BRANCHES, _CSROPS, _LOADS, _OPIMM, _OPREG, _STORES
+from .asm import CSR_NUMS, _BRANCHES, _CSROPS, _LOADS, _OPIMM, _OPREG, _STORES
 
 M32 = 0xFFFFFFFF
 SIGN = 0x80000000
@@ -99,6 +99,30 @@ STATE = {
 _DUMPED = tuple(n for n in STATE if n not in ("pend_entry", "mcycle_base"))
 _keyed = attrgetter(*(n for n in _DUMPED if n not in ("regs", "held")))
 
+# The core's fault locations besides ``pc``, and each one's bit in a
+# location mask: x1-x31 take bits 1-31, the CSR locations the bits from
+# 32 up.  The decoder's read and write masks, a carried dormant fault and
+# the def/use log's read union are all such masks.
+CSR_LOCS = ("mstatus", "mtvec", "mepc", "mcause", "mtval", "mie", "mscratch",
+            "mcycle", "minstret")
+LOC_BITS = {loc: 1 << i for i, loc in enumerate(
+    (*(f"x{r}" for r in range(1, 32)), *CSR_LOCS), 1)}
+
+# The CSRs that are one plain field of the same name: number -> (field,
+# the bits a write keeps or None if a write is illegal, the bits a read
+# ORs in).  A CSR that keeps no bits ignores writes.
+CSRS = {CSR_NUMS[name]: (name, writable, ones) for name, writable, ones in (
+    ("mstatus", MSTATUS_MIE | MSTATUS_MPIE, 0x1800),    # MPP pinned to M
+    ("mie", M32, 0), ("mtvec", M32 & ~3, 0), ("mscratch", M32, 0),
+    ("mepc", M32 & ~1, 0), ("mcause", M32, 0), ("mtval", M32, 0),
+    ("mip", 0, 0),      # hardware-wired
+    ("mhartid", None, 0))}
+# the counters: number -> (location, the shift of the half it names,
+# whether a write is legal); the user aliases are read-only
+_COUNTERS = {CSR_NUMS[m + n + h]: ("m" + n, 32 if h else 0, m == "m")
+             for m in ("m", "") for n in ("cycle", "instret") for h in ("", "h")}
+_MISA = CSR_NUMS["misa"]
+
 
 class Core:
     """One hart: architectural state plus scheduler-facing FSM fields."""
@@ -123,76 +147,30 @@ class Core:
         return (now - self.mcycle_base) & 0xFFFFFFFFFFFFFFFF
 
     def csr_read(self, num: int, now: int):
-        if num == 0xF14:
-            return self.mhartid
-        if num == 0x300:
-            return self.mstatus | 0x1800  # MPP pinned to M-mode
-        if num == 0x304:
-            return self.mie
-        if num == 0x305:
-            return self.mtvec
-        if num == 0x340:
-            return self.mscratch
-        if num == 0x341:
-            return self.mepc
-        if num == 0x342:
-            return self.mcause
-        if num == 0x343:
-            return self.mtval
-        if num == 0x344:
-            return self.mip
-        if num == 0x301:
-            return MISA_RV32IMC
-        if num in (0xB00, 0xC00):
-            return self.mcycle(now) & M32
-        if num in (0xB80, 0xC80):
-            return (self.mcycle(now) >> 32) & M32
-        if num in (0xB02, 0xC02):
-            return self.minstret & M32
-        if num in (0xB82, 0xC82):
-            return (self.minstret >> 32) & M32
-        return None
+        """CSR ``num``'s value, or None if it has none (illegal)."""
+        if num in CSRS:
+            name, _writable, ones = CSRS[num]
+            return getattr(self, name) | ones
+        if num in _COUNTERS:
+            loc, shift, _machine = _COUNTERS[num]
+            return self.read_loc(loc, now) >> shift & M32
+        return MISA_RV32IMC if num == _MISA else None
 
     def csr_write(self, num: int, value: int, now: int) -> bool:
+        """Write CSR ``num``; False if the write is illegal."""
         value &= M32
-        if num == 0x300:
-            self.mstatus = value & (MSTATUS_MIE | MSTATUS_MPIE)
-            return True
-        if num == 0x304:
-            self.mie = value
-            return True
-        if num == 0x305:
-            self.mtvec = value & ~3
-            return True
-        if num == 0x340:
-            self.mscratch = value
-            return True
-        if num == 0x341:
-            self.mepc = value & ~1
-            return True
-        if num == 0x342:
-            self.mcause = value
-            return True
-        if num == 0x343:
-            self.mtval = value
-            return True
-        if num in (0x344, 0x301):
-            return True  # hardware-wired / WARL: writes ignored
-        if num == 0xB00:
-            cur = self.mcycle(now)
-            self.mcycle_base = now - ((cur & ~M32) | value)
-            return True
-        if num == 0xB80:
-            cur = self.mcycle(now)
-            self.mcycle_base = now - ((value << 32) | (cur & M32))
-            return True
-        if num == 0xB02:
-            self.minstret = (self.minstret & ~M32) | value
-            return True
-        if num == 0xB82:
-            self.minstret = (value << 32) | (self.minstret & M32)
-            return True
-        return False  # read-only or unimplemented -> illegal
+        if num in CSRS:
+            name, writable, _ones = CSRS[num]
+            if writable:
+                setattr(self, name, value & writable)
+            return writable is not None
+        if num in _COUNTERS:
+            loc, shift, machine = _COUNTERS[num]
+            if machine:
+                cur = self.read_loc(loc, now)
+                self.write_loc(loc, cur & ~(M32 << shift) | value << shift, now)
+            return machine
+        return num == _MISA     # misa is WARL: writes ignored
 
     # ------------------------------------------------------- trap entry
 
@@ -244,7 +222,7 @@ class Core:
 
     def read_loc(self, loc: str, now: int) -> int:
         """The value of fault location ``loc``: ``x1``-``x31``, ``pc`` or
-        a ``CORE_LOC_TAGS`` name."""
+        a ``CSR_LOCS`` name."""
         if loc[0] == "x":
             return self.regs[int(loc[1:])]
         if loc == "mcycle":
@@ -537,45 +515,25 @@ def _wfi(ln):
 #
 # The decoder is the only code that reads operand fields out of an
 # instruction word.  Each result is (closure, rd, text, reads, writes,
-# csr reads, csr writes, template): ``rd`` is the register the
-# instruction writes (0 for none), the one its trace line shows, the next
-# four are its state access sets, and ``template`` is (``SEMANTICS``
-# key, rd, rs1, rs2, imm) for a templated instruction, None otherwise.
-# The lockstep scheduler keeps a single-bit fault "dormant" while
-# nothing reads it, and a golden run's def/use log unions the read sets.
-# Register masks are bit-per-x-register, x0 dropped; CSR masks use the
-# tag bits below.  Read masks over-approximate (extra bits only cost
-# speed); write masks name only unconditional writes of retired
+# template): ``rd`` is the register the instruction writes (0 for none),
+# the one its trace line shows, the next two are the ``LOC_BITS`` masks
+# of the locations it reads and writes, and ``template`` is
+# (``SEMANTICS`` key, rd, rs1, rs2, imm) for a templated instruction,
+# None otherwise.  The lockstep scheduler keeps a single-bit fault
+# "dormant" while nothing reads it, and a golden run's def/use log
+# unions the read masks.  Read masks over-approximate (extra bits only
+# cost speed); write masks name only unconditional writes of retired
 # instructions, since a spurious bit would wrongly erase a live fault.
-# An encoding that traps claims to read every register and CSR and to
-# write nothing.
-
-CT_MSTATUS = 1
-CT_MTVEC = 2
-CT_MEPC = 4
-CT_MCAUSE = 8
-CT_MTVAL = 16
-CT_MIE = 32
-CT_MSCRATCH = 64
-CT_MCYCLE = 128
-CT_MINSTRET = 256
-
-CSR_TAG = {
-    0x300: CT_MSTATUS, 0x305: CT_MTVEC, 0x341: CT_MEPC, 0x342: CT_MCAUSE,
-    0x343: CT_MTVAL, 0x304: CT_MIE, 0x340: CT_MSCRATCH,
-    0xB00: CT_MCYCLE, 0xB80: CT_MCYCLE, 0xC00: CT_MCYCLE, 0xC80: CT_MCYCLE,
-    0xB02: CT_MINSTRET, 0xB82: CT_MINSTRET, 0xC02: CT_MINSTRET,
-    0xC82: CT_MINSTRET,
-}
-
-CORE_LOC_TAGS = {
-    "mstatus": CT_MSTATUS, "mtvec": CT_MTVEC, "mepc": CT_MEPC,
-    "mcause": CT_MCAUSE, "mtval": CT_MTVAL, "mie": CT_MIE,
-    "mscratch": CT_MSCRATCH, "mcycle": CT_MCYCLE, "minstret": CT_MINSTRET,
-}
+# An encoding that traps claims to read every location and to write
+# nothing.
 
 _ALL_REGS = (1 << 32) - 2
-_ALL_CSRS = (1 << 10) - 1
+_ALL_CSRS = sum(LOC_BITS[loc] for loc in CSR_LOCS)
+# CSR number -> the location bit it reads and writes; a CSR that names
+# no location (mhartid, mip, misa, an unknown number) claims to read
+# every CSR location and to write none
+_CSR_BITS = {num: LOC_BITS.get(spec[0], _ALL_CSRS)
+             for num, spec in {**CSRS, **_COUNTERS}.items()}
 
 # field value -> mnemonic, the inverses of the assembler's tables
 _OPIMM_NAMES = {f3: m for m, f3 in _OPIMM.items()}
@@ -586,14 +544,13 @@ _BR_NAMES = {f3: m for m, f3 in _BRANCHES.items()}
 _CSR_NAMES = {f3: m for m, f3 in _CSROPS.items()}
 
 
-def _decoded(ex, rd, text, *srcs, csr_reads=0, csr_writes=0):
+def _decoded(ex, rd, text, *srcs, reads=0, writes=0):
     """A decode result for a hand-written closure ``ex`` that reads
-    registers ``srcs`` and writes ``rd``; no block takes it."""
-    reads = 0
+    registers ``srcs`` and the locations ``reads``, and writes ``rd`` and
+    ``writes``; no block takes it."""
     for r in srcs:
         reads |= 1 << r
-    return (ex, rd, text, reads & ~1, (1 << rd) & ~1, csr_reads, csr_writes,
-            None)
+    return ex, rd, text, reads & ~1, (writes | 1 << rd) & ~1, None
 
 
 def _op(key, rd, rs1, rs2, imm, pc, ln, text):
@@ -601,7 +558,7 @@ def _op(key, rd, rs1, rs2, imm, pc, ln, text):
     operands; it reads the registers the template names."""
     r1, r2 = _READS[key]
     return (_FACTORY[key](rd, rs1, rs2, imm, ln, pc), rd, text,
-            (r1 << rs1 | r2 << rs2) & ~1, (1 << rd) & ~1, 0, 0,
+            (r1 << rs1 | r2 << rs2) & ~1, (1 << rd) & ~1,
             (key, rd, rs1, rs2, imm))
 
 
@@ -611,7 +568,7 @@ def _trap(cause, tval, text="illegal"):
         c.ev_cause = cause
         c.ev_tval = tval
         return 5
-    return ex, 0, text, _ALL_REGS, 0, _ALL_CSRS, 0, None
+    return ex, 0, text, _ALL_REGS | _ALL_CSRS, 0, None
 
 
 def decode32(word: int, pc: int):
@@ -692,21 +649,21 @@ def decode32(word: int, pc: int):
                 return _trap(EXC_BREAKPOINT, pc, "ebreak")
             if word == 0x30200073:
                 return _decoded(_mret(), 0, "mret",
-                                csr_reads=CT_MEPC | CT_MSTATUS,
-                                csr_writes=CT_MSTATUS)
+                                reads=LOC_BITS["mepc"] | LOC_BITS["mstatus"],
+                                writes=LOC_BITS["mstatus"])
             if word == 0x10500073:
-                return _decoded(_wfi(4), 0, "wfi", csr_reads=_ALL_CSRS)
+                return _decoded(_wfi(4), 0, "wfi", reads=_ALL_CSRS)
             return _trap(EXC_ILLEGAL, word)
         if f3 in _CSR_NAMES:
             # an unknown CSR reads everything; csrrs/csrrc with x0 and
             # csrrsi/csrrci with zimm 0 never write
             csr = word >> 20
-            tag = CSR_TAG.get(csr, _ALL_CSRS)
+            bit = _CSR_BITS.get(csr, _ALL_CSRS)
             writes = f3 in (1, 5) or rs1 != 0
             return _decoded(_csr_op(f3, rd, csr, rs1, writes, word, 4), rd,
                             f"{_CSR_NAMES[f3]} x{rd}, {csr:#x}, {rs1}",
-                            rs1 if f3 < 4 else 0, csr_reads=tag,
-                            csr_writes=tag if writes and tag != _ALL_CSRS else 0)
+                            rs1 if f3 < 4 else 0, reads=bit,
+                            writes=bit if writes and bit != _ALL_CSRS else 0)
     return _trap(EXC_ILLEGAL, word)
 
 

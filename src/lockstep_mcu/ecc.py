@@ -18,7 +18,6 @@ DATA_BITS = 32
 PARITY_BITS = 7
 WORD_BITS = DATA_BITS + PARITY_BITS
 DATA_MASK = (1 << DATA_BITS) - 1
-CODEWORD_MASK = (1 << WORD_BITS) - 1
 
 CLEAN = "clean"
 CORRECTED = "corrected"
@@ -155,14 +154,6 @@ def decode(codeword: int) -> DecodeResult:
     if code == 1:
         return DecodeResult(data, CORRECTED, pos)
     return DecodeResult(data, UNCORRECTABLE)
-
-
-def correct_codeword(codeword: int) -> int:
-    """Rewrite value for a corrected word (identity when clean)."""
-    data, code, pos = decode_raw(codeword)
-    if code == 1:
-        return codeword ^ (1 << pos)
-    return codeword
 
 
 def matrix_dump() -> str:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from operator import attrgetter
 
+from .memory import NUM_BANKS
+
 # request regions
 R_SRAM = 0
 R_ROM = 1
@@ -100,8 +102,8 @@ class Crossbar:
 
     __slots__ = ("rr", "conflict_stalls")
 
-    def __init__(self, num_banks: int = 8):
-        self.rr = [0] * num_banks
+    def __init__(self):
+        self.rr = [0] * NUM_BANKS
         self.conflict_stalls = 0
 
     def arbitrate(self, contenders: list[Port], bank: int) -> Port:

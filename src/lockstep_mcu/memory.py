@@ -141,15 +141,14 @@ class BankArray:
     def write_word_by_index(self, word_index: int, data: int, strobes: int = 0xF) -> int:
         return self.banks[word_index & 7].write(word_index >> 3, data, strobes)
 
-    def load_image(self, image: bytes, word_offset: int = 0) -> None:
+    def load_image(self, image: bytes) -> None:
         if len(image) % 4:
             image = image + b"\x00" * (4 - len(image) % 4)
         words = struct.unpack(f"<{len(image) // 4}I", image)
-        if word_offset + len(words) > TOTAL_WORDS:
+        if len(words) > TOTAL_WORDS:
             raise ValueError("image does not fit in SRAM")
         banks = self.banks
-        for i, w in enumerate(words):
-            idx = word_offset + i
+        for idx, w in enumerate(words):
             banks[idx & 7].write(idx >> 3, w)
 
     def _image(self) -> bytearray:
@@ -224,11 +223,10 @@ class Scrubber:
     are counted and left in place; the scrubber never traps.
     """
 
-    __slots__ = (*SCRUB_STATE, "sweep_length")
+    __slots__ = SCRUB_STATE
 
     def __init__(self, interval: int = 64, enabled: bool = True):
         self.restore((enabled, interval, 0, interval, 0, 0))
-        self.sweep_length = TOTAL_WORDS
 
     def target_bank(self) -> int:
         return self.next_address & 7
@@ -250,7 +248,7 @@ class Scrubber:
         busy, no request waits and no row is tainted, so that each only
         moves on to the next word."""
         k = (up - self.next_cycle) // self.interval + 1
-        self.next_address = (self.next_address + k) % self.sweep_length
+        self.next_address = (self.next_address + k) % TOTAL_WORDS
         self.next_cycle += k * self.interval
 
     def step(self, banks: BankArray) -> None:
@@ -265,7 +263,7 @@ class Scrubber:
                 self.corrections += 1
             elif status == UNCORRECTABLE:
                 self.uncorrectable_seen += 1
-        self.next_address = (idx + 1) % self.sweep_length
+        self.next_address = (idx + 1) % TOTAL_WORDS
 
     def snapshot(self) -> tuple:
         return _scrub_state(self)

@@ -56,7 +56,7 @@ from .asm import Program, assemble, entry_address
 from .core import (
     Core, M32, PH_F0, PH_F1, PH_EX, PH_LD, PH_DW,
     EXC_IACCESS_FAULT, EXC_LACCESS_FAULT, EXC_SACCESS_FAULT,
-    MSTATUS_MIE, MIE_MEIE, MIE_MSIE, CORE_LOC_TAGS,
+    MSTATUS_MIE, MIE_MEIE, MIE_MSIE, CSR_LOCS, LOC_BITS,
     decode16, decode32, load_lanes, EXTRA, F3, SEMANTICS, TEMPLATE_NS,
 )
 from .interconnect import (
@@ -97,10 +97,6 @@ _busy_until = attrgetter("busy_until")
 _STORE_LOG_MAX = 1 << 16    # stores a def/use log keeps, or it keeps none
 _TRACE_FLUSH = 1 << 16      # bytes of records that make the engines flush
 _FLUSH_EVERY = 512          # cycles between the fused burst's buffer checks
-
-# core fault location -> (its bit in a register mask, its CSR tag)
-_LOC_MASKS = {f"x{i}": (1 << i, 0) for i in range(1, 32)}
-_LOC_MASKS.update((loc, (0, tag)) for loc, tag in CORE_LOC_TAGS.items())
 
 
 def _store_lanes(addr: int, f3: int, val: int) -> tuple[int, int]:
@@ -263,9 +259,9 @@ class DefUse:
     ``reads`` holds, per SRAM word (linear word index), the last cycle a
     core or the scrubber read it in, or -1; ``writes`` maps each written
     word to the last cycle it was written in; instruction fetches are
-    reads like any other.  ``reg_reads`` and ``csr_reads`` are the
-    unions of the register and CSR read masks of every instruction the
-    decode cache has held since the program was loaded.
+    reads like any other.  ``loc_reads`` is the union of the read masks
+    (``core.LOC_BITS``) of every instruction the decode cache has held
+    since the program was loaded.
     ``last_irq_cycle`` is the last cycle that took a trap, changed an
     interrupt line or switched the lockstep mode (the final cycle if a
     line stays raised).
@@ -280,8 +276,7 @@ class DefUse:
     """
     reads: list[int]
     writes: dict[int, int]
-    reg_reads: int
-    csr_reads: int
+    loc_reads: int
     last_irq_cycle: int
     stores: tuple | None
     ecc_regs: bool
@@ -400,9 +395,9 @@ def _block_source(pc0: int, ents: list) -> str:
     steps = []      # per instruction: pc, retire offset, trace record, ...
     pc, off = pc0, 0
     for i, e in enumerate(ents):
-        key, rd, rs1, rs2, imm = e[11]
+        key, rd, rs1, rs2, imm = e[9]
         kind, expr = SEMANTICS[key]
-        cap = rd and any(x[11][1] == rd for x in ents[i + 1:])
+        cap = rd and any(x[9][1] == rd for x in ents[i + 1:])
         val = f"v{i}" if cap else f"x{rd}" if rd else "0"
         src = (expr or "").replace("{rs1}", f"x{rs1}" if rs1 else "0").replace(
             "{rs2}", f"x{rs2}" if rs2 else "0").replace(
@@ -567,7 +562,7 @@ class _Blocks:
     """The translated blocks of one ``Soc``.
 
     ``start`` maps a pc to its block as (function, (pc, entry, bank, row)
-    of each instruction, register mask | 1); to 0 once a burst has
+    of each instruction, location mask | 1); to 0 once a burst has
     visited it, and to None where no block starts.  A block is built at
     a pc's second visit, from the decode-cache entries there are: it
     never decodes.  ``cover`` maps a word address to the pcs of the
@@ -588,7 +583,7 @@ class _Blocks:
               avoid: int):
         """The block at ``pc`` that this burst may run, or False.  A burst
         checks a block once: each word still holds its untainted
-        decode-cache entry, and no instruction reads or writes a register
+        decode-cache entry, and no instruction reads or writes a location
         in ``avoid``.  The result goes into the burst's ``btab``, except
         after a first visit."""
         rec = self.start.get(pc, -1)
@@ -615,8 +610,8 @@ class _Blocks:
         mask = 1
         while len(ents) < _BLOCK_MAX and SRAM_BASE <= pc < SRAM_END:
             e = dcache.get(pc)
-            if e is None or e[1] != 1 or e[11] is None or \
-                    SEMANTICS[e[11][0]][0] == "store":
+            if e is None or e[1] != 1 or e[9] is None or \
+                    SEMANTICS[e[9][0]][0] == "store":
                 break
             w = (pc - SRAM_BASE) >> 2
             bank, row = banks[w & 7], w >> 3
@@ -625,7 +620,7 @@ class _Blocks:
             ents.append(e)
             checks.append((pc, e, bank, row))
             mask |= e[7] | e[8]
-            if SEMANTICS[e[11][0]][0] in ("branch", "jump"):
+            if SEMANTICS[e[9][0]][0] in ("branch", "jump"):
                 break
             pc += 4 if e[4] & 3 == 3 else 2
         if len(ents) < 2:
@@ -767,9 +762,9 @@ class Soc:
         self.vports = (Port(VOTED, True), Port(VOTED, False))   # (D, I)
         self.cports = [(Port(i, True), Port(i, False)) for i in range(3)]
         self.dcache: dict[int, tuple] = {}
-        # the unions of the register and CSR read masks of every entry
-        # the decode cache has held, for ``DefUse``
-        self._reg_reads = self._csr_reads = 0
+        # the union of the read masks of every entry the decode cache has
+        # held, for ``DefUse``
+        self._loc_reads = 0
         self.blocks = _Blocks()
         # def/use log of a golden run: the last cycle each SRAM word was
         # read in (-1 never; None when not recording), the last cycle each
@@ -807,7 +802,7 @@ class Soc:
         self.banks = mem.BankArray()  # a fresh load means fresh memory
         self.banks.load_image(image)
         self.dcache.clear()
-        self._reg_reads = self._csr_reads = 0
+        self._loc_reads = 0
         self.blocks.clear()
         self.reset()
         self.rom = rom_words(entry)
@@ -1029,7 +1024,7 @@ class Soc:
     # ------------------------------------------------------ fault hooks
 
     CORE_FAULT_LOCS = (tuple(f"x{i}" for i in range(1, 32)) + ("pc",)
-                       + tuple(CORE_LOC_TAGS))
+                       + CSR_LOCS)
 
     def materialize(self) -> None:
         """Make cores 1/2 real; a carried dormant fault splits the group."""
@@ -1099,7 +1094,7 @@ class Soc:
     # any core output, so the converged fast path may keep running with
     # the deviation carried on the side: ``dorm_vals`` maps each deviating
     # location of core ``dorm_hart`` to its distance from core 0's value,
-    # and ``dorm_regs``/``dorm_csrs`` mask those locations.  The group
+    # and ``dorm_mask`` masks those locations (``LOC_BITS``).  The group
     # splits into real 3-way stepping the moment an instruction reads a
     # deviating location, any trap or interrupt line fires, or a second
     # core gets faulted; a write to the deviating location erases it
@@ -1110,15 +1105,8 @@ class Soc:
 
     def _dormant_set(self, hart: int, vals: dict[str, int]) -> None:
         """Carry ``vals`` for ``hart``: the one writer of ``dorm_*``."""
-        regs = 0
-        csrs = 0
-        for loc in vals:
-            r, t = _LOC_MASKS[loc]
-            regs |= r
-            csrs |= t
         self.dorm_hart = hart if vals else -1
-        self.dorm_regs = regs
-        self.dorm_csrs = csrs
+        self.dorm_mask = sum(LOC_BITS[loc] for loc in vals)
         self.dorm_vals = vals
 
     def _dormant_clear(self) -> None:
@@ -1130,13 +1118,13 @@ class Soc:
         vals[loc] = ((maj + vals.get(loc, 0)) ^ (1 << bit)) - maj
         self._dormant_set(hart, {k: d for k, d in vals.items() if d})
 
-    def _dormant_erase(self, wr: int, cw: int) -> None:
-        """Drop the carried locations that an instruction overwrote
-        (register mask ``wr``, CSR mask ``cw``)."""
-        if wr & self.dorm_regs or cw & self.dorm_csrs:
+    def _dormant_erase(self, wr: int) -> None:
+        """Drop the carried locations that an instruction overwrote (the
+        location mask ``wr``)."""
+        if wr & self.dorm_mask:
             self._dormant_set(self.dorm_hart, {
                 loc: d for loc, d in self.dorm_vals.items()
-                if not (_LOC_MASKS[loc][0] & wr or _LOC_MASKS[loc][1] & cw)})
+                if not LOC_BITS[loc] & wr})
 
     def _dormant_replay(self, port: Port, now: int) -> None:
         """Un-consume a just-granted response, split, and re-run this
@@ -1235,8 +1223,7 @@ class Soc:
             self._boundary(c, ip, now, True)
 
     def _dispatch(self, c: Core, ip: Port, dp: Port, entry: tuple, now: int) -> None:
-        if self.dorm_hart >= 0 and (entry[7] & self.dorm_regs
-                                    or entry[9] & self.dorm_csrs or c.mip):
+        if self.dorm_hart >= 0 and (entry[7] & self.dorm_mask or c.mip):
             # the carried fault is about to be read: undo the fetch
             # consume and restart this instruction 3-way this cycle
             self._dormant_replay(ip, now)
@@ -1250,7 +1237,7 @@ class Soc:
         """Finish an executed instruction by its action code."""
         if code == 0 or code == 1:
             if self.dorm_hart >= 0:
-                self._dormant_erase(entry[8], entry[10])
+                self._dormant_erase(entry[8])
             if code == 0:
                 self._boundary(c, ip, now, True)
             else:
@@ -1272,8 +1259,7 @@ class Soc:
         op, *rest = (decode32 if word & 3 == 3 else decode16)(word, pc)
         entry = (op, nwords, w0, w1, word, *rest)
         self.dcache[pc] = entry
-        self._reg_reads |= entry[7]
-        self._csr_reads |= entry[9]
+        self._loc_reads |= entry[7]
         return entry
 
     def _consume_fetch(self, c: Core, ip: Port, dp: Port, now: int) -> None:
@@ -1321,7 +1307,7 @@ class Soc:
         if rd:
             c.regs[rd] = val
             if self.dorm_hart >= 0:
-                self._dormant_erase(1 << rd, 0)
+                self._dormant_erase(1 << rd)
         self._boundary(c, ip, now, True)
 
     def _tick_core(self, c: Core, ip: Port, dp: Port, now: int) -> None:
@@ -1670,15 +1656,15 @@ class Soc:
         # one lane runs translated blocks: start pc -> the block checked
         # in this burst, or False.  A carried dormant fault (lockstep, so
         # one lane) hands on at the fetch every instruction that touches
-        # it, any while ``mip`` is raised, and no block runs its register
+        # it, any while ``mip`` is raised, and no block that touches it runs
         one = n == 1
         btab: dict[int, object] = {}
         bget = btab.get
         enter = self.blocks.enter
         drop = self.blocks.drop
         dorm = self.dorm_hart >= 0
-        dregs, dcsrs = self.dorm_regs, self.dorm_csrs
-        avoid = (-1 if C[0].mip else dregs) if dorm else 0
+        dmask = self.dorm_mask
+        avoid = (-1 if C[0].mip else dmask) if dorm else 0
 
         # the claim rule above: ``cl[b] == t1`` once a request has claimed
         # bank ``b`` for cycle ``t1``; ``clash`` is the next cycle that
@@ -1794,8 +1780,7 @@ class Soc:
                     else:
                         v, st = banks[b].read(row)
                     if e[2] != v or st or dorm and (
-                            (e[7] | e[8]) & dregs or (e[9] | e[10]) & dcsrs
-                            or c.mip):
+                            (e[7] | e[8]) & dmask or c.mip):
                         # a miss, a spanning or stale entry, a bad row, or
                         # an instruction the dormant-fault helpers decide
                         lanes.to_fetch(self, k, t, v, st)
@@ -2036,7 +2021,7 @@ class Soc:
         if any(c.mip for c in self.cores):
             last_irq = self.cycle
         return DefUse(list(self._reads), dict(self._writes),
-                      self._reg_reads, self._csr_reads, last_irq,
+                      self._loc_reads, last_irq,
                       None if self._stores is None else tuple(self._stores),
                       self._ecc_regs)
 

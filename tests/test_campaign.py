@@ -312,9 +312,9 @@ class TestPruning:
     def test_unread_core_locations_pruned(self, monkeypatch):
         spec = small_spec(runs=0)
         du = run_golden(spec, record_trace=False).defuse
-        unread = [i for i in range(1, 32) if not du.reg_reads >> i & 1]
+        unread = [i for i in range(1, 32) if not du.loc_reads >> i & 1]
         assert du.last_irq_cycle < 0 and len(unread) >= 2
-        assert du.reg_reads >> 10 & 1
+        assert du.loc_reads >> 10 & 1
         events = [FaultEvent(kind="core", at_cycle=at, hart=h, loc=loc, bit=b)
                   for at, h, loc, b in ((10, 1, f"x{unread[0]}", 3),
                                         (5000, 2, f"x{unread[1]}", 31),
@@ -337,7 +337,7 @@ class TestPruning:
         du = golden.defuse
         switch = du.last_irq_cycle
         assert 0 < switch < 100
-        assert not du.reg_reads >> 16 & 1
+        assert not du.loc_reads >> 16 & 1
         early = FaultEvent(kind="core", at_cycle=switch, hart=2, loc="x16")
         late = FaultEvent(kind="core", at_cycle=switch + 1, hart=2, loc="x16")
         assert derived_record(0, early, golden) is None
@@ -684,7 +684,7 @@ class TestWriteMaskDerivation:
         golden = run_golden(spec, record_trace=False)
         assert golden.checksum == 8
         unread = next(i for i in range(1, 32)
-                      if not golden.defuse.reg_reads >> i & 1)
+                      if not golden.defuse.loc_reads >> i & 1)
         events.append(FaultEvent(kind="core", at_cycle=1, loc=f"x{unread}",
                                  bit=7))
         self.assert_derived_exactly(spec, golden, events)

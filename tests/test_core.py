@@ -6,7 +6,9 @@ import random
 import pytest
 
 from lockstep_mcu.asm import Program, assemble
-from lockstep_mcu.core import Core, decode16, decode32
+from lockstep_mcu.core import (
+    _ALL_CSRS, _ALL_REGS, LOC_BITS, Core, decode16, decode32,
+)
 from lockstep_mcu.soc import SIMCTL_BASE, SRAM_BASE, Soc, SocConfig
 
 M32 = 0xFFFFFFFF
@@ -320,6 +322,46 @@ class TestCsr:
         # posted exit write lands in the following cycle
         assert res.checksum == res.cycles - 5
 
+    def test_csr_map(self):
+        """``csr_read`` and ``csr_write`` of every CSR number on a seeded
+        core, against the map written out here."""
+        rng = random.Random(5)
+        now = 1 << 40
+        seeded = Core(1)
+        for name in ("mstatus", "mtvec", "mepc", "mcause", "mtval", "mie",
+                     "mip", "mscratch"):
+            setattr(seeded, name, rng.getrandbits(32))
+        seeded.minstret = rng.getrandbits(64)
+        seeded.mcycle_base = now - rng.getrandbits(64)
+        s0 = seeded.dump_state(now)
+        cyc, ins = s0["mcycle"], s0["minstret"]
+        reads = {
+            0x300: s0["mstatus"] | 0x1800, 0x301: 0x40001104,
+            0x304: s0["mie"], 0x305: s0["mtvec"], 0x340: s0["mscratch"],
+            0x341: s0["mepc"], 0x342: s0["mcause"], 0x343: s0["mtval"],
+            0x344: s0["mip"], 0xF14: 1,
+            0xB00: cyc & M32, 0xB80: cyc >> 32, 0xB02: ins & M32,
+            0xB82: ins >> 32, 0xC00: cyc & M32, 0xC80: cyc >> 32,
+            0xC02: ins & M32, 0xC82: ins >> 32,
+        }
+        v = 0xDEADBEEF      # sets MIE, MPIE and the low two bits
+        writes = {          # the legal writes and the fields they set
+            0x300: {"mstatus": 0x88}, 0x301: {}, 0x304: {"mie": v},
+            0x305: {"mtvec": 0xDEADBEEC}, 0x340: {"mscratch": v},
+            0x341: {"mepc": 0xDEADBEEE}, 0x342: {"mcause": v},
+            0x343: {"mtval": v}, 0x344: {},
+            0xB00: {"mcycle": cyc & ~M32 | v},
+            0xB80: {"mcycle": v << 32 | cyc & M32},
+            0xB02: {"minstret": ins & ~M32 | v},
+            0xB82: {"minstret": v << 32 | ins & M32},
+        }
+        for num in range(0x1000):
+            c = Core(1)
+            c.load_state(s0, now)
+            assert c.csr_read(num, now) == reads.get(num), hex(num)
+            assert c.csr_write(num, v, now) == (num in writes), hex(num)
+            assert c.dump_state(now) == {**s0, **writes.get(num, {})}, hex(num)
+
 
 class TestTraps:
     def test_illegal_instruction_fatal(self):
@@ -518,9 +560,16 @@ def _encode(*ins) -> int:
     return int.from_bytes(raw[:4] if raw[0] & 3 == 3 else raw[:2], "little")
 
 
+def _masks(word: int) -> tuple:
+    """The (reads, writes) location masks of one encoding."""
+    return (decode32 if word & 3 == 3 else decode16)(word, SRAM_BASE)[3:5]
+
+
 def _access_sets(word: int) -> tuple:
-    """(reg reads, reg writes, csr reads, csr writes) of one encoding."""
-    return (decode32 if word & 3 == 3 else decode16)(word, SRAM_BASE)[3:7]
+    """(reg reads, reg writes, csr reads, csr writes) of one encoding: its
+    masks split at bit 32."""
+    reads, writes = _masks(word)
+    return reads & M32, writes & M32, reads >> 32, writes >> 32
 
 
 _TRAP_TEXTS = ("illegal", "ecall", "ebreak", "c.ebreak")
@@ -563,9 +612,9 @@ def _legal_encodings():
             w = w & 0x01FFFFFF | rng.choice((0, 1, 0x20)) << 25
         words.append(w)
     for w in words:
-        ex, _rd, text, *sets, _tpl = (decode32 if w & 3 == 3 else decode16)(w, SRAM_BASE)
+        ex, _rd, text = (decode32 if w & 3 == 3 else decode16)(w, SRAM_BASE)[:3]
         if text not in _TRAP_TEXTS:
-            yield w, text, ex, sets
+            yield w, text, ex, _access_sets(w)
 
 
 class TestAccessSets:
@@ -584,8 +633,13 @@ class TestAccessSets:
         # csrrs a0, mtvec, x0
         r, w, cr, cw = _access_sets(_encode("csrr", "a0", "mtvec"))
         assert w == 1 << 10
-        assert cr == 2  # CT_MTVEC
+        assert cr << 32 == LOC_BITS["mtvec"]
         assert cw == 0
+
+    def test_mret_sets(self):
+        reads, writes = _masks(_encode("mret"))
+        assert reads == LOC_BITS["mepc"] | LOC_BITS["mstatus"]
+        assert writes == LOC_BITS["mstatus"]
 
     @pytest.mark.parametrize("ins", [("c.srli", "a0", 3), ("c.srai", "a0", 3),
                                      ("c.andi", "a0", -2), ("c.sub", "a0", "a1"),
@@ -599,7 +653,7 @@ class TestAccessSets:
 
     def test_traps_read_everything(self):
         for word in (0, 0x9002, 0x00000073, 0x00100073, 0xFFFFFFFF, 0x0000501B):
-            assert _access_sets(word) == ((1 << 32) - 2, 0, (1 << 10) - 1, 0)
+            assert _masks(word) == (_ALL_REGS | _ALL_CSRS, 0)
 
     def test_masks_match_semantics(self):
         """Registers outside the read mask do not change what a closure

@@ -121,7 +121,3 @@ class TestDecode:
         assert res.status == ecc.UNCORRECTABLE
         assert res.data == w ^ 0b11
 
-    def test_correct_codeword_helper(self):
-        cw = ecc.encode(0xCAFE0000)
-        assert ecc.correct_codeword(cw) == cw
-        assert ecc.correct_codeword(cw ^ (1 << 17)) == cw

@@ -256,6 +256,9 @@ class TestDormantOptimizationExact:
         ("x10", 4),     # overwritten quickly: silently re-converges
         ("mcycle", 7),
         ("minstret", 3),
+        ("mcause", 4),
+        ("mtval", 17),
+        ("mie", 11),
     ])
     def test_matches_reference_engine(self, loc, bit):
         results = []

@@ -800,22 +800,22 @@ class TestReload:
         used.load_program(prog)
         new = fresh(mode="parallel", prog=prog)
         assert used.snapshot() == new.snapshot()
-        assert (used._reg_reads, used._csr_reads) == (0, 0)
+        assert used._loc_reads == 0
         assert used.run().to_dict() == new.run().to_dict()
 
     # attributes outside ``_FLAGS`` and the snapshot, each with its own
     # reset: the config, the port wiring (``_wire_ports``), the decode
-    # cache, its read-mask unions and the translated blocks (cleared by a
+    # cache, its read-mask union and the translated blocks (cleared by a
     # load), the def/use log (``record_def_use``) and the trace
     # (``_trace_reset``)
     UNSNAPSHOTTED = {
-        "config", "bus_ports", "active", "dcache", "_reg_reads",
-        "_csr_reads", "blocks", "_reads", "_writes", "_stores", "_ecc_regs",
+        "config", "bus_ports", "active", "dcache", "_loc_reads", "blocks",
+        "_reads", "_writes", "_stores", "_ecc_regs",
         "_last_irq", "rec_trace", "tracebuf", "_trace_sha", "trace_lines",
     }
     # snapshot keys that are not attribute names
     RENAMED = {"uart": {"uart_out"},
-               "dormant": {"dorm_hart", "dorm_regs", "dorm_csrs", "dorm_vals"}}
+               "dormant": {"dorm_hart", "dorm_mask", "dorm_vals"}}
 
     @pytest.mark.parametrize("mode", ["lockstep", "single", "parallel"])
     def test_every_field_reset_or_snapshotted(self, mode):
