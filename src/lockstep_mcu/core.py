@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .asm import CSR_NUMS, _BRANCHES, _CSROPS, _LOADS, _OPIMM, _OPREG, _STORES
+from .asm import CSR_NUMS, ENCODINGS, gather, lookup
 
 M32 = 0xFFFFFFFF
 SIGN = 0x80000000
@@ -63,10 +63,6 @@ DIV_EXTRA = 36    # 37-cycle divide/remainder
 
 def _sx(v: int) -> int:
     return v - 0x100000000 if v & SIGN else v
-
-
-def _sx12(v: int) -> int:
-    return v - 4096 if v & 0x800 else v
 
 
 # A hart's state: every field and its reset value.  The slots, ``reset``,
@@ -299,13 +295,14 @@ SEMANTICS = {
     "bgeu": ("branch", "{rs1} >= {rs2}"),
     "jal": ("jump", "{imm}"),
     "jalr": ("jump", "({rs1} + {imm}) & 0xFFFFFFFE"),
-    **{m: ("load", _EA) for m in _LOADS},
-    **{m: ("store", _EA) for m in _STORES},
+    **{m: ("load", _EA) for m in ("lb", "lh", "lw", "lbu", "lhu")},
+    **{m: ("store", _EA) for m in ("sb", "sh", "sw")},
 }
 
 # a load's or store's funct3 (its low two bits: log2 of the bytes moved),
 # the cycles a multiply or divide adds
-F3 = _LOADS | _STORES
+F3 = {m: ENCODINGS[m].match >> 12 & 7
+      for m, (kind, _t) in SEMANTICS.items() if kind in ("load", "store")}
 EXTRA = {m: MUL_EXTRA if m.startswith("mul") else DIV_EXTRA
          for m, (kind, _t) in SEMANTICS.items() if kind == "muldiv"}
 
@@ -464,8 +461,9 @@ _READS = {k: ("{rs1}" in (t or ""), "{rs2}" in (t or "") or kind == "store")
           for k, (kind, t) in SEMANTICS.items()}
 
 
-def _csr_op(f3, rd, csr, src, writes, word, ln):
-    write_only = f3 in (1, 5) and rd == 0  # csrrw/csrrwi with rd=x0 skip read
+def _csr_op(mnem, rd, csr, src, writes, word, ln):
+    op, imm = mnem[4], mnem[-1] == "i"      # w(rite), s(et) or c(lear)
+    write_only = op == "w" and rd == 0  # csrrw/csrrwi with rd=x0 skip read
 
     def ex(c):
         now = c.soc.cycle
@@ -474,10 +472,10 @@ def _csr_op(f3, rd, csr, src, writes, word, ln):
             c.ev_cause = EXC_ILLEGAL
             c.ev_tval = word
             return 5
-        v = src if f3 >= 5 else c.regs[src]
-        if f3 in (1, 5):
+        v = src if imm else c.regs[src]
+        if op == "w":
             new = v
-        elif f3 in (2, 6):
+        elif op == "s":
             new = (old or 0) | v
         else:
             new = (old or 0) & ~v
@@ -513,13 +511,15 @@ def _wfi(ln):
 
 # ---------------------------------------------------------------- decoder
 #
-# The decoder is the only code that reads operand fields out of an
-# instruction word.  Each result is (closure, rd, text, reads, writes,
-# template): ``rd`` is the register the instruction writes (0 for none),
-# the one its trace line shows, the next two are the ``LOC_BITS`` masks
-# of the locations it reads and writes, and ``template`` is
-# (``SEMANTICS`` key, rd, rs1, rs2, imm) for a templated instruction,
-# None otherwise.  The lockstep scheduler keeps a single-bit fault
+# The decoder reads operand fields out of an instruction word through
+# ``asm``'s encoding table, the one statement of every instruction's
+# encoding: it finds the word's row, gathers its fields and immediate,
+# and builds what the row's base names.  Each result is (closure, rd,
+# text, reads, writes, template): ``rd`` is the register the instruction
+# writes (0 for none), the one its trace line shows, the next two are
+# the ``LOC_BITS`` masks of the locations it reads and writes, and
+# ``template`` is (``SEMANTICS`` key, rd, rs1, rs2, imm) for a templated
+# instruction, None otherwise.  The lockstep scheduler keeps a single-bit fault
 # "dormant" while nothing reads it, and a golden run's def/use log
 # unions the read masks.  Read masks over-approximate (extra bits only
 # cost speed); write masks name only unconditional writes of retired
@@ -534,14 +534,6 @@ _ALL_CSRS = sum(LOC_BITS[loc] for loc in CSR_LOCS)
 # every CSR location and to write none
 _CSR_BITS = {num: LOC_BITS.get(spec[0], _ALL_CSRS)
              for num, spec in {**CSRS, **_COUNTERS}.items()}
-
-# field value -> mnemonic, the inverses of the assembler's tables
-_OPIMM_NAMES = {f3: m for m, f3 in _OPIMM.items()}
-_OP_NAMES = {key: m for m, key in _OPREG.items()}
-_LD_NAMES = {f3: m for m, f3 in _LOADS.items()}
-_ST_NAMES = {f3: m for m, f3 in _STORES.items()}
-_BR_NAMES = {f3: m for m, f3 in _BRANCHES.items()}
-_CSR_NAMES = {f3: m for m, f3 in _CSROPS.items()}
 
 
 def _decoded(ex, rd, text, *srcs, reads=0, writes=0):
@@ -571,228 +563,57 @@ def _trap(cause, tval, text="illegal"):
     return ex, 0, text, _ALL_REGS | _ALL_CSRS, 0, None
 
 
+def _csr(e, pc, text, word, rd, rs1, imm, csr):
+    # an unknown CSR reads everything; csrrs/csrrc with x0 and
+    # csrrsi/csrrci with zimm 0 never write.  The trace text shows the
+    # source field as a number, a register or not.
+    src = imm if e.imm else rs1
+    bit = _CSR_BITS.get(csr, _ALL_CSRS)
+    writes = e.mnem[4] == "w" or src != 0
+    return _decoded(_csr_op(e.mnem, rd, csr, src, writes, word, e.ln), rd,
+                    f"{e.mnem} x{rd}, {csr:#x}, {src}", 0 if e.imm else rs1,
+                    reads=bit, writes=bit if writes and bit != _ALL_CSRS else 0)
+
+
+# the hand-written closures' decode results, by ``asm.Encoding.base``
+_SPECIAL = {
+    "csr": _csr,
+    "ecall": lambda e, pc, text, *f: _trap(EXC_ECALL_M, 0, text),
+    "ebreak": lambda e, pc, text, *f: _trap(EXC_BREAKPOINT, pc, text),
+    "mret": lambda e, pc, text, *f: _decoded(
+        _mret(), 0, text, reads=LOC_BITS["mepc"] | LOC_BITS["mstatus"],
+        writes=LOC_BITS["mstatus"]),
+    "wfi": lambda e, pc, text, *f: _decoded(_wfi(e.ln), 0, text,
+                                            reads=_ALL_CSRS),
+}
+
+
+def _decode(word: int, pc: int, ln: int):
+    """Decode the ``ln``-byte encoding ``word`` through ``asm``'s table."""
+    e = lookup(word, ln)
+    if e is None or e.base is None:     # no instruction, or a reserved one
+        return _trap(EXC_ILLEGAL, word)
+    _mnem, _ln, _match, _mask, base, _places, regs, kind, lay, fmt = e
+    rd, rs1, rs2, csr = [(word >> lo & (1 << width) - 1) + add
+                         for lo, width, add in regs]
+    imm = shown = gather(lay, word) if kind else 0
+    if kind == "target":
+        imm = shown = (pc + imm) & M32
+    elif kind == "upper":
+        shown &= (1 << lay.width) - 1
+        imm = (imm << 12) + (pc if base == "auipc" else 0) & M32
+    text = fmt.format(rd=rd, rs1=rs1, rs2=rs2, csr=csr, imm=shown)
+    if base in _SPECIAL:
+        return _SPECIAL[base](e, pc, text, word, rd, rs1, imm, csr)
+    return _op("lui" if base == "auipc" else base, rd, rs1, rs2, imm, pc, ln,
+               text)
+
+
 def decode32(word: int, pc: int):
     """Decode a 32-bit instruction (see the decoder notes above)."""
-    op = word & 0x7F
-    rd = (word >> 7) & 31
-    f3 = (word >> 12) & 7
-    rs1 = (word >> 15) & 31
-    rs2 = (word >> 20) & 31
-    f7 = word >> 25
-
-    if op == 0b0010011:
-        if f3 == 1 or f3 == 5:
-            sh = rs2
-            if f3 == 1 and f7 == 0:
-                mnem = "slli"
-            elif f3 == 5 and f7 == 0:
-                mnem = "srli"
-            elif f3 == 5 and f7 == 0x20:
-                mnem = "srai"
-            else:
-                return _trap(EXC_ILLEGAL, word)
-            return _op(mnem, rd, rs1, 0, sh, pc, 4, f"{mnem} x{rd}, x{rs1}, {sh}")
-        mnem = _OPIMM_NAMES[f3]
-        imm = _sx12(word >> 20)
-        return _op(mnem, rd, rs1, 0, imm, pc, 4, f"{mnem} x{rd}, x{rs1}, {imm}")
-    if op == 0b0110011:
-        mnem = _OP_NAMES.get((f3, f7))
-        if mnem is None:
-            return _trap(EXC_ILLEGAL, word)
-        return _op(mnem, rd, rs1, rs2, 0, pc, 4, f"{mnem} x{rd}, x{rs1}, x{rs2}")
-    if op == 0b0000011:
-        if f3 not in _LD_NAMES:
-            return _trap(EXC_ILLEGAL, word)
-        imm = _sx12(word >> 20)
-        mnem = _LD_NAMES[f3]
-        return _op(mnem, rd, rs1, 0, imm, pc, 4, f"{mnem} x{rd}, {imm}(x{rs1})")
-    if op == 0b0100011:
-        if f3 not in _ST_NAMES:
-            return _trap(EXC_ILLEGAL, word)
-        imm = _sx12(((word >> 25) << 5) | ((word >> 7) & 31))
-        mnem = _ST_NAMES[f3]
-        return _op(mnem, 0, rs1, rs2, imm, pc, 4, f"{mnem} x{rs2}, {imm}(x{rs1})")
-    if op == 0b1100011:
-        if f3 not in _BR_NAMES:
-            return _trap(EXC_ILLEGAL, word)
-        imm = (((word >> 31) & 1) << 12) | (((word >> 7) & 1) << 11) | \
-            (((word >> 25) & 0x3F) << 5) | (((word >> 8) & 0xF) << 1)
-        if imm & 0x1000:
-            imm -= 0x2000
-        target = (pc + imm) & M32
-        mnem = _BR_NAMES[f3]
-        return _op(mnem, 0, rs1, rs2, target, pc, 4,
-                   f"{mnem} x{rs1}, x{rs2}, {target:#x}")
-    if op == 0b0110111:
-        return _op("lui", rd, 0, 0, word & 0xFFFFF000, pc, 4,
-                   f"lui x{rd}, {word >> 12:#x}")
-    if op == 0b0010111:
-        return _op("lui", rd, 0, 0, (pc + (word & 0xFFFFF000)) & M32, pc, 4,
-                   f"auipc x{rd}, {word >> 12:#x}")
-    if op == 0b1101111:
-        imm = (((word >> 31) & 1) << 20) | (((word >> 12) & 0xFF) << 12) | \
-            (((word >> 20) & 1) << 11) | (((word >> 21) & 0x3FF) << 1)
-        if imm & 0x100000:
-            imm -= 0x200000
-        target = (pc + imm) & M32
-        return _op("jal", rd, 0, 0, target, pc, 4, f"jal x{rd}, {target:#x}")
-    if op == 0b1100111 and f3 == 0:
-        imm = _sx12(word >> 20)
-        return _op("jalr", rd, rs1, 0, imm, pc, 4, f"jalr x{rd}, {imm}(x{rs1})")
-    if op == 0b0001111:
-        return _op("nop", 0, 0, 0, 0, pc, 4, "fence.i" if f3 == 1 else "fence")
-    if op == 0b1110011:
-        if f3 == 0:
-            if word == 0x00000073:
-                return _trap(EXC_ECALL_M, 0, "ecall")
-            if word == 0x00100073:
-                return _trap(EXC_BREAKPOINT, pc, "ebreak")
-            if word == 0x30200073:
-                return _decoded(_mret(), 0, "mret",
-                                reads=LOC_BITS["mepc"] | LOC_BITS["mstatus"],
-                                writes=LOC_BITS["mstatus"])
-            if word == 0x10500073:
-                return _decoded(_wfi(4), 0, "wfi", reads=_ALL_CSRS)
-            return _trap(EXC_ILLEGAL, word)
-        if f3 in _CSR_NAMES:
-            # an unknown CSR reads everything; csrrs/csrrc with x0 and
-            # csrrsi/csrrci with zimm 0 never write
-            csr = word >> 20
-            bit = _CSR_BITS.get(csr, _ALL_CSRS)
-            writes = f3 in (1, 5) or rs1 != 0
-            return _decoded(_csr_op(f3, rd, csr, rs1, writes, word, 4), rd,
-                            f"{_CSR_NAMES[f3]} x{rd}, {csr:#x}, {rs1}",
-                            rs1 if f3 < 4 else 0, reads=bit,
-                            writes=bit if writes and bit != _ALL_CSRS else 0)
-    return _trap(EXC_ILLEGAL, word)
+    return _decode(word, pc, 4)
 
 
 def decode16(half: int, pc: int):
     """Decode a compressed instruction by expanding to base semantics."""
-    if half == 0:
-        return _trap(EXC_ILLEGAL, 0)
-    q = half & 3
-    f3 = (half >> 13) & 7
-    if q == 0:
-        rdp = 8 + ((half >> 2) & 7)
-        rs1p = 8 + ((half >> 7) & 7)
-        if f3 == 0:
-            imm = (((half >> 11) & 3) << 4) | (((half >> 7) & 0xF) << 6) | \
-                (((half >> 6) & 1) << 2) | (((half >> 5) & 1) << 3)
-            if imm == 0:
-                return _trap(EXC_ILLEGAL, half)
-            return _op("addi", rdp, 2, 0, imm, pc, 2, f"c.addi4spn x{rdp}, {imm}")
-        if f3 == 2:
-            imm = (((half >> 10) & 7) << 3) | (((half >> 6) & 1) << 2) | \
-                (((half >> 5) & 1) << 6)
-            return _op("lw", rdp, rs1p, 0, imm, pc, 2, f"c.lw x{rdp}, {imm}(x{rs1p})")
-        if f3 == 6:
-            imm = (((half >> 10) & 7) << 3) | (((half >> 6) & 1) << 2) | \
-                (((half >> 5) & 1) << 6)
-            return _op("sw", 0, rs1p, rdp, imm, pc, 2, f"c.sw x{rdp}, {imm}(x{rs1p})")
-        return _trap(EXC_ILLEGAL, half)
-    if q == 1:
-        if f3 == 0:
-            rd = (half >> 7) & 31
-            imm = ((half >> 2) & 31) | (((half >> 12) & 1) << 5)
-            if imm & 0x20:
-                imm -= 64
-            if rd == 0:
-                return _op("nop", 0, 0, 0, 0, pc, 2, "c.nop")
-            return _op("addi", rd, rd, 0, imm, pc, 2, f"c.addi x{rd}, {imm}")
-        if f3 == 1 or f3 == 5:
-            u = half
-            imm = (((u >> 12) & 1) << 11) | (((u >> 11) & 1) << 4) | \
-                (((u >> 9) & 3) << 8) | (((u >> 8) & 1) << 10) | \
-                (((u >> 7) & 1) << 6) | (((u >> 6) & 1) << 7) | \
-                (((u >> 3) & 7) << 1) | (((u >> 2) & 1) << 5)
-            if imm & 0x800:
-                imm -= 0x1000
-            target = (pc + imm) & M32
-            rd = 1 if f3 == 1 else 0
-            mnem = "c.jal" if f3 == 1 else "c.j"
-            return _op("jal", rd, 0, 0, target, pc, 2, f"{mnem} {target:#x}")
-        if f3 == 2:
-            rd = (half >> 7) & 31
-            imm = ((half >> 2) & 31) | (((half >> 12) & 1) << 5)
-            if imm & 0x20:
-                imm -= 64
-            return _op("addi", rd, 0, 0, imm, pc, 2, f"c.li x{rd}, {imm}")
-        if f3 == 3:
-            rd = (half >> 7) & 31
-            if rd == 2:
-                imm = (((half >> 12) & 1) << 9) | (((half >> 6) & 1) << 4) | \
-                    (((half >> 5) & 1) << 6) | (((half >> 3) & 3) << 7) | \
-                    (((half >> 2) & 1) << 5)
-                if imm == 0:    # c.addi16sp 0 is reserved
-                    return _trap(EXC_ILLEGAL, half)
-                if imm & 0x200:
-                    imm -= 0x400
-                return _op("addi", 2, 2, 0, imm, pc, 2, f"c.addi16sp {imm}")
-            imm = (((half >> 12) & 1) << 17) | (((half >> 2) & 31) << 12)
-            if imm == 0:    # c.lui with a zero immediate is reserved
-                return _trap(EXC_ILLEGAL, half)
-            if imm & 0x20000:
-                imm -= 0x40000
-            return _op("lui", rd, 0, 0, imm & M32, pc, 2,
-                       f"c.lui x{rd}, {(imm >> 12) & 0x3F:#x}")
-        if f3 == 4:
-            sub = (half >> 10) & 3
-            rdp = 8 + ((half >> 7) & 7)
-            if sub == 0 or sub == 1:
-                sh = (half >> 2) & 31
-                if (half >> 12) & 1:    # shamt[5]: reserved on RV32C
-                    return _trap(EXC_ILLEGAL, half)
-                mnem = "srli" if sub == 0 else "srai"
-                return _op(mnem, rdp, rdp, 0, sh, pc, 2, f"c.{mnem} x{rdp}, {sh}")
-            if sub == 2:
-                imm = ((half >> 2) & 31) | (((half >> 12) & 1) << 5)
-                if imm & 0x20:
-                    imm -= 64
-                return _op("andi", rdp, rdp, 0, imm, pc, 2, f"c.andi x{rdp}, {imm}")
-            rs2p = 8 + ((half >> 2) & 7)
-            if (half >> 12) & 1:
-                return _trap(EXC_ILLEGAL, half)
-            mnem = ("sub", "xor", "or", "and")[(half >> 5) & 3]
-            return _op(mnem, rdp, rdp, rs2p, 0, pc, 2, f"c.{mnem} x{rdp}, x{rs2p}")
-        # f3 6 or 7
-        rs1p = 8 + ((half >> 7) & 7)
-        u = half
-        imm = (((u >> 12) & 1) << 8) | (((u >> 10) & 3) << 3) | \
-            (((u >> 5) & 3) << 6) | (((u >> 3) & 3) << 1) | \
-            (((u >> 2) & 1) << 5)
-        if imm & 0x100:
-            imm -= 0x200
-        target = (pc + imm) & M32
-        mnem = "c.beqz" if f3 == 6 else "c.bnez"
-        return _op("beq" if f3 == 6 else "bne", 0, rs1p, 0, target, pc, 2,
-                   f"{mnem} x{rs1p}, {target:#x}")
-    # q == 2
-    rd = (half >> 7) & 31
-    rs2 = (half >> 2) & 31
-    if f3 == 0:
-        if (half >> 12) & 1:    # shamt[5]: reserved on RV32C
-            return _trap(EXC_ILLEGAL, half)
-        return _op("slli", rd, rd, 0, rs2, pc, 2, f"c.slli x{rd}, {rs2}")
-    if f3 == 2:
-        if rd == 0:
-            return _trap(EXC_ILLEGAL, half)
-        imm = (((half >> 12) & 1) << 5) | (((half >> 4) & 7) << 2) | \
-            (((half >> 2) & 3) << 6)
-        return _op("lw", rd, 2, 0, imm, pc, 2, f"c.lwsp x{rd}, {imm}")
-    if f3 == 4:
-        if (half >> 12) & 1 == 0:
-            if rs2 == 0:
-                if rd == 0:
-                    return _trap(EXC_ILLEGAL, half)
-                return _op("jalr", 0, rd, 0, 0, pc, 2, f"c.jr x{rd}")
-            return _op("add", rd, 0, rs2, 0, pc, 2, f"c.mv x{rd}, x{rs2}")
-        if rs2 == 0:
-            if rd == 0:
-                return _trap(EXC_BREAKPOINT, pc, "c.ebreak")
-            return _op("jalr", 1, rd, 0, 0, pc, 2, f"c.jalr x{rd}")
-        return _op("add", rd, rd, rs2, 0, pc, 2, f"c.add x{rd}, x{rs2}")
-    if f3 == 6:
-        imm = (((half >> 9) & 0xF) << 2) | (((half >> 7) & 3) << 6)
-        return _op("sw", 0, 2, rs2, imm, pc, 2, f"c.swsp x{rs2}, {imm}")
-    return _trap(EXC_ILLEGAL, half)
+    return _decode(half, pc, 2)

@@ -65,6 +65,8 @@ from .interconnect import (
 )
 from .odrg import (
     ALL_DIFFER, MODE_LOCKSTEP, MODE_PERFORMANCE, OdrgUnit, REG_ERROR_OUTPUT,
+    REG_MSIP0, REG_RESYNC_DONE, REG_RESYNC_STATE, REG_RESYNC_TRIGGER,
+    REG_SAVED_SP,
     RESYNC_DONE, RESYNC_HEALTHY_GAP, RESYNC_IDLE, RESYNC_IN_PROGRESS,
     RESYNC_REQUESTED, RESYNC_STREAK_LIMIT, vote,
 )
@@ -123,7 +125,7 @@ def build_boot_rom(entry: int) -> Program:
     p.label("_reset")
     p.ins("csrr", "t0", "mhartid")
     p.ins("la", "t1", ODRG_BASE)
-    p.ins("lw", "t2", 0x04, "t1")          # resync_state
+    p.ins("lw", "t2", REG_RESYNC_STATE, "t1")
     p.ins("li", "t3", RESYNC_IN_PROGRESS)
     p.ins("beq", "t2", "t3", "_restore")
     # cold boot: sp = STACK_TOP - hartid * STACK_BYTES
@@ -162,7 +164,7 @@ def build_boot_rom(entry: int) -> Program:
     p.label("_soft_irq")
     p.ins("csrr", "x1", "mhartid")
     p.ins("slli", "x1", "x1", 2)
-    p.ins("la", "x3", ODRG_BASE + 0x2C)    # msip[hart]
+    p.ins("la", "x3", ODRG_BASE + REG_MSIP0)    # msip[hart]
     p.ins("add", "x3", "x3", "x1")
     p.ins("sw", "x0", 0, "x3")
     p.ins("lw", "x1", 4, "sp")
@@ -184,8 +186,8 @@ def build_boot_rom(entry: int) -> Program:
     p.ins("csrr", "x1", "mscratch")
     p.ins("sw", "x1", 132, "sp")
     p.ins("la", "x3", ODRG_BASE)
-    p.ins("sw", "sp", 0x1C, "x3")          # saved_sp
-    p.ins("sw", "x0", 0x14, "x3")          # trigger: reset pulse fires here
+    p.ins("sw", "sp", REG_SAVED_SP, "x3")
+    p.ins("sw", "x0", REG_RESYNC_TRIGGER, "x3")  # reset pulse fires here
     p.label("_spin")
     p.ins("j", "_spin")
 
@@ -194,7 +196,7 @@ def build_boot_rom(entry: int) -> Program:
     # restore overwrites it; the frame is zeroed afterwards using only
     # x0/sp so the stack matches a run that never resynced.
     p.label("_restore")
-    p.ins("lw", "sp", 0x1C, "t1")          # saved_sp
+    p.ins("lw", "sp", REG_SAVED_SP, "t1")
     p.ins("la", "t4", "_trap")
     p.ins("csrw", "mtvec", "t4")
     p.ins("li", "t4", MIE_MEIE | MIE_MSIE)
@@ -205,7 +207,7 @@ def build_boot_rom(entry: int) -> Program:
     p.ins("csrw", "mstatus", "t4")
     p.ins("lw", "t4", 132, "sp")
     p.ins("csrw", "mscratch", "t4")
-    p.ins("sw", "x0", 0x18, "t1")          # resync done
+    p.ins("sw", "x0", REG_RESYNC_DONE, "t1")
     for i in range(3, 32):
         p.ins("lw", f"x{i}", 4 * i, "sp")
     p.ins("lw", "x1", 4, "sp")

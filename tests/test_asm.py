@@ -1,10 +1,13 @@
 """Assembler encodings against frozen ISA literals plus decoder roundtrips."""
 
+import random
 import struct
 
 import pytest
 
-from lockstep_mcu.asm import AsmError, Program, assemble, entry_address
+from lockstep_mcu.asm import (
+    ENCODINGS, AsmError, Layout, Program, assemble, entry_address,
+)
 from lockstep_mcu.core import decode16, decode32
 
 BASE = 0x1C000000
@@ -120,6 +123,55 @@ class TestErrors:
         with pytest.raises(AsmError, match="out of range"):
             asm_words(("addi", "x1", "x0", 5000))
 
+    def test_csr_number_range(self):
+        # 0x1340 once assembled as mscratch (0x340)
+        with pytest.raises(AsmError, match="CSR number out of range"):
+            asm_words(("csrrw", "a0", 0x1340, "a1"))
+        assert one_word("csrrw", "a0", 0xFFF, "a1") >> 20 == 0xFFF
+
+    @pytest.mark.parametrize("mnem", ["lui", "auipc"])
+    def test_upper_immediate_range(self, mnem):
+        # 0x123456 once assembled as 0x23456
+        with pytest.raises(AsmError, match="out of range"):
+            asm_words((mnem, "a0", 0x123456))
+        with pytest.raises(AsmError, match="out of range"):
+            asm_words((mnem, "a0", -0x80001))
+        # the 20-bit values, unsigned and signed, that li/la and the
+        # fuzzer use
+        assert one_word(mnem, "a0", 0xFFFFF) >> 12 == 0xFFFFF
+        assert one_word(mnem, "a0", -0x80000) >> 12 == 0x80000
+
+    @pytest.mark.parametrize("ins", [
+        ("slli", "a0", "a1", "x"), ("jalr", "a0", "x", "a1"),
+        ("c.addi", "a0", "x"), ("c.lw", "a0", "x", "a1"),
+        ("c.lwsp", "a0", "x"), ("csrrwi", "a0", "mscratch", "x")],
+        ids=lambda i: i[0])
+    def test_immediate_label_unresolved(self, ins):
+        # every immediate resolves like a branch target: a label or an
+        # integer, and anything else is an AsmError
+        with pytest.raises(AsmError, match="unresolved label"):
+            asm_words(ins)
+        with pytest.raises(AsmError, match="not an integer"):
+            asm_words(tuple(1.5 if op == "x" else op for op in ins))
+
+    def test_operand_count(self):
+        with pytest.raises(AsmError, match="takes 3 operands"):
+            asm_words(("add", "a0", "a1"))
+
+    @pytest.mark.parametrize("ins", [
+        ("c.addi", "x0", 1), ("c.lui", "sp", 1), ("c.lui", "a0", 0),
+        ("c.addi16sp", 0), ("c.addi4spn", "a0", 0), ("c.lwsp", "x0", 4),
+        ("c.jr", "x0"), ("c.jalr", "x0"), ("c.mv", "a0", "x0"),
+        ("c.add", "a0", "x0")], ids=lambda i: f"{i[0]} {i[1:]}")
+    def test_operands_make_another_encoding(self, ins):
+        # c.nop, c.addi16sp, reserved encodings, c.ebreak, c.jr, c.jalr
+        with pytest.raises(AsmError, match="the operands make"):
+            asm_words(ins)
+
+    def test_compressed_register_range(self):
+        with pytest.raises(AsmError, match=r"needs x8-x15"):
+            asm_words(("c.lw", "a0", 0, "sp"))
+
     def test_duplicate_label(self):
         p = Program()
         p.label("_start")
@@ -209,3 +261,61 @@ class TestDecodeRoundtrip:
         assert decode32(w1, BASE + 4)[2].startswith("addi")
         h = struct.unpack_from("<H", raw, 8)[0]
         assert decode16(h, BASE + 8)[2].startswith("c.addi")
+
+
+def _draw(place, rng, edge):
+    """An operand for ``place`` of an encoding at ``BASE``: its low edge
+    (``edge`` 0), its high edge (1) or a random legal value."""
+    name, spec = place
+    if isinstance(spec, Layout):
+        lo, hi = spec.lo, spec.hi & ~spec.align
+        v = (lo, hi, rng.randrange(lo, hi + 1) & ~spec.align)[min(edge, 2)]
+        return BASE + v if name == "target" else v
+    lo, width, add = spec
+    return add + ((0, (1 << width) - 1)[edge] if edge < 2 else
+                  rng.randrange(1 << width))
+
+
+def _expected(e, ops):
+    """The template (key, rd, rs1, rs2, imm) that assembling ``ops`` for
+    encoding ``e`` at ``BASE`` must decode to."""
+    by_field = {spec: op for (name, spec), op in zip(e.places, ops)}
+    regs = [by_field.get(spec, spec[2]) for spec in e.regs[:3]]
+    imm = next((op for (name, _s), op in zip(e.places, ops) if name == e.imm), 0)
+    if e.imm == "upper":
+        imm = ((imm << 12) + (BASE if e.base == "auipc" else 0)) & 0xFFFFFFFF
+    return ("lui" if e.base == "auipc" else e.base, *regs, imm)
+
+
+class TestOperandRoundtrip:
+    """Every mnemonic of the encoding table, with seeded random legal
+    operands and both range edges of each, decodes back to its operands:
+    a template's key, registers and immediate or target, and for the
+    other instructions their trace text."""
+
+    DRAWS = 40
+
+    @pytest.mark.parametrize("mnem", sorted(ENCODINGS))
+    def test_operands_decode_back(self, mnem):
+        e = ENCODINGS[mnem]
+        rng = random.Random(mnem)
+        checked = 0
+        for k in range(self.DRAWS):
+            ops = [_draw(place, rng, k) for place in e.places]
+            try:
+                raw = asm_words((mnem, *ops))
+            except AsmError as err:     # an operand that makes another row
+                assert "the operands make" in str(err)
+                continue
+            word = int.from_bytes(raw, "little")
+            _ex, _rd, text, _r, _w, template = \
+                (decode32 if e.ln == 4 else decode16)(word, BASE)
+            if e.base == "csr":
+                assert text == f"{mnem} x{ops[0]}, {ops[1]:#x}, {ops[2]}"
+            elif template is None:
+                assert text == mnem
+            else:
+                assert template == _expected(e, ops), (ops, hex(word))
+            checked += 1
+        assert checked >= self.DRAWS // 2
+

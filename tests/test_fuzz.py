@@ -1,11 +1,13 @@
 """Differential fuzzing of the fused engines against the reference engine.
 
 Generated programs give each hart its own bounded loop of ALU, mul/div,
-compressed ALU (``c.addi`` and the CA/CB ops ``c.srli`` ... ``c.and``),
-``lui`` and ``auipc``, word and sub-word load and store operations on
-one small shared buffer, so stores and loads of different harts keep
-meeting on the same banks, forward branches of all six compares and a
-``jal`` that skip one ALU op (so the single-core burst's translated
+compressed ALU (``c.addi``, ``c.li``, ``c.lui``, ``c.slli``, ``c.mv``,
+``c.add`` and the CA/CB ops ``c.srli`` ... ``c.and``), ``lui`` and
+``auipc``, word and sub-word load and store operations (``c.lw`` and
+``c.sw`` too, through ``s0``) on one small shared buffer, so stores and
+loads of different harts keep meeting on the same banks, forward
+branches of all six compares, ``c.beqz``, ``c.bnez``, a ``jal`` and a
+``c.j`` that skip one ALU op (so the single-core burst's translated
 blocks end at every kind of terminator, taken and not), and of CSR
 operations: reads of the cycle and retired instruction counters (which
 the fused single-core burst writes back only before such an
@@ -50,10 +52,12 @@ from hypothesis import strategies as st  # noqa: E402
 REGS = ["a0", "a1", "a2", "a3", "a4", "a5"]
 ALU = ["add", "sub", "xor", "or", "and", "sll", "srl", "sra", "slt", "sltu",
        "mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu"]
-LOADS = {"lw": 4, "lh": 2, "lhu": 2, "lb": 1, "lbu": 1}
-STORES = {"sw": 4, "sh": 2, "sb": 1}
+LOADS = {"lw": 4, "lh": 2, "lhu": 2, "lb": 1, "lbu": 1, "c.lw": 4}
+STORES = {"sw": 4, "sh": 2, "sb": 1, "c.sw": 4}
 COUNTERS = ["mcycle", "minstret", "mcycleh"]
 BRANCHES = ["beq", "bne", "blt", "bge", "bltu", "bgeu"]
+# the ops that skip the ALU op in their last place
+SKIPS = [*BRANCHES, "jal", "c.beqz", "c.bnez", "c.j"]
 BUF_BYTES = 64      # two words per bank
 
 _reg = st.sampled_from(REGS)
@@ -73,6 +77,11 @@ _op = st.one_of(
     _alu,
     st.tuples(st.just("addi"), _reg, _reg, st.integers(-2048, 2047)),
     st.tuples(st.just("c.addi"), _reg, st.integers(1, 31)),
+    st.tuples(st.just("c.li"), _reg, st.integers(-32, 31)),
+    st.tuples(st.just("c.lui"), _reg,
+              st.integers(-32, 31).filter(lambda v: v != 0)),
+    st.tuples(st.just("c.slli"), _reg, st.integers(0, 31)),
+    st.tuples(st.sampled_from(["c.mv", "c.add"]), _reg, _reg),
     st.tuples(st.sampled_from(["c.srli", "c.srai"]), _reg, st.integers(0, 31)),
     st.tuples(st.just("c.andi"), _reg, st.integers(-32, 31)),
     st.tuples(st.sampled_from(["c.sub", "c.xor", "c.or", "c.and"]), _reg, _reg),
@@ -84,7 +93,9 @@ _op = st.one_of(
     # over the ALU op in last place
     st.one_of(
         st.tuples(st.sampled_from(BRANCHES), _reg, _reg, _alu),
-        st.tuples(st.just("jal"), _reg, _alu)),
+        st.tuples(st.just("jal"), _reg, _alu),
+        st.tuples(st.sampled_from(["c.beqz", "c.bnez"]), _reg, _alu),
+        st.tuples(st.just("c.j"), _alu)),
     st.tuples(st.sampled_from(["lui", "auipc"]), _reg,
               st.integers(0, 2**20 - 1)),
 )
@@ -117,7 +128,7 @@ def build(harts, wait: bool = True, readback: bool = False) -> Program:
         for j, op in enumerate(h["ops"]):
             if op[0] in LOADS or op[0] in STORES:
                 p.ins(op[0], op[1], op[2], "s0")
-            elif op[0] in BRANCHES or op[0] == "jal":
+            elif op[0] in SKIPS:
                 p.ins(*op[:-1], f"skip{k}_{j}")
                 p.ins(*op[-1])
                 p.label(f"skip{k}_{j}")
