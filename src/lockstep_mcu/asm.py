@@ -150,9 +150,9 @@ RV32 = {
                 ("", None, None, {"ecall": 0x00000000, "ebreak": 0x00100000,
                                   "mret": 0x30200000, "wfi": 0x10500000})),
 }
-# the bits that fence and fence.i ignore (any MISC-MEM word but fence.i
-# executes as a fence)
-IGNORED = {"fence": 0xFFFFFF80, "fence.i": 0xFFFF8F80}
+# the bits that fence and fence.i ignore: rd, rs1 and the immediate
+# (fence's fm, pred and succ); MISC-MEM's funct3 2-7 are reserved
+IGNORED = {"fence": 0xFFFF8F80, "fence.i": 0xFFFF8F80}
 
 # RVC by quadrant: mnemonic -> (its fixed bits besides the quadrant,
 # base, syntax, immediate layout, rd, rs1, rs2), in the terms of RV32.

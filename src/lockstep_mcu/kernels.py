@@ -17,7 +17,10 @@ checksum, so the flag handshake doubles as the end-of-compute barrier.
 from __future__ import annotations
 
 from .asm import Program
-from .soc import ODRG_BASE, SIMCTL_BASE, UART_BASE
+from .odrg import REG_MODE
+from .soc import (
+    ODRG_BASE, REG_CHECKSUM, REG_EXIT, REG_TX, SIMCTL_BASE, UART_BASE,
+)
 
 M32 = 0xFFFFFFFF
 
@@ -78,8 +81,8 @@ def row_chunks(n: int) -> list[int]:
 def _emit_exit(p: Program, checksum_reg: str | None = None) -> None:
     p.ins("la", "t1", SIMCTL_BASE)
     if checksum_reg is not None:
-        p.ins("sw", checksum_reg, 4, "t1")
-    p.ins("sw", "x0", 0, "t1")
+        p.ins("sw", checksum_reg, REG_CHECKSUM, "t1")
+    p.ins("sw", "x0", REG_EXIT, "t1")
 
 
 def _emit_matmul_body(p: Program) -> None:
@@ -245,10 +248,10 @@ def modeswitch_matmul_kernel(n: int = 24) -> Program:
     p = Program()
     p.label("_start")
     p.ins("la", "t1", ODRG_BASE)
-    p.ins("lw", "t2", 0, "t1")
+    p.ins("lw", "t2", REG_MODE, "t1")
     p.ins("bnez", "t2", "_body")          # already unlocked
     p.ins("li", "t3", 1)
-    p.ins("sw", "t3", 0, "t1")            # request performance mode
+    p.ins("sw", "t3", REG_MODE, "t1")     # request performance mode
     p.ins("wfi")                          # barrier; wake comes unlocked
     p.label("_body")
     p.ins("csrr", "t0", "mhartid")
@@ -271,11 +274,11 @@ def relock_roundtrip_kernel() -> Program:
     p.ins("sw", "t1", 0, "s0")
     p.ins("la", "t2", ODRG_BASE)
     p.ins("li", "t3", 1)
-    p.ins("sw", "t3", 0, "t2")            # unlock
+    p.ins("sw", "t3", REG_MODE, "t2")     # unlock
     p.ins("wfi")
     # running split now: every hart requests relock and parks
     p.ins("la", "t2", ODRG_BASE)
-    p.ins("sw", "x0", 0, "t2")
+    p.ins("sw", "x0", REG_MODE, "t2")
     p.label("_parked")
     p.ins("wfi")
     p.ins("j", "_parked")
@@ -301,7 +304,7 @@ def hello_kernel(text: bytes = b"hello from the locked cores\n") -> Program:
     p.ins("la", "t0", UART_BASE)
     for ch in text:
         p.ins("li", "t1", ch)
-        p.ins("sw", "t1", 0, "t0")
+        p.ins("sw", "t1", REG_TX, "t0")
     _emit_exit(p)
     return p
 

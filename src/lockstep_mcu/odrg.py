@@ -7,7 +7,8 @@ moment it deviates.  A mismatch bumps the minority core's counter and
 (when idle) requests the resynchronization flow, which is executed by
 the boot-ROM handler: the voted architectural state is pushed onto the
 stack, the wrapper resets all three cores, and the boot stub reloads
-the saved state before resuming.
+the saved state before resuming.  The wrapper's registers are the
+``ODRG_REGS`` page of the device register table.
 """
 
 from __future__ import annotations
@@ -23,21 +24,50 @@ RESYNC_REQUESTED = 1
 RESYNC_IN_PROGRESS = 2
 RESYNC_DONE = 3
 
-# register offsets within the ODRG page
-REG_MODE = 0x00
-REG_RESYNC_STATE = 0x04
-REG_MISMATCH0 = 0x08
-REG_MISMATCH1 = 0x0C
-REG_MISMATCH2 = 0x10
-REG_RESYNC_TRIGGER = 0x14
-REG_RESYNC_DONE = 0x18
-REG_SAVED_SP = 0x1C
-REG_ERROR_SELECT = 0x20
-REG_ERROR_OUTPUT = 0x24
-REG_RESYNC_EVENTS = 0x28
-REG_MSIP0 = 0x2C
-REG_MSIP1 = 0x30
-REG_MSIP2 = 0x34
+M32 = 0xFFFFFFFF
+
+# The device register table, one dict per page: offset -> (name, field,
+# mask, shift, read, write, ecc), each row written by ``reg``.
+#   field  the state the register shows: a dotted path from the ``Soc``,
+#          whose number parts index a list (None for none);
+#   read   what a word load returns: the field's ``mask`` bits from bit
+#          ``shift`` (None), a constant, or what the ``Soc`` method
+#          named by a (name, *args) tuple returns;
+#   write  what a word store does: nothing (None), store its ``mask``
+#          bits into the field at bit ``shift`` (STORE), clear the
+#          field (CLEAR), or pass its ``mask`` bits to the ``Soc``
+#          method named by a (name, *args) tuple after the args;
+#   ecc    whether an access shows the guest ECC state.
+# ``soc`` joins the pages into one address map; each page's ``REG_*``
+# names are its registers' offsets.
+STORE = "store"
+CLEAR = "clear"
+
+
+def reg(name: str, field: str | None = None, *, mask: int = M32,
+        shift: int = 0, read=None, write=None, ecc: bool = False) -> tuple:
+    return name, field, mask, shift, read, write, ecc
+
+
+# The lockstep wrapper's page.  A mode write takes effect at the next
+# all-harts-sleeping barrier; the error output shows what the error
+# select picks (``soc._ERROR_SOURCES``).
+ODRG_REGS = {
+    0x00: reg("mode", "odrg.mode", mask=1, write=("_request_mode",)),
+    0x04: reg("resync_state", "odrg.resync_state"),
+    **{0x08 + 4 * h: reg(f"mismatch{h}", f"odrg.mismatch_count.{h}",
+                         write=CLEAR) for h in range(3)},
+    0x14: reg("resync_trigger", read=0, write=("_resync_reset_pulse",)),
+    0x18: reg("resync_done", read=0, write=("_resync_done",)),
+    0x1C: reg("saved_sp", "odrg.saved_sp", write=STORE),
+    0x20: reg("error_select", "odrg.error_select", mask=7, write=STORE),
+    0x24: reg("error_output", read=("_error_output",)),
+    0x28: reg("resync_events", "odrg.resync_events", write=CLEAR),
+    **{0x2C + 4 * h: reg(f"msip{h}", f"odrg.msip.{h}", mask=1,
+                         write=("_set_msip", h)) for h in range(3)},
+}
+globals().update({f"REG_{row[0].upper()}": off
+                  for off, row in ODRG_REGS.items()})
 
 # back-to-back resync requests with no healthy gap between them mean the
 # recovery flow itself is failing
@@ -84,73 +114,6 @@ class OdrgUnit:
     def __init__(self, mode: int = MODE_LOCKSTEP):
         self.restore(ODRG_STATE.values())
         self.mode = mode
-
-    # Reads have no side effects; writes with side effects beyond this
-    # register block (reset pulse, msip lines) are routed through soc.
-
-    def read(self, off: int, soc) -> int | None:
-        if off == REG_MODE:
-            return self.mode
-        if off == REG_RESYNC_STATE:
-            return self.resync_state
-        if off in (REG_MISMATCH0, REG_MISMATCH1, REG_MISMATCH2):
-            return self.mismatch_count[(off - REG_MISMATCH0) >> 2]
-        if off == REG_SAVED_SP:
-            return self.saved_sp
-        if off == REG_ERROR_SELECT:
-            return self.error_select
-        if off == REG_ERROR_OUTPUT:
-            return self._selected_output(soc)
-        if off == REG_RESYNC_EVENTS:
-            return self.resync_events
-        if off in (REG_MSIP0, REG_MSIP1, REG_MSIP2):
-            return self.msip[(off - REG_MSIP0) >> 2]
-        if off == REG_RESYNC_TRIGGER or off == REG_RESYNC_DONE:
-            return 0
-        return None
-
-    def _selected_output(self, soc) -> int:
-        sel = self.error_select
-        if sel in (0, 1, 2):
-            return self.mismatch_count[sel]
-        if sel == 3:
-            return self.resync_events
-        if sel == 4:
-            return sum(b.correctable_count for b in soc.banks.banks)
-        if sel == 5:
-            return sum(b.uncorrectable_count for b in soc.banks.banks)
-        return 0
-
-    def write(self, off: int, value: int, soc) -> bool:
-        if off == REG_MODE:
-            want = value & 1
-            if want != self.mode:
-                self.pending_mode = want
-            else:
-                self.pending_mode = None
-            return True
-        if off in (REG_MISMATCH0, REG_MISMATCH1, REG_MISMATCH2):
-            self.mismatch_count[(off - REG_MISMATCH0) >> 2] = 0
-            return True
-        if off == REG_RESYNC_TRIGGER:
-            soc._resync_reset_pulse()
-            return True
-        if off == REG_RESYNC_DONE:
-            soc._resync_done()
-            return True
-        if off == REG_SAVED_SP:
-            self.saved_sp = value
-            return True
-        if off == REG_ERROR_SELECT:
-            self.error_select = value & 7
-            return True
-        if off == REG_RESYNC_EVENTS:
-            self.resync_events = 0
-            return True
-        if off in (REG_MSIP0, REG_MSIP1, REG_MSIP2):
-            soc._set_msip((off - REG_MSIP0) >> 2, value & 1)
-            return True
-        return False
 
     def snapshot(self) -> tuple:
         return tuple(copy(getattr(self, name)) for name in ODRG_STATE)

@@ -32,7 +32,8 @@ erase it.
 ``restore()`` reinstates exactly the snapshot's (none, for a fault-free
 one).
 
-Address map (all register accesses word-sized):
+Address map (the device register table below states each register;
+all register accesses are word-sized):
 
     0x1A00_0000  boot ROM (8 KiB)
     0x1B10_0000  lockstep wrapper registers
@@ -49,7 +50,7 @@ import hashlib
 import struct
 import weakref
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, getitem, setitem
 
 from . import memory as mem
 from .asm import Program, assemble, entry_address
@@ -64,11 +65,11 @@ from .interconnect import (
     RS_FAULT, RS_OK, RS_UNCORRECTABLE, VOTED,
 )
 from .odrg import (
-    ALL_DIFFER, MODE_LOCKSTEP, MODE_PERFORMANCE, OdrgUnit, REG_ERROR_OUTPUT,
-    REG_MSIP0, REG_RESYNC_DONE, REG_RESYNC_STATE, REG_RESYNC_TRIGGER,
-    REG_SAVED_SP,
-    RESYNC_DONE, RESYNC_HEALTHY_GAP, RESYNC_IDLE, RESYNC_IN_PROGRESS,
-    RESYNC_REQUESTED, RESYNC_STREAK_LIMIT, vote,
+    ALL_DIFFER, CLEAR, MODE_LOCKSTEP, MODE_PERFORMANCE, ODRG_REGS, STORE,
+    OdrgUnit, REG_MSIP0, REG_RESYNC_DONE, REG_RESYNC_STATE,
+    REG_RESYNC_TRIGGER, REG_SAVED_SP, RESYNC_DONE, RESYNC_HEALTHY_GAP,
+    RESYNC_IDLE, RESYNC_IN_PROGRESS, RESYNC_REQUESTED, RESYNC_STREAK_LIMIT,
+    reg, vote,
 )
 
 SRAM_BASE = 0x1C000000
@@ -82,6 +83,55 @@ MEMCTL_BASE = 0x1B200000
 UART_BASE = 0x1B300000
 SIMCTL_BASE = 0x1B400000
 DEV_PAGE = 0xFFF00000
+
+# The other three device pages of the register table (``odrg.reg``
+# explains the rows).  The memory controller's per-bank registers are
+# write-disable bits 31:0 and 38:32, then the ECC counters.
+MEMCTL_REGS = {
+    **{off: row for b in range(8) for off, row in (
+        (8 * b, reg(f"write_disable{b}_lo", f"banks.banks.{b}.write_disable",
+                    write=STORE, ecc=True)),
+        (8 * b + 4, reg(f"write_disable{b}_hi",
+                        f"banks.banks.{b}.write_disable", mask=0x7F,
+                        shift=32, write=STORE, ecc=True)),
+        (0x40 + 4 * b, reg(f"correctable{b}",
+                           f"banks.banks.{b}.correctable_count",
+                           write=CLEAR, ecc=True)),
+        (0x60 + 4 * b, reg(f"uncorrectable{b}",
+                           f"banks.banks.{b}.uncorrectable_count",
+                           write=CLEAR, ecc=True)))},
+    0x80: reg("scrub_enable", "scrub.enabled", mask=1,
+              write=("_scrub_enable",)),
+    0x84: reg("scrub_interval", "scrub.interval", write=("_scrub_interval",)),
+    0x88: reg("scrub_position", "scrub.next_address"),
+    0x8C: reg("scrub_corrections", "scrub.corrections", ecc=True),
+    0x90: reg("scrub_uncorrectable", "scrub.uncorrectable_seen", ecc=True),
+}
+UART_REGS = {
+    0x0: reg("tx", mask=0xFF, read=0, write=("_uart_tx",)),
+    0x4: reg("tx_ready", read=1),
+}
+SIMCTL_REGS = {
+    0x0: reg("exit", read=0, write=("_exit",)),
+    0x4: reg("checksum", "checksum_reg", write=STORE),
+}
+DEVICE_PAGES = {ODRG_BASE: ODRG_REGS, MEMCTL_BASE: MEMCTL_REGS,
+                UART_BASE: UART_REGS, SIMCTL_BASE: SIMCTL_REGS}
+# address -> row, and register name -> address
+_DEV_REGS = {page + off: row for page, regs in DEVICE_PAGES.items()
+             for off, row in regs.items()}
+_DEV_ADDR = {row[0]: addr for addr, row in _DEV_REGS.items()}
+globals().update({f"REG_{row[0].upper()}": off
+                  for regs in (MEMCTL_REGS, UART_REGS, SIMCTL_REGS)
+                  for off, row in regs.items()})
+# what the error output shows under each error select: the sum of these
+# registers (none under selects 6 and 7)
+_ERROR_SOURCES = (
+    *([_DEV_ADDR[name]] for name in
+      ("mismatch0", "mismatch1", "mismatch2", "resync_events")),
+    *([_DEV_ADDR[f"{kind}{b}"] for b in range(8)]
+      for kind in ("correctable", "uncorrectable")),
+    [], [])
 
 STACK_TOP = SRAM_END
 STACK_BYTES = 2048
@@ -157,7 +207,7 @@ def build_boot_rom(entry: int) -> Program:
     p.ins("li", "x3", FATAL_EXIT_BASE)
     p.ins("or", "x3", "x3", "x1")
     p.ins("li", "x1", SIMCTL_BASE)
-    p.ins("sw", "x3", 0, "x1")
+    p.ins("sw", "x3", REG_EXIT, "x1")
     p.label("_halt")
     p.ins("j", "_halt")
 
@@ -272,9 +322,10 @@ class DefUse:
     codeword before, codeword after, strobes, last read), where the last
     read is the word's ``reads`` entry just before the write; it is None
     if the run made more than ``_STORE_LOG_MAX`` stores.  ``ecc_regs``
-    is set if the run accessed the memory-control page or read the
-    lockstep wrapper's error output, either of which can see the ECC
-    counters (or change ``write_disable``).
+    is set if the run accessed a device register that shows ECC state
+    (the table's ECC column: ``write_disable``, the ECC counters, the
+    scrubber's corrections and uncorrectable sightings, and the error
+    output when it selects ECC counters).
     """
     reads: list[int]
     writes: dict[int, int]
@@ -885,96 +936,83 @@ class Soc:
         if ROM_BASE <= addr < ROM_END:
             return R_ROM, 0, (addr - ROM_BASE) >> 2
         page = addr & DEV_PAGE
-        if page in (ODRG_BASE, MEMCTL_BASE, UART_BASE, SIMCTL_BASE):
+        if page in DEVICE_PAGES:
             return R_DEV, 0, 0
         return R_NONE, 0, 0
 
     # ---------------------------------------------------------- devices
 
-    def _dev_read(self, addr: int) -> int | None:
-        page = addr & DEV_PAGE
-        off = addr & 0xFFFFF
-        if page == ODRG_BASE:
-            if off == REG_ERROR_OUTPUT:
-                self._ecc_regs = True   # may be a sum of ECC counters
-            return self.odrg.read(off, self)
-        if page == MEMCTL_BASE:
-            return self._memctl_read(off)
-        if page == UART_BASE:
-            if off == 0x4:
-                return 1  # tx always ready
-            return 0
-        if page == SIMCTL_BASE:
-            if off == 0x4:
-                return self.checksum_reg
-            return 0
-        return None
+    def _reg_read(self, addr: int) -> int | None:
+        """A word load from device register ``addr``: its value, or None
+        (an access fault) where the table defines no register."""
+        row = _DEV_REGS.get(addr)
+        if row is None:
+            return None
+        _name, field, mask, shift, read, _write, ecc = row
+        if ecc:
+            self._ecc_regs = True
+        if read is None:
+            obj, key, get, _set = self._locate(field)
+            return get(obj, key) >> shift & mask
+        return read if type(read) is int else getattr(self, read[0])(*read[1:])
 
-    def _dev_write(self, addr: int, value: int) -> None:
-        page = addr & DEV_PAGE
-        off = addr & 0xFFFFF
-        value &= M32
-        if page == ODRG_BASE:
-            self.odrg.write(off, value, self)
-        elif page == MEMCTL_BASE:
-            self._memctl_write(off, value)
-        elif page == UART_BASE:
-            if off == 0x0:
-                self.uart_out.append(value & 0xFF)
-        elif page == SIMCTL_BASE:
-            if off == 0x0:
-                self.exited = True
-                self.running = False
-                self.exit_code = value
-            elif off == 0x4:
-                self.checksum_reg = value
+    def _reg_write(self, addr: int, value: int) -> None:
+        """A word store of ``value`` to device register ``addr``; one to
+        a read-only register or where the table defines none is ignored."""
+        row = _DEV_REGS.get(addr)
+        if row is None or row[5] is None:
+            return
+        _name, field, mask, shift, _read, write, ecc = row
+        if ecc:
+            self._ecc_regs = True
+        value &= mask
+        if type(write) is tuple:
+            getattr(self, write[0])(*write[1:], value)
+            return
+        obj, key, get, put = self._locate(field)
+        put(obj, key, 0 if write == CLEAR else
+            get(obj, key) & ~(mask << shift) | value << shift)
 
-    def _memctl_read(self, off: int) -> int | None:
-        self._ecc_regs = True
-        banks = self.banks.banks
-        if off < 0x40:
-            bank, hi = divmod(off, 8)
-            if bank < 8:
-                wd = banks[bank].write_disable
-                return (wd >> 32) & 0x7F if hi else wd & M32
-        elif 0x40 <= off < 0x60:
-            return banks[(off - 0x40) >> 2].correctable_count & M32
-        elif 0x60 <= off < 0x80:
-            return banks[(off - 0x60) >> 2].uncorrectable_count & M32
-        elif off == 0x80:
-            return 1 if self.scrub.enabled else 0
-        elif off == 0x84:
-            return self.scrub.interval
-        elif off == 0x88:
-            return self.scrub.next_address
-        elif off == 0x8C:
-            return self.scrub.corrections & M32
-        elif off == 0x90:
-            return self.scrub.uncorrectable_seen & M32
-        return None
+    def _locate(self, field: str) -> tuple:
+        """A device register's ``field`` as (the object that holds it, its
+        key there, the get and the set function for that key): a list
+        index for a number part of the path, an attribute otherwise."""
+        obj = self
+        for k in field.split("."):
+            parent, key = obj, int(k) if k.isdigit() else k
+            get, put = (getitem, setitem) if type(key) is int else \
+                (getattr, setattr)
+            obj = get(parent, key)
+        return parent, key, get, put
 
-    def _memctl_write(self, off: int, value: int) -> None:
-        self._ecc_regs = True
-        banks = self.banks.banks
-        if off < 0x40:
-            bank, hi = divmod(off, 8)
-            if bank < 8:
-                b = banks[bank]
-                if hi:
-                    b.write_disable = (b.write_disable & M32) | ((value & 0x7F) << 32)
-                else:
-                    b.write_disable = (b.write_disable & ~M32) | value
-        elif 0x40 <= off < 0x60:
-            banks[(off - 0x40) >> 2].correctable_count = 0
-        elif 0x60 <= off < 0x80:
-            banks[(off - 0x60) >> 2].uncorrectable_count = 0
-        elif off == 0x80:
-            self.scrub.enabled = bool(value & 1)
-            if self.scrub.enabled:
-                self.scrub.next_cycle = self.cycle + self.scrub.interval
-        elif off == 0x84:
-            self.scrub.interval = max(1, value)
-            self.scrub.next_cycle = self.cycle + self.scrub.interval
+    # A register's side effects, the write ones called with the stored
+    # value's masked bits.
+
+    def _error_output(self) -> int:
+        return sum(map(self._reg_read, _ERROR_SOURCES[self.odrg.error_select]))
+
+    def _request_mode(self, mode: int) -> None:
+        o = self.odrg
+        o.pending_mode = None if mode == o.mode else mode
+
+    def _scrub_enable(self, on: int) -> None:
+        s = self.scrub
+        s.enabled = bool(on)
+        if on:
+            s.next_cycle = self.cycle + s.interval
+
+    def _scrub_interval(self, interval: int) -> None:
+        s = self.scrub
+        s.interval = max(1, interval)
+        s.next_cycle = self.cycle + s.interval
+
+    def _exit(self, code: int) -> None:
+        self.exited = True
+        self.running = False
+        self.exit_code = code
+
+    def _uart_tx(self, byte: int) -> None:
+        self.uart_out.append(byte)
 
     # ----------------------------------------------- lockstep callbacks
 
@@ -1010,14 +1048,14 @@ class Soc:
             for c in self.cores:
                 c.mip |= MIP_MEIP
 
-    def _resync_reset_pulse(self) -> None:
+    def _resync_reset_pulse(self, _value: int) -> None:
         """Guest wrote the trigger register: reset all three cores."""
         o = self.odrg
         o.resync_state = RESYNC_IN_PROGRESS
         self._last_irq = self.cycle
         self._restart()
 
-    def _resync_done(self) -> None:
+    def _resync_done(self, _value: int) -> None:
         o = self.odrg
         o.resync_state = RESYNC_DONE
         o.resync_events += 1
@@ -1208,9 +1246,12 @@ class Soc:
 
     def _issue_data(self, c: Core, ip: Port, dp: Port, kind: int, now: int) -> None:
         """Route a load (kind 2) or store (kind 3) onto the data port; a
-        store to ROM or to an unmapped address faults at once."""
+        store to ROM or to an unmapped address faults at once.  Device
+        registers are word-sized: a sub-word access to one is unmapped."""
         addr = c.ev_addr
         region, bank, row = self._route(addr)
+        if region == R_DEV and c.ev_f3 & 3 != 2:
+            region = R_NONE
         if kind == 3 and (region == R_ROM or region == R_NONE):
             self._trap_all_or_one(c, EXC_SACCESS_FAULT, addr)
         elif dp.pending:    # wait for the posted store to drain
@@ -1361,10 +1402,10 @@ class Soc:
                 p.respond(self.rom[p.row] if p.row < len(self.rom) else 0, RS_OK)
             elif region == R_DEV:
                 if p.is_write:
-                    self._dev_write(p.addr, p.wdata)
+                    self._reg_write(p.addr, p.wdata)
                     p.respond(0, RS_OK)
                 else:
-                    v = self._dev_read(p.addr)
+                    v = self._reg_read(p.addr)
                     if v is None:
                         p.respond(0, RS_FAULT)
                     else:

@@ -589,6 +589,49 @@ class TestWriteMaskDerivation:
         assert naive["ecc_correctable"] == simulated[0]["ecc_correctable"] == 1
         assert naive != simulated[0]
 
+    def test_guest_reading_no_ecc_state_is_derived(self, tmp_path):
+        # the scrub position and interval and the error output under
+        # select 0 show no ECC state: every flip and write mask of the
+        # loaded, stored and read word is derived, and equals simulation
+        p = Program()
+        p.label("_start")
+        p.ins("j", "main")
+        p.label("buf")
+        p.words([0x0F0F0F0F])
+        p.label("main")
+        p.ins("la", "s0", "buf")
+        p.ins("lw", "a0", 0, "s0")
+        p.ins("li", "t0", 0x12345678)
+        p.ins("sw", "t0", 0, "s0")
+        p.ins("la", "t2", MEMCTL_BASE + 0x84)
+        p.ins("lw", "t3", 0, "t2")          # scrub interval
+        p.ins("lw", "t4", 4, "t2")          # scrub position
+        p.ins("la", "t2", ODRG_BASE)
+        p.ins("sw", "x0", REG_ERROR_SELECT, "t2")
+        p.ins("lw", "t5", REG_ERROR_OUTPUT, "t2")
+        p.ins("lw", "a1", 0, "s0")
+        p.ins("add", "a1", "a1", "t3")
+        p.ins("add", "a1", "a1", "t4")
+        p.ins("add", "a1", "a1", "t5")
+        p.ins("la", "t6", SIMCTL_BASE)
+        p.ins("sw", "a1", 4, "t6")
+        p.ins("sw", "x0", 0, "t6")
+        assert label_map(p, SRAM_BASE)["buf"] == SRAM_BASE + 4
+        events = [FaultEvent(kind="write_mask", at_cycle=1, bank=1, bit=b)
+                  for b in range(39)]
+        events += [FaultEvent(kind="memory", at_cycle=at, bank=1, row=0,
+                              bit=b) for at in (1, 20, 40) for b in (0, 9, 38)]
+        spec = self.campaign_of(p, tmp_path, events)
+        spec = replace(spec, scrub_interval=7)
+        golden = run_golden(spec, record_trace=False)
+        assert not golden.defuse.ecc_regs
+        derived = [derived_record(i, ev, golden)
+                   for i, ev in enumerate(events)]
+        assert None not in derived
+        assert derived == by_index(
+            execute_runs(spec, list(range(len(events))), golden))
+        assert {r["ecc_correctable"] for r in derived} == {0, 1}
+
     def test_every_bit_of_a_store_sequence(self, tmp_path):
         # word 1 (bank 1) is read, stored twice with no read between (the
         # second store puts the masked bit back), stored again, merged by a

@@ -396,6 +396,25 @@ class TestTraps:
         soc.load_program(p)
         assert soc.run().exit_code == 0xDEAD0002
 
+    # MISC-MEM (opcode 0001111) defines funct3 0 (fence) and 1 (fence.i)
+    @pytest.mark.parametrize("f3", range(2, 8))
+    def test_reserved_misc_mem_encoding_illegal(self, f3):
+        word = 0x0FF0000F | f3 << 12
+        assert decode32(word, SRAM_BASE)[2] == "illegal"
+        p = Program()
+        p.label("_start")
+        p.word(word)
+        p.ins("la", "t6", SIMCTL_BASE)
+        p.ins("sw", "x0", 0, "t6")
+        soc = Soc(SocConfig())
+        soc.load_program(p)
+        assert soc.run().exit_code == 0xDEAD0002
+
+    @pytest.mark.parametrize("word", [0x0FF0000F, 0x8330000F, 0xFFFF0F8F,
+                                      0x0000100F, 0xFFFF9F8F])
+    def test_fence_ignores_its_operand_bits(self, word):
+        assert decode32(word, SRAM_BASE)[2] in ("fence", "fence.i")
+
     def test_ecall_fatal_cause_11(self):
         p = Program()
         p.label("_start")

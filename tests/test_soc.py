@@ -15,7 +15,7 @@ from lockstep_mcu import kernels
 from lockstep_mcu import soc as soc_mod
 from lockstep_mcu.asm import Program, assemble, label_map
 from lockstep_mcu.core import MSTATUS_MIE, PH_EX, PH_LD
-from lockstep_mcu.interconnect import RS_CORRECTED, R_SRAM
+from lockstep_mcu.interconnect import RS_CORRECTED, RS_OK, R_SRAM
 from lockstep_mcu.memory import TOTAL_BYTES, TOTAL_WORDS
 from lockstep_mcu.soc import (
     LoadError, MEMCTL_BASE, ODRG_BASE, ROM_BASE, SIMCTL_BASE, SRAM_BASE,
@@ -1072,10 +1072,10 @@ class TestDeviceRegisters:
         soc = fresh()
         soc.odrg.error_select = 4
         soc.banks.banks[2].correctable_count = 7
-        assert soc.odrg.read(0x24, soc) == 7
+        assert soc._reg_read(ODRG_BASE + 0x24) == 7
         soc.odrg.error_select = 0
         soc.odrg.mismatch_count[0] = 3
-        assert soc.odrg.read(0x24, soc) == 3
+        assert soc._reg_read(ODRG_BASE + 0x24) == 3
 
     def test_write_disable_mask_via_registers(self):
         p = Program()
@@ -1092,6 +1092,91 @@ class TestDeviceRegisters:
         assert res.checksum == 1 << 5
         assert soc.banks.banks[0].write_disable == 1 << 5
 
+    @staticmethod
+    def _access(op, addr, value=0, **cfg):
+        """Run one device access by a guest, then an exit with code 0."""
+        p = Program()
+        p.label("_start")
+        p.ins("li", "t0", addr)
+        p.ins("li", "t1", value)
+        p.ins(op, "t1", 0, "t0")
+        p.ins("la", "t6", SIMCTL_BASE)
+        p.ins("sw", "x0", 0, "t6")
+        soc = fresh(prog=p, **cfg)
+        return soc, soc.run()
+
+    @pytest.mark.parametrize("op,addr", [
+        ("sb", UART_BASE + 1), ("sh", SIMCTL_BASE + 6),
+        ("sb", ODRG_BASE + 0x21), ("sh", MEMCTL_BASE + 2),
+        ("sb", SIMCTL_BASE + 1), ("sb", UART_BASE), ("sh", ODRG_BASE + 0x20),
+        ("lbu", SIMCTL_BASE + 5), ("lbu", ODRG_BASE + 1), ("lb", UART_BASE + 4),
+        ("lhu", MEMCTL_BASE + 0x40), ("lh", SIMCTL_BASE + 4),
+    ], ids=lambda v: f"{v:#x}" if isinstance(v, int) else v)
+    def test_subword_access_faults(self, op, addr):
+        # device registers are word-sized: a byte or half-word load takes
+        # a load access fault (5), a store a store access fault (7), and
+        # neither reaches the register
+        soc, res = self._access(op, addr, 0x141)
+        ref = self._access(op, addr, 0x141, fast_loop=False)[1]
+        assert res.to_dict() == ref.to_dict()
+        assert res.exit_code == 0xDEAD0000 | (5 if op[0] == "l" else 7)
+        assert soc.cores[0].mtval == addr
+        assert res.uart == b""
+        assert soc.odrg.error_select == 0
+        assert soc.banks.banks[0].write_disable == 0
+
+    def test_subword_store_leaves_the_checksum(self):
+        p = Program()
+        p.label("_start")
+        p.ins("la", "t6", SIMCTL_BASE)
+        p.ins("li", "t1", 0x12345678)
+        p.ins("sw", "t1", 4, "t6")
+        p.ins("li", "t1", 0xABCD)
+        p.ins("sh", "t1", 6, "t6")
+        res = fresh(prog=p).run()
+        assert res.exit_code == 0xDEAD0007
+        assert res.checksum == 0x12345678
+
+    @pytest.mark.parametrize("addr", [
+        ODRG_BASE + 0x38, MEMCTL_BASE + 0x94,
+        UART_BASE + 8, UART_BASE + 0x100, SIMCTL_BASE + 8,
+        SIMCTL_BASE + 0xFFFFC], ids=hex)
+    def test_undefined_offset_read_faults(self, addr):
+        soc, res = self._access("lw", addr)
+        assert res.exit_code == 0xDEAD0005
+        assert soc.cores[0].mtval == addr
+
+    @pytest.mark.parametrize("addr", [
+        ODRG_BASE + 0x38, MEMCTL_BASE + 0x94, UART_BASE + 8,
+        SIMCTL_BASE + 8], ids=hex)
+    def test_undefined_offset_write_is_ignored(self, addr):
+        soc, res = self._access("sw", addr, 0x41)
+        assert res.exit_code == 0 and res.uart == b""
+
+    def test_table_defines_the_device_map(self):
+        assert sorted(soc_mod._DEV_REGS) == sorted(row[0] for row in DEVICE_MAP)
+        assert len(soc_mod._DEV_ADDR) == len(soc_mod._DEV_REGS)
+        assert soc_mod.REG_EXIT == 0 and soc_mod.REG_CHECKSUM == 4
+
+    def test_ecc_column(self):
+        # the registers an access to which shows ECC state: write-disable,
+        # the per-bank counters, the scrubber's corrections and
+        # uncorrectable sightings, and the error output under selects 4-5
+        ecc = {MEMCTL_BASE + off for off in (*range(0, 0x80, 4), 0x8C, 0x90)}
+        for addr, _read, value, _changes in DEVICE_MAP:
+            for write in (False, True):
+                soc = _seed_devices()
+                soc._ecc_regs = False
+                _bus_access(soc, addr, value if write else None)
+                writes_nothing = write and addr in (MEMCTL_BASE + 0x8C,
+                                                    MEMCTL_BASE + 0x90)
+                assert soc._ecc_regs == (addr in ecc and not writes_nothing)
+        for select in range(8):
+            soc = _seed_devices()
+            soc.odrg.error_select = select
+            _bus_access(soc, ODRG_BASE + 0x24)
+            assert soc._ecc_regs == (select in (4, 5))
+
     def test_unknown_device_offset_read_faults(self):
         p = Program()
         p.label("_start")
@@ -1099,6 +1184,140 @@ class TestDeviceRegisters:
         p.ins("lw", "a0", 0, "s0")
         res = fresh(prog=p).run()
         assert res.exit_code == 0xDEAD0005
+
+
+# Every defined device register, accessed as a word through the bus:
+# (address, what a read returns, the value written, the state the write
+# changes).  The state before each access is ``_seed_devices``'s, and
+# ``_device_state`` names what is compared; a read changes nothing.
+_MEMCTL_BANK_ROWS = [row for b in range(8) for row in (
+    (MEMCTL_BASE + 8 * b, 0x100 + b, 0xFFFF0000,
+     {f"bank{b}.write_disable": 0xFFFF0000 | (b + 1) << 32}),
+    (MEMCTL_BASE + 8 * b + 4, b + 1, 0xF0,
+     {f"bank{b}.write_disable": 0x100 + b | 0x70 << 32}),
+    (MEMCTL_BASE + 0x40 + 4 * b, 20 + b, 9,
+     {f"bank{b}.correctable_count": 0}),
+    (MEMCTL_BASE + 0x60 + 4 * b, 30 + b, 9,
+     {f"bank{b}.uncorrectable_count": 0}),
+)]
+DEVICE_MAP = [
+    (ODRG_BASE + 0x00, 0, 3, {"odrg.pending_mode": 1}),
+    (ODRG_BASE + 0x04, 1, 0, {}),
+    (ODRG_BASE + 0x08, 11, 5, {"odrg.mismatch_count": [0, 12, 13]}),
+    (ODRG_BASE + 0x0C, 12, 5, {"odrg.mismatch_count": [11, 0, 13]}),
+    (ODRG_BASE + 0x10, 13, 5, {"odrg.mismatch_count": [11, 12, 0]}),
+    (ODRG_BASE + 0x14, 0, 0, {"odrg.resync_state": 2}),
+    (ODRG_BASE + 0x18, 0, 0, {"odrg.resync_state": 3,
+                              "odrg.resync_events": 15,
+                              "odrg.last_done_cycle": 0}),
+    (ODRG_BASE + 0x1C, 0x1C03FF00, 0xCAFEBABE, {"odrg.saved_sp": 0xCAFEBABE}),
+    (ODRG_BASE + 0x20, 2, 0xFD, {"odrg.error_select": 5}),
+    (ODRG_BASE + 0x24, 13, 9, {}),
+    (ODRG_BASE + 0x28, 14, 3, {"odrg.resync_events": 0}),
+    (ODRG_BASE + 0x2C, 0, 3, {"odrg.msip": [1, 1, 0], "mip": [8, 8, 8]}),
+    (ODRG_BASE + 0x30, 1, 0, {"odrg.msip": [0, 0, 0]}),
+    (ODRG_BASE + 0x34, 0, 1, {"odrg.msip": [0, 1, 1], "mip": [8, 8, 8]}),
+    *_MEMCTL_BANK_ROWS,
+    (MEMCTL_BASE + 0x80, 0, 1, {"scrub.enabled": True,
+                                "scrub.next_cycle": 100}),
+    (MEMCTL_BASE + 0x84, 100, 7, {"scrub.interval": 7, "scrub.next_cycle": 7}),
+    (MEMCTL_BASE + 0x88, 0x48, 9, {}),
+    (MEMCTL_BASE + 0x8C, 40, 9, {}),
+    (MEMCTL_BASE + 0x90, 41, 9, {}),
+    (UART_BASE + 0x0, 0, 0x141, {"uart": b"A"}),
+    (UART_BASE + 0x4, 1, 9, {}),
+    (SIMCTL_BASE + 0x0, 0, 0x1234, {"exited": True, "running": False,
+                                    "exit_code": 0x1234}),
+    (SIMCTL_BASE + 0x4, 0x55, 0xDEADBEEF, {"checksum_reg": 0xDEADBEEF}),
+]
+
+
+def _seed_devices():
+    """A fresh Soc whose device registers all hold distinct values."""
+    soc = Soc(SocConfig())
+    o = soc.odrg
+    o.resync_state = 1
+    o.mismatch_count = [11, 12, 13]
+    o.saved_sp = 0x1C03FF00
+    o.error_select = 2
+    o.resync_events = 14
+    o.msip = [0, 1, 0]
+    for b, bank in enumerate(soc.banks.banks):
+        bank.write_disable = 0x100 + b | (b + 1) << 32
+        bank.correctable_count = 20 + b
+        bank.uncorrectable_count = 30 + b
+    s = soc.scrub
+    s.enabled, s.interval, s.next_address, s.next_cycle = False, 100, 0x48, 50
+    s.corrections, s.uncorrectable_seen = 40, 41
+    soc.checksum_reg = 0x55
+    return soc
+
+
+def _device_state(soc):
+    o, s = soc.odrg, soc.scrub
+    st = {f"odrg.{n}": copy.copy(getattr(o, n)) for n in o.__slots__}
+    st.update({f"scrub.{n}": getattr(s, n) for n in s.__slots__})
+    for b, bank in enumerate(soc.banks.banks):
+        for n in ("write_disable", "correctable_count", "uncorrectable_count"):
+            st[f"bank{b}.{n}"] = getattr(bank, n)
+    st.update(uart=bytes(soc.uart_out), exited=soc.exited,
+              running=soc.running, exit_code=soc.exit_code,
+              checksum_reg=soc.checksum_reg,
+              mip=[c.mip for c in soc.cores])
+    return st
+
+
+def _bus_access(soc, addr, value=None):
+    """One word access to ``addr`` on the voted data port, served by the
+    bus half-cycle: (the response value, the response status)."""
+    p = soc.vports[0]
+    p.want(*soc._route(addr), addr, value is not None, value or 0, 0xF)
+    soc._bus_cycle(soc.cycle)
+    return p.take_resp()
+
+
+class TestDeviceMap:
+    @pytest.mark.parametrize("addr,read,value,changes", DEVICE_MAP,
+                             ids=[f"{row[0]:#x}" for row in DEVICE_MAP])
+    def test_register(self, addr, read, value, changes):
+        soc = _seed_devices()
+        before = _device_state(soc)
+        assert _bus_access(soc, addr) == (read, RS_OK)
+        assert _device_state(soc) == before
+        assert _bus_access(soc, addr, value) == (0, RS_OK)
+        assert _device_state(soc) == {**before, **changes}
+
+    @pytest.mark.parametrize("select,output", [
+        (0, 11), (1, 12), (2, 13), (3, 14),
+        (4, sum(range(20, 28))), (5, sum(range(30, 38))), (6, 0), (7, 0)])
+    def test_error_output_under_each_select(self, select, output):
+        soc = _seed_devices()
+        soc.odrg.error_select = select
+        assert _bus_access(soc, ODRG_BASE + 0x24) == (output, RS_OK)
+
+
+def _register_map() -> str:
+    """The README's device register table, rendered from the table."""
+    def call(f):
+        return f"`{f[0]}({', '.join(map(str, f[1:]))})`"
+
+    lines = ["| address | register | bits | read | write | ECC |",
+             "| --- | --- | --- | --- | --- | --- |"]
+    for addr, row in sorted(soc_mod._DEV_REGS.items()):
+        name, field, mask, shift, read, write, ecc = row
+        hi = shift + mask.bit_length() - 1
+        bits = f"{hi}:{shift}" if hi > shift else f"{shift}"
+        read = f"`{field}`" if read is None else \
+            call(read) if type(read) is tuple else read
+        write = call(write) if type(write) is tuple else write or "—"
+        lines.append(f"| `0x{addr >> 16:04X}_{addr & 0xFFFF:04X}` | `{name}` "
+                     f"| {bits} | {read} | {write} | {'yes' if ecc else ''} |")
+    return "\n".join(lines) + "\n"
+
+
+def test_readme_register_map():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert _register_map() in readme, _register_map()
 
 
 class TestMemoryDumpCli:
